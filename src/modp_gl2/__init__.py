@@ -55,16 +55,6 @@ from .principal import (
     omega,
 )
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (
-    RingElement,
-    central_character,
-    convert_basis,
-    det_twist,
-    dimension,
-    frobenius_twist,
-    multiply,
-    symm_to_L,
-    theta_apply,
-)
+from .ring import RingElement, convert_basis, multiply, symm_to_L
 
 __all__ = [name for name in dir() if not name.startswith("_")]

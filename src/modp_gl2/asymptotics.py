@@ -11,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .memo import memo
 from .params import FieldParams
 from .reduction import SymmFactor, reduce_product, reduce_symm
 from .ring import RingElement, multiply
-
-_S_ALPHA_CACHE: dict[tuple[int, int, int], "SAlphaElement"] = {}
-_OPNORM_CACHE: dict[tuple, Fraction] = {}
-_CONSTANTS_CACHE: dict[tuple[int, int, int], "ConstantsReport"] = {}
 
 
 @dataclass(frozen=True)
@@ -29,6 +26,7 @@ class SAlphaElement:
     element: RingElement
 
 
+@memo(lambda params, i: (params.p, params.f, i % max(params.q - 1, 1)))
 def s_alpha(params: FieldParams, i: int) -> SAlphaElement:
     """Average of [V(chi)] over the q-1 Borel characters chi with central
     character i, normalized by 1/(q^2 - 1)."""
@@ -37,18 +35,12 @@ def s_alpha(params: FieldParams, i: int) -> SAlphaElement:
     q = params.q
     qm1 = max(q - 1, 1)
     i = i % qm1
-    key = (params.p, params.f, i)
-    hit = _S_ALPHA_CACHE.get(key)
-    if hit is not None:
-        return hit
     total = RingElement.zero(params, "L")
     for r in range(qm1):
         for j in range(qm1):
             if (r + 2 * j) % qm1 == i:
                 total = total + diamond_decompose(params, r, j)
-    result = SAlphaElement(i, total.scale(Fraction(1, q * q - 1)))
-    _S_ALPHA_CACHE[key] = result
-    return result
+    return SAlphaElement(i, total.scale(Fraction(1, q * q - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +82,21 @@ def operator_norm(v: RingElement) -> Fraction:
     shifts the output twist, so the row sums only need the products
     v * [L_b(0)] for the q untwisted generators.
     """
-    v = v.to_basis("L")
+    return _l_operator_norm(v.to_basis("L"))
+
+
+@memo(_twist_orbit_key)
+def _l_operator_norm(v: RingElement) -> Fraction:
+    """operator_norm of an element in the L basis."""
     if v.is_zero():
         return Fraction(0)
-    key = _twist_orbit_key(v)
-    hit = _OPNORM_CACHE.get(key)
-    if hit is not None:
-        return hit
     params = v.params
     rows: dict[int, Fraction] = {}
     for b in range(params.q):
         prod = multiply(v, RingElement.L(params, b, 0))
         for (n, _), c in prod.terms.items():
             rows[n] = rows.get(n, Fraction(0)) + abs(c)
-    result = max(rows.values(), default=Fraction(0))
-    _OPNORM_CACHE[key] = result
-    return result
+    return max(rows.values(), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +140,11 @@ class ConstantsReport:
         }
 
 
+@memo(lambda params: (params.p, params.f, params.degree))
 def compute_constants(params: FieldParams) -> ConstantsReport:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S_alpha_i||."""
     from .ring import _l_to_s_columns
 
-    key = (params.p, params.f, params.degree)
-    hit = _CONSTANTS_CACHE.get(key)
-    if hit is not None:
-        return hit
     q = params.q
     qm1 = max(q - 1, 1)
     best = Fraction(0)
@@ -169,9 +157,7 @@ def compute_constants(params: FieldParams) -> ConstantsReport:
     for col in _l_to_s_columns(params):
         mass += sum(abs(Fraction(c)) for c in col.values())
     m_upper = qm1 * mass
-    report = ConstantsReport(params, a_const, m_upper)
-    _CONSTANTS_CACHE[key] = report
-    return report
+    return ConstantsReport(params, a_const, m_upper)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ integers within a hard tolerance, otherwise the run fails loudly.
 from __future__ import annotations
 
 import cmath
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .memo import memo
 from .params import FieldParams
 from .reduction import SymmFactor
 from .ring import RingElement
@@ -132,14 +134,8 @@ class BrauerTable:
         return mp.lu_solve(self.matrix, rhs)
 
 
-_TABLE_CACHE: dict[tuple[int, int, int], BrauerTable] = {}
-
-
+@memo(lambda params, precision=64: (params.p, params.f, precision))
 def build_table(params: FieldParams, precision: int = 64) -> BrauerTable:
-    key = (params.p, params.f, precision)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     q = params.q
     qm1 = max(q - 1, 1)
     classes = enumerate_p_regular_classes(params)
@@ -158,9 +154,7 @@ def build_table(params: FieldParams, precision: int = 64) -> BrauerTable:
                 for c, (n, m) in enumerate(labels):
                     matrix[r, c] = character_of_irreducible(
                         params, n, m, cls, mp_ctx=mp)
-    table = BrauerTable(params, classes, labels, matrix, precision)
-    _TABLE_CACHE[key] = table
-    return table
+    return BrauerTable(params, classes, labels, matrix, precision)
 
 
 def oracle_decompose(params: FieldParams, factors, det: int = 0,
@@ -174,18 +168,20 @@ def oracle_decompose(params: FieldParams, factors, det: int = 0,
     factors = [SymmFactor(*f) for f in factors]
     table = build_table(params, precision)
     mp_ctx = None
+    working_precision = contextlib.nullcontext()
     if precision > 64:
         from mpmath import mp
 
-        mp.prec = precision
-        mp_ctx = mp
-    rhs = []
-    for cls in table.classes:
-        value = character_of_symm(params, SymmFactor(0, det, 0), cls, mp_ctx)
-        for f in factors:
-            value *= character_of_symm(params, f, cls, mp_ctx)
-        rhs.append(value)
-    solution = table.solve(rhs)
+        mp_ctx, working_precision = mp, mp.workprec(precision)
+    with working_precision:
+        rhs = []
+        for cls in table.classes:
+            value = character_of_symm(params, SymmFactor(0, det, 0), cls,
+                                      mp_ctx)
+            for f in factors:
+                value *= character_of_symm(params, f, cls, mp_ctx)
+            rhs.append(value)
+        solution = table.solve(rhs)
     terms: dict[tuple[int, int], Fraction] = {}
     worst = 0.0
     for lbl, x in zip(table.labels, solution):

@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import asymptotics, ring
+from . import asymptotics, memo, ring
 from .params import FieldParams
 
 ENV_VAR = "MODP_GL2_CACHE"
@@ -24,9 +24,13 @@ def resolve_path(explicit: str | None) -> str | None:
 
 
 def load_cache(path: str | None) -> None:
-    """Populate the in-memory memo tables from a cache file, if readable."""
+    """Populate the in-memory memo tables from a cache file, if readable.
+
+    Nothing is stored unless the whole file parses.
+    """
     if not path or not os.path.exists(path):
         return
+    structure_constants, constants = {}, {}
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -35,30 +39,33 @@ def load_cache(path: str | None) -> None:
         for field_key, pairs in data.get("structure_constants", {}).items():
             p, f = (int(x) for x in field_key.split(","))
             FieldParams(p, f)  # validates
-            table = ring._SC_CACHE.setdefault((p, f), {})
             for pair_key, rows in pairs.items():
                 a, b = (int(x) for x in pair_key.split(","))
-                table[(a, b)] = {(int(n), int(t)): int(c) for n, t, c in rows}
+                structure_constants[(p, f, a, b)] = {
+                    (int(n), int(t)): int(c) for n, t, c in rows}
         for field_key, report in data.get("constants", {}).items():
             p, f, h = (int(x) for x in field_key.split(","))
             params = FieldParams(p, f, h)
-            asymptotics._CONSTANTS_CACHE[(p, f, h)] = asymptotics.ConstantsReport(
+            constants[(p, f, h)] = asymptotics.ConstantsReport(
                 params, Fraction(report["A"]), Fraction(report["M_upper"]))
     except Exception as exc:  # corrupt cache: warn and start clean
         print(f"warning: discarding unreadable cache {path}: {exc}",
               file=sys.stderr)
+        return
+    memo.table(ring.structure_constants).update(structure_constants)
+    memo.table(asymptotics.compute_constants).update(constants)
 
 
 def save_cache(path: str | None) -> None:
     if not path:
         return
     data = {"version": VERSION, "structure_constants": {}, "constants": {}}
-    for (p, f), table in sorted(ring._SC_CACHE.items()):
-        pairs = {}
-        for (a, b), rows in sorted(table.items()):
-            pairs[f"{a},{b}"] = [[n, t, c] for (n, t), c in sorted(rows.items())]
-        data["structure_constants"][f"{p},{f}"] = pairs
-    for (p, f, h), report in sorted(asymptotics._CONSTANTS_CACHE.items()):
+    table = memo.table(ring.structure_constants)
+    for (p, f, a, b), rows in sorted(table.items()):
+        pairs = data["structure_constants"].setdefault(f"{p},{f}", {})
+        pairs[f"{a},{b}"] = [[n, t, c] for (n, t), c in sorted(rows.items())]
+    table = memo.table(asymptotics.compute_constants)
+    for (p, f, h), report in sorted(table.items()):
         data["constants"][f"{p},{f},{h}"] = {
             "A": f"{report.A.numerator}/{report.A.denominator}",
             "M_upper": f"{report.M_upper.numerator}/{report.M_upper.denominator}",

@@ -1,6 +1,7 @@
 """Batch command-line front end.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
+1 disagreement between the ring and the oracle (``oracle-check`` only),
 2 validation error, 3 oracle residual failure, 4 bound violation.
 """
 
@@ -11,7 +12,6 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import asymptotics, bm, brauer, cache, principal
@@ -98,14 +98,6 @@ def emit_rows(header: list[str], rows: list[list], fmt: str) -> None:
         print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
         for row in rows:
             print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
-
-
-def _pool_map(jobs: int, fn, items):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))  # order preserved regardless of completion
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +218,9 @@ def cmd_bm(params, args):
             type_class = bm.preset_type_trivial_qp(params.p)
         else:
             type_class = bm.preset_type_crystalline_trivial_qp(params.p)
-        rows = _pool_map(
-            args.jobs,
-            lambda a: _qp_sweep_row(params, rho, type_class, intrinsics,
-                                    args.type, a, args.b),
-            range(args.a_min, args.a_max + 1))
+        rows = [_qp_sweep_row(params, rho, type_class, intrinsics,
+                              args.type, a, args.b)
+                for a in range(args.a_min, args.a_max + 1)]
         emit_rows(["a", "b", "gate", "mu_exact", "mu_asymptotic", "abs_error"],
                   rows, args.format)
         return EXIT_OK
@@ -271,10 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"cache file (or env {cache.ENV_VAR})")
     parser.add_argument("--precision", type=int, default=64,
                         help="oracle working precision in bits")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for sweeps")
+                        help="accepted and ignored; sweeps run serially")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,0 +1,51 @@
+"""One memoization mechanism for the package's exact tables.
+
+``@memo(key)`` keeps a function's results in a dict registered in ``TABLES``
+under the function's qualified name, keyed by ``key(*args)``. The key decides
+what is shared: ring tables are keyed by ``(p, f)``, so fields that differ
+only in ``h`` share them. Entries never change once stored, and ``clear()``
+empties every table.
+"""
+
+from __future__ import annotations
+
+import functools
+
+TABLES: dict[str, dict] = {}
+
+_MISSING = object()
+
+
+def _name(fn) -> str:
+    return f"{fn.__module__}.{fn.__qualname__}"
+
+
+def memo(key):
+    """Decorator: memoize a function by ``key``, a function of its
+    positional arguments."""
+    def decorate(fn):
+        table = TABLES.setdefault(_name(fn), {})
+
+        @functools.wraps(fn)
+        def wrapper(*args):
+            k = key(*args)
+            value = table.get(k, _MISSING)
+            if value is _MISSING:
+                value = table[k] = fn(*args)
+            return value
+
+        return wrapper
+
+    return decorate
+
+
+def table(fn) -> dict:
+    """The memo table of a decorated function, or of any wrapper of it that
+    keeps its name (such as one made with ``functools.wraps``)."""
+    return TABLES[_name(fn)]
+
+
+def clear() -> None:
+    """Empty every memo table."""
+    for entries in TABLES.values():
+        entries.clear()

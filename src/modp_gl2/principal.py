@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .memo import memo
 from .params import FieldParams
 from .ring import Label, RingElement
 
@@ -65,17 +66,11 @@ class ClosedPath:
         return ",".join(self.vertices)
 
 
-_PATH_CACHE: dict[tuple[str, int], tuple[ClosedPath, ...]] = {}
-
-
+@memo(lambda graph, f: (graph, f))
 def enumerate_closed_paths(graph: str, f: int) -> tuple[ClosedPath, ...]:
     """All closed walks of length f, in lexicographic vertex order."""
     if f < 1:
         raise ValueError("path length must be >= 1")
-    key = (graph, f)
-    hit = _PATH_CACHE.get(key)
-    if hit is not None:
-        return hit
     paths = []
 
     def extend(seq):
@@ -90,9 +85,7 @@ def enumerate_closed_paths(graph: str, f: int) -> tuple[ClosedPath, ...]:
     for start in sorted(VERTICES):
         extend([start])
     paths.sort(key=lambda c: c.vertices)
-    result = tuple(paths)
-    _PATH_CACHE[key] = result
-    return result
+    return tuple(paths)
 
 
 def _digit_images(params: FieldParams, path: ClosedPath, n: int):
@@ -155,7 +148,17 @@ def ell_of_path(params: FieldParams, path: ClosedPath, n: int) -> int:
     return (total // 2) % max(params.q - 1, 1)
 
 
-_DIAMOND_CACHE: dict[tuple[int, int, int], RingElement] = {}
+# Only the untwisted class is kept; twists are cheap to apply per call.
+@memo(lambda params, n: (params.p, params.f, n))
+def _diamond_base(params: FieldParams, n: int) -> RingElement:
+    terms: dict[Label, Fraction] = {}
+    for path in enumerate_closed_paths(DECOMPOSITION, params.f):
+        lam = lambda_of_path(params, path, n)
+        if lam is None:
+            continue
+        lbl = (lam, ell_of_path(params, path, n))
+        terms[lbl] = terms.get(lbl, Fraction(0)) + 1
+    return RingElement(params, "L", terms)
 
 
 def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
@@ -168,18 +171,7 @@ def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
     n_max = max(q - 2, 0)
     if not 0 <= n <= n_max:
         raise ValueError(f"n = {n} out of range [0, {n_max}]")
-    key = (params.p, params.f, n)
-    base = _DIAMOND_CACHE.get(key)
-    if base is None:
-        terms: dict[Label, Fraction] = {}
-        for path in enumerate_closed_paths(DECOMPOSITION, params.f):
-            lam = lambda_of_path(params, path, n)
-            if lam is None:
-                continue
-            lbl = (lam, ell_of_path(params, path, n))
-            terms[lbl] = terms.get(lbl, Fraction(0)) + 1
-        base = RingElement(params, "L", terms)
-        _DIAMOND_CACHE[key] = base
+    base = _diamond_base(params, n)
     return base.det_twist(m) if m else base
 
 

@@ -18,21 +18,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .memo import memo
 from .params import FieldParams
 
 Label = tuple[int, int]
-
-# Structure constants of the L basis, keyed by (p, f) then by the unordered
-# pair (a, b): [L_a][L_b] = sum of coeff * [L_n(t)]. Twists factor out, so
-# the table has at most q^2 entries per field. Insertions are idempotent,
-# which keeps the shared dict safe for concurrent use.
-_SC_CACHE: dict[tuple[int, int], dict[tuple[int, int], dict[Label, int]]] = {}
-
-# Columns of the S -> L base change ([S_n(0)] in the L basis) and of its
-# inverse ([L_n(0)] in the S basis), keyed by (p, f).
-_S_TO_L_CACHE: dict[tuple[int, int], list[dict[Label, int]]] = {}
-_L_TO_S_CACHE: dict[tuple[int, int], list[dict[Label, int]]] = {}
-
 
 class RingElement:
     """An element of the Grothendieck ring with exact rational coefficients.
@@ -95,10 +84,6 @@ class RingElement:
     def sorted_terms(self) -> list[tuple[Label, Fraction]]:
         return sorted(self.terms.items())
 
-    def _key(self):
-        return (self.params.p, self.params.f, self.basis,
-                tuple(self.sorted_terms()))
-
     def __eq__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -109,7 +94,9 @@ class RingElement:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self._key())
+        # equal elements in different bases must hash alike: hash the L form
+        return hash((self.params.p, self.params.f,
+                     frozenset(self.to_basis("L").terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -233,33 +220,6 @@ class RingElement:
 
 
 # ---------------------------------------------------------------------------
-# theta dispatch (labels in [0, q-1] rotate digits; residues multiply by p^j)
-
-def theta_apply(params: FieldParams, x: int, j: int, kind: str = "label") -> int:
-    if kind == "label":
-        return params.theta_label(x, j)
-    if kind == "residue":
-        return params.theta_residue(x, j)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def det_twist(v: RingElement, i: int) -> RingElement:
-    return v.det_twist(i)
-
-
-def frobenius_twist(v: RingElement, j: int = 1) -> RingElement:
-    return v.frobenius_twist(j)
-
-
-def dimension(v: RingElement) -> Fraction:
-    return v.dimension()
-
-
-def central_character(v: RingElement) -> int | None:
-    return v.central_character()
-
-
-# ---------------------------------------------------------------------------
 # Structure constants via the digit-carry automaton
 
 def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
@@ -314,14 +274,13 @@ def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
     return result
 
 
+# Twists factor out and the product is commutative, so the table has at most
+# q^2 entries per field, keyed by (p, f) and the unordered pair (a, b).
+@memo(lambda params, a, b: (params.p, params.f, a, b) if a <= b
+      else (params.p, params.f, b, a))
 def structure_constants(params: FieldParams, a: int, b: int) -> dict[Label, int]:
     """L-basis expansion of [L_a][L_b] (twists shifted out): label -> coeff."""
     p, f = params.p, params.f
-    table = _SC_CACHE.setdefault((p, f), {})
-    key = (a, b) if a <= b else (b, a)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
     da, db = params.digits(a), params.digits(b)
     initial = []
     for ts in itertools.product(*(range(min(da[i], db[i]) + 1)
@@ -329,9 +288,7 @@ def structure_constants(params: FieldParams, a: int, b: int) -> dict[Label, int]
         degrees = tuple(da[i] + db[i] - 2 * ts[i] for i in range(f))
         twist = sum(ts[i] * p ** i for i in range(f))
         initial.append((degrees, (0,) * f, twist, 1))
-    result = _normalize_states(params, initial)
-    table[key] = result
-    return result
+    return _normalize_states(params, initial)
 
 
 def multiply(v: RingElement, w: RingElement) -> RingElement:
@@ -360,13 +317,14 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
 # ---------------------------------------------------------------------------
 # Base change between the S and L bases
 
+def _field_key(params: FieldParams) -> tuple[int, int]:
+    return (params.p, params.f)
+
+
+@memo(_field_key)
 def _s_to_l_columns(params: FieldParams) -> list[dict[Label, int]]:
     """[S_n(0)] in the L basis for 0 <= n <= q-1, by the Glover recursion
     [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1)."""
-    key = (params.p, params.f)
-    hit = _S_TO_L_CACHE.get(key)
-    if hit is not None:
-        return hit
     q = params.q
     qm1 = max(q - 1, 1)
     cols: list[dict[Label, int]] = [{(0, 0): 1}]
@@ -383,16 +341,12 @@ def _s_to_l_columns(params: FieldParams) -> list[dict[Label, int]]:
             lbl = (a, (x + 1) % qm1)
             acc[lbl] = acc.get(lbl, 0) - c
         cols.append({k: c for k, c in acc.items() if c != 0})
-    _S_TO_L_CACHE[key] = cols
     return cols
 
 
+@memo(_field_key)
 def _l_to_s_columns(params: FieldParams) -> list[dict[Label, int]]:
     """[L_n(0)] in the S basis, inverting the unit-triangular S -> L change."""
-    key = (params.p, params.f)
-    hit = _L_TO_S_CACHE.get(key)
-    if hit is not None:
-        return hit
     q = params.q
     qm1 = max(q - 1, 1)
     s_cols = _s_to_l_columns(params)
@@ -407,7 +361,6 @@ def _l_to_s_columns(params: FieldParams) -> list[dict[Label, int]]:
                 lbl = (a, (x + j) % qm1)
                 acc[lbl] = acc.get(lbl, 0) - c * k
         cols.append({k: c for k, c in acc.items() if c != 0})
-    _L_TO_S_CACHE[key] = cols
     return cols
 
 

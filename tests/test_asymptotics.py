@@ -93,10 +93,8 @@ def test_constants_q3(p3):
 
 def test_constants_deterministic():
     first = compute_constants(FieldParams(5, 1, 1))
-    import modp_gl2.asymptotics as asym
-    asym._CONSTANTS_CACHE.clear()
-    import modp_gl2.ring as ring
-    ring._SC_CACHE.pop((5, 1), None)
+    from modp_gl2 import memo
+    memo.clear()
     second = compute_constants(FieldParams(5, 1, 1))
     assert (first.A, first.M_upper, first.C) == (second.A, second.M_upper, second.C)
 

@@ -107,15 +107,19 @@ def test_rounding_discipline(p3):
 
 
 def test_oracle_error_raised(p3, monkeypatch):
-    from modp_gl2 import brauer
+    from modp_gl2 import brauer, memo
 
     monkeypatch.setattr(brauer, "ROUNDING_TOLERANCE", 1e-18)
-    brauer._TABLE_CACHE.clear()
+    memo.clear()
     with pytest.raises(OracleError):
         oracle_decompose(p3, [(40, 1, 0), (17, 0, 0)])
-    brauer._TABLE_CACHE.clear()
+    memo.clear()
 
 
 def test_high_precision_branch(p3):
+    from mpmath import mp
+
+    prec = mp.prec
     assert oracle_decompose(p3, [(9, 1, 0)], precision=128) \
         == reduce_symm(p3, 9, m=1)
+    assert mp.prec == prec

@@ -114,13 +114,13 @@ def test_oracle_check(capsys):
 
 
 def test_oracle_failure_exit_code(capsys, monkeypatch):
-    from modp_gl2 import brauer
+    from modp_gl2 import brauer, memo
 
     monkeypatch.setattr(brauer, "ROUNDING_TOLERANCE", 1e-18)
-    brauer._TABLE_CACHE.clear()
+    memo.clear()
     code, _, err = run(capsys, "--p", "3", "--f", "1",
                        "oracle-check", "--factors", "40:1,17:0")
-    brauer._TABLE_CACHE.clear()
+    memo.clear()
     assert code == 3
     assert "oracle" in err
 
@@ -177,9 +177,9 @@ def test_cache_roundtrip(capsys, tmp_path):
             "decompose", "--symm", "19"]
     _, cold, _ = run(capsys, *argv)
     assert cache_file.exists()
-    import modp_gl2.ring as ring
+    from modp_gl2 import memo
 
-    ring._SC_CACHE.pop((3, 1), None)
+    memo.clear()
     _, warm, _ = run(capsys, *argv)
     assert cold == warm
 
@@ -194,3 +194,21 @@ def test_corrupt_cache_warns(capsys, tmp_path):
     assert "cache" in err
     terms = {(t["n"], t["m"]) for t in json.loads(out)["terms"]}
     assert terms == {(0, 0), (0, 1), (2, 0)}
+
+
+def test_partially_corrupt_cache_loads_nothing(capsys, tmp_path):
+    from modp_gl2 import memo
+
+    # a well-formed but wrong row for [L_1]^2 at q = 3 (the true product is
+    # [L_2] + [L_0(1)]), then an unreadable pair key
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(json.dumps({"version": 1, "structure_constants": {
+        "3,1": {"1,1": [[2, 0, 5]]}, "5,1": {"x,1": []}}}))
+    memo.clear()
+    code, out, err = run(capsys, "--p", "3", "--f", "1",
+                         "--cache-path", str(cache_file),
+                         "decompose", "--factors", "1,1")
+    assert code == 0
+    assert "discarding" in err
+    terms = {(t["n"], t["m"]): t["coeff"] for t in json.loads(out)["terms"]}
+    assert terms == {(0, 1): "1/1", (2, 0): "1/1"}

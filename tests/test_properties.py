@@ -97,6 +97,14 @@ def test_basis_roundtrip(v):
     assert convert_basis(convert_basis(v, "S"), "L") == v
 
 
+@given(labeled_element())
+@settings(max_examples=60, deadline=None)
+def test_hash_agrees_with_eq_across_bases(v):
+    s = v.to_basis("S")
+    assert hash(v) == hash(s)
+    assert len({v, s}) == 1
+
+
 @given(element_pair())
 @settings(max_examples=40, deadline=None)
 def test_norm_subadditive(pair):
