@@ -91,12 +91,12 @@ def _l_operator_norm(v: RingElement) -> Fraction:
     if v.is_zero():
         return Fraction(0)
     params = v.params
-    rows: dict[int, Fraction] = {}
+    rows: dict[int, int | Fraction] = {}
     for b in range(params.q):
         prod = multiply(v, RingElement.L(params, b, 0))
         for (n, _), c in prod.terms.items():
-            rows[n] = rows.get(n, Fraction(0)) + abs(c)
-    return max(rows.values(), default=Fraction(0))
+            rows[n] = rows.get(n, 0) + abs(c)
+    return Fraction(max(rows.values(), default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,8 @@ def serre_weights_qp_irreducible(params: FieldParams, rho: RhoBarQp) -> dict:
     m = params.residue(rho.m)
     first = (rho.n, m)
     second = (p - 1 - rho.n, params.residue(rho.n + rho.m))
-    assert first != second, "the two weights are always distinct in range"
+    if first == second:
+        raise AssertionError("the two weights coincide (internal bug)")
     return {first: 1, second: 1}
 
 
@@ -86,7 +87,9 @@ def a_sigma(params: FieldParams, type_class: GaloisTypeClass, factors) -> dict:
     total = multiply(type_class.reduction_class.to_basis("L"), product)
     out = {}
     for lbl, c in total.sorted_terms():
-        assert c.denominator == 1 and c >= 0, "semisimple multiplicities are integers"
+        if c.denominator != 1 or c < 0:
+            raise AssertionError(f"multiplicity {c} at {lbl} is not a "
+                                 "nonnegative integer (internal bug)")
         out[lbl] = int(c)
     return out
 

@@ -70,7 +70,9 @@ def enumerate_p_regular_classes(params: FieldParams) -> list[PRegularClass]:
         if e < (e * q) % n2:
             classes.append(PRegularClass("nonsplit", (e,)))
     expected = (q - 1) + (q - 1) * (q - 2) // 2 + (q * q - q) // 2
-    assert len(classes) == expected == q * (q - 1)
+    if not len(classes) == expected == q * (q - 1):
+        raise AssertionError(f"{len(classes)} p-regular classes, expected "
+                             f"{q * (q - 1)} (internal bug)")
     return classes
 
 

@@ -2,12 +2,15 @@
 
 One JSON file holds everything, keyed per field. The cache only ever speeds
 things up: corrupt or stale content is discarded with a warning, and outputs
-are byte-identical with or without it.
+are byte-identical with or without it. Every structure-constants row is
+checked against identities that each true table satisfies (central
+character and dimension), so a hand-edited row is caught too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,10 +26,31 @@ def resolve_path(explicit: str | None) -> str | None:
     return explicit if explicit else os.environ.get(ENV_VAR)
 
 
+def _checked_rows(params: FieldParams, dims: list[int], a: int, b: int,
+                  rows) -> dict:
+    """The stored expansion of [L_a][L_b] as a table, or ValueError unless
+    every label (n, t) is in range with n + 2t = a + b mod q-1, every
+    multiplicity is a positive int, and the dimensions add up."""
+    q = params.q
+    qm1 = max(q - 1, 1)
+    if not 0 <= a <= b <= q - 1:
+        raise ValueError(f"bad pair ({a}, {b}) at q = {q}")
+    table = {}
+    for n, t, c in rows:
+        n, t = int(n), int(t)
+        if (not 0 <= n < q or not 0 <= t < qm1 or type(c) is not int
+                or c <= 0 or (n + 2 * t - a - b) % qm1):
+            raise ValueError(f"bad row {[n, t, c]} of ({a}, {b}) at q = {q}")
+        table[(n, t)] = c
+    if sum(c * dims[n] for (n, _), c in table.items()) != dims[a] * dims[b]:
+        raise ValueError(f"rows of ({a}, {b}) at q = {q} miss the dimension")
+    return table
+
+
 def load_cache(path: str | None) -> None:
     """Populate the in-memory memo tables from a cache file, if readable.
 
-    Nothing is stored unless the whole file parses.
+    Nothing is stored unless the whole file parses and passes the checks.
     """
     if not path or not os.path.exists(path):
         return
@@ -38,11 +62,13 @@ def load_cache(path: str | None) -> None:
             raise ValueError(f"unknown cache version {data.get('version')!r}")
         for field_key, pairs in data.get("structure_constants", {}).items():
             p, f = (int(x) for x in field_key.split(","))
-            FieldParams(p, f)  # validates
+            params = FieldParams(p, f)  # validates
+            dims = [math.prod(d + 1 for d in params.digits(n))
+                    for n in range(params.q)]
             for pair_key, rows in pairs.items():
                 a, b = (int(x) for x in pair_key.split(","))
-                structure_constants[(p, f, a, b)] = {
-                    (int(n), int(t)): int(c) for n, t, c in rows}
+                structure_constants[(p, f, a, b)] = _checked_rows(
+                    params, dims, a, b, rows)
         for field_key, report in data.get("constants", {}).items():
             p, f, h = (int(x) for x in field_key.split(","))
             params = FieldParams(p, f, h)

@@ -9,11 +9,10 @@ on the second one list the principal series containing a given irreducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .memo import memo
 from .params import FieldParams
-from .ring import Label, RingElement
+from .ring import Label, RingElement, _element
 
 DECOMPOSITION = "decomposition"
 ANTECEDENT = "antecedent"
@@ -151,14 +150,14 @@ def ell_of_path(params: FieldParams, path: ClosedPath, n: int) -> int:
 # Only the untwisted class is kept; twists are cheap to apply per call.
 @memo(lambda params, n: (params.p, params.f, n))
 def _diamond_base(params: FieldParams, n: int) -> RingElement:
-    terms: dict[Label, Fraction] = {}
+    terms: dict[Label, int] = {}
     for path in enumerate_closed_paths(DECOMPOSITION, params.f):
         lam = lambda_of_path(params, path, n)
         if lam is None:
             continue
         lbl = (lam, ell_of_path(params, path, n))
-        terms[lbl] = terms.get(lbl, Fraction(0)) + 1
-    return RingElement(params, "L", terms)
+        terms[lbl] = terms.get(lbl, 0) + 1
+    return _element(params, "L", terms)
 
 
 def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
@@ -217,5 +216,7 @@ def omega(params: FieldParams, n: int) -> int:
     else:
         r_n = sum(1 for d in params.digits(n) if d == params.p - 1)
         closed = 2 ** (params.f - r_n)
-    assert counted == closed, (n, counted, closed)
+    if counted != closed:
+        raise AssertionError(f"omega({n}): {counted} antecedent paths, closed "
+                             f"form {closed} (internal bug)")
     return closed

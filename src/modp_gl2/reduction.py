@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 from .params import FieldParams
 from .principal import diamond_decompose
-from .ring import RingElement, multiply, structure_constants, symm_to_L
+from .ring import (RingElement, _element, multiply, structure_constants,
+                   symm_to_L)
 
 
 class SymmFactor(NamedTuple):
@@ -59,7 +60,7 @@ def _reduce_symm_base_slow(params: FieldParams, k: int) -> RingElement:
             for (b, t), cnt in structure_constants(params, a, 1).items():
                 lbl = (b, (t + x) % qm1)
                 acc[lbl] = acc.get(lbl, 0) + c * cnt
-        cur = RingElement(params, "L", acc) - prev2.det_twist(1)
+        cur = _element(params, "L", acc) - prev2.det_twist(1)
         prev2, prev = prev, cur
     return prev
 

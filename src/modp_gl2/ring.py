@@ -1,9 +1,13 @@
 """Sparse exact arithmetic in the Grothendieck ring of mod-p representations
 of GL2(F_q).
 
-Elements are finite maps from weight labels (n, m) to rational coefficients,
-expressed either in the basis of irreducibles ("L") or of symmetric powers
-("S"), both indexed by 0 <= n <= q-1 and m mod q-1.
+Elements are finite maps from weight labels (n, m) to exact rational
+coefficients, expressed either in the basis of irreducibles ("L") or of
+symmetric powers ("S"), both indexed by 0 <= n <= q-1 and m mod q-1. A
+coefficient is stored in one canonical form: a plain ``int`` when its value
+is an integer (as for every class of a representation), otherwise a reduced
+``Fraction``; zero coefficients are not stored. The arithmetic below thus
+runs on Python ints except where a true fraction takes part.
 
 Multiplication works digit-by-digit: an irreducible with label n is the
 tensor product over Frobenius slots of symmetric powers of the digits of n,
@@ -22,39 +26,56 @@ from .memo import memo
 from .params import FieldParams
 
 Label = tuple[int, int]
+Coeff = int | Fraction
+
+
+def _fill(v: "RingElement", params: FieldParams, basis: str,
+          terms: Mapping[Label, Coeff]) -> None:
+    """Set v's fields, dropping zero values and storing integral Fractions
+    as ints."""
+    object.__setattr__(v, "params", params)
+    object.__setattr__(v, "basis", basis)
+    object.__setattr__(v, "terms", {
+        k: c if type(c) is int or c.denominator != 1 else c.numerator
+        for k, c in terms.items() if c})
+
+
+def _element(params: FieldParams, basis: str,
+             terms: Mapping[Label, Coeff]) -> "RingElement":
+    """Trusted constructor for results computed in this package: labels are
+    already canonical (0 <= n <= q-1, m reduced mod q-1) and values are ints
+    or Fractions, so only zeros are dropped and integral Fractions made ints.
+    """
+    v = object.__new__(RingElement)
+    _fill(v, params, basis, terms)
+    return v
+
 
 class RingElement:
     """An element of the Grothendieck ring with exact rational coefficients.
 
     Immutable by convention: all operations return new elements. ``terms``
-    maps labels (n, m) to nonzero Fractions.
+    maps labels (n, m) to nonzero coefficients, each an ``int`` when
+    integral and a ``Fraction`` otherwise.
     """
 
     __slots__ = ("params", "basis", "terms")
 
     def __init__(self, params: FieldParams, basis: str,
-                 terms: Mapping[Label, Fraction] | Iterable = ()):
+                 terms: Mapping[Label, Coeff] | Iterable = ()):
         if basis not in ("L", "S"):
             raise ValueError(f"unknown basis tag {basis!r}")
         q = params.q
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Label, Fraction] = {}
+        clean: dict[Label, Coeff] = {}
         for (n, m), c in items:
             if not 0 <= n <= q - 1:
                 raise ValueError(f"label n = {n} out of range [0, {q - 1}]")
-            c = Fraction(c)
-            if c == 0:
-                continue
+            if type(c) is not int:
+                c = Fraction(c)
             key = (n, params.residue(m))
-            prev = clean.get(key)
-            total = c if prev is None else prev + c
-            if total == 0:
-                clean.pop(key, None)
-            else:
-                clean[key] = total
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
+            clean[key] = clean.get(key, 0) + c
+        _fill(self, params, basis, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
@@ -67,21 +88,21 @@ class RingElement:
 
     @classmethod
     def L(cls, params: FieldParams, n: int, m: int = 0) -> "RingElement":
-        return cls(params, "L", {(n, m): Fraction(1)})
+        return cls(params, "L", {(n, m): 1})
 
     @classmethod
     def S(cls, params: FieldParams, n: int, m: int = 0) -> "RingElement":
-        return cls(params, "S", {(n, m): Fraction(1)})
+        return cls(params, "S", {(n, m): 1})
 
     # -- basic structure ---------------------------------------------------
 
-    def coeff(self, n: int, m: int) -> Fraction:
-        return self.terms.get((n, self.params.residue(m)), Fraction(0))
+    def coeff(self, n: int, m: int) -> Coeff:
+        return self.terms.get((n, self.params.residue(m)), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Label, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Label, Coeff]]:
         return sorted(self.terms.items())
 
     def __eq__(self, other):
@@ -119,12 +140,8 @@ class RingElement:
         self._same_kind(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            t = out.get(k, Fraction(0)) + c
-            if t == 0:
-                out.pop(k, None)
-            else:
-                out[k] = t
-        return RingElement(self.params, self.basis, out)
+            out[k] = out.get(k, 0) + c
+        return _element(self.params, self.basis, out)
 
     def __neg__(self) -> "RingElement":
         return self.scale(-1)
@@ -133,11 +150,10 @@ class RingElement:
         return self + (-other)
 
     def scale(self, c) -> "RingElement":
-        c = Fraction(c)
-        if c == 0:
-            return RingElement.zero(self.params, self.basis)
-        return RingElement(self.params, self.basis,
-                           {k: v * c for k, v in self.terms.items()})
+        if type(c) is not int:
+            c = Fraction(c)
+        return _element(self.params, self.basis,
+                        {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -151,17 +167,19 @@ class RingElement:
 
     def det_twist(self, i: int) -> "RingElement":
         """Shift every label (n, m) to (n, m + i); works in either basis."""
-        return RingElement(self.params, self.basis,
-                           {(n, m + i): c for (n, m), c in self.terms.items()})
+        qm1 = max(self.params.q - 1, 1)
+        return _element(self.params, self.basis,
+                        {(n, (m + i) % qm1): c
+                         for (n, m), c in self.terms.items()})
 
     def frobenius_twist(self, j: int = 1) -> "RingElement":
         """Apply the j-th power of Frobenius: (n, m) -> (theta^j n, theta^j m)."""
         v = self.to_basis("L")
         pr = self.params
-        out: dict[Label, Fraction] = {}
+        out: dict[Label, Coeff] = {}
         for (n, m), c in v.terms.items():
             out[(pr.theta_label(n, j), pr.theta_residue(m, j))] = c
-        res = RingElement(pr, "L", out)
+        res = _element(pr, "L", out)
         return res if self.basis == "L" else res.to_basis(self.basis)
 
     # -- basis change ------------------------------------------------------
@@ -243,7 +261,9 @@ def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
         if over:
             i = max(over, key=lambda k: (degrees[k], -k))
             c = degrees[i]
-            assert c <= 2 * p - 2, "carry-automaton safety violated"
+            if c > 2 * p - 2:
+                raise AssertionError(
+                    "carry-automaton safety violated (internal bug)")
             d1 = list(degrees)
             d1[i] = c - p
             c1 = list(carries)
@@ -299,19 +319,16 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     v = v.to_basis("L")
     w = w.to_basis("L")
     qm1 = max(params.q - 1, 1)
-    out: dict[Label, Fraction] = {}
+    out: dict[Label, Coeff] = {}
+    get = out.get
     for (a, x), cv in v.terms.items():
         for (b, y), cw in w.terms.items():
             c = cv * cw
             shift = x + y
             for (n, t), k in structure_constants(params, a, b).items():
                 key = (n, (t + shift) % qm1)
-                total = out.get(key, Fraction(0)) + c * k
-                if total == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-    return RingElement(params, "L", out)
+                out[key] = get(key, 0) + c * k
+    return _element(params, "L", out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +385,10 @@ def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """L-basis expansion of [S_n(m)] for 0 <= n <= q-1."""
     if not 0 <= n <= params.q - 1:
         raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
+    qm1 = max(params.q - 1, 1)
     col = _s_to_l_columns(params)[n]
-    return RingElement(params, "L",
-                       {(a, x + m): Fraction(c) for (a, x), c in col.items()})
+    return _element(params, "L",
+                    {(a, (x + m) % qm1): c for (a, x), c in col.items()})
 
 
 def convert_basis(v: RingElement, target: str) -> RingElement:
@@ -380,13 +398,11 @@ def convert_basis(v: RingElement, target: str) -> RingElement:
         return v
     params = v.params
     cols = _s_to_l_columns(params) if target == "L" else _l_to_s_columns(params)
-    out: dict[Label, Fraction] = {}
+    qm1 = max(params.q - 1, 1)
+    out: dict[Label, Coeff] = {}
+    get = out.get
     for (n, m), c in v.terms.items():
         for (a, x), k in cols[n].items():
-            key = (a, params.residue(x + m))
-            total = out.get(key, Fraction(0)) + c * k
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return RingElement(params, target, out)
+            key = (a, (x + m) % qm1)
+            out[key] = get(key, 0) + c * k
+    return _element(params, target, out)

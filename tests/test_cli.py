@@ -212,3 +212,70 @@ def test_partially_corrupt_cache_loads_nothing(capsys, tmp_path):
     assert "discarding" in err
     terms = {(t["n"], t["m"]): t["coeff"] for t in json.loads(out)["terms"]}
     assert terms == {(0, 1): "1/1", (2, 0): "1/1"}
+
+
+@pytest.mark.parametrize("pair,rows,discarded", [
+    ("1,1", [[2, 0, 1], [0, 1, 1]], False),
+    ("1,1", [[2, 0, 5]], True),
+    ("1,1", [[1, 0, 2]], True),
+    ("1,1", [[2, 0, 1], [0, 1, 1.0]], True),
+    ("1,1", [[2, 0, 1], [0, 1, 1], [0, 0, 0]], True),
+    ("1,1", [[2, 0, 1], [0, 3, 1]], True),
+    ("1,0", [[1, 0, 1]], True),
+], ids=["true-table", "dimension", "central-character", "not-int",
+        "not-positive", "t-range", "unordered-pair"])
+def test_cache_rows_are_checked(capsys, tmp_path, pair, rows, discarded):
+    from modp_gl2 import memo
+
+    # [L_1]^2 at q = 3 is [L_2] + [L_0(1)], of dimension 4; each bad table
+    # fails only the check its id names
+    cache_file = tmp_path / "cache.json"
+    cache_file.write_text(json.dumps({"version": 1, "structure_constants": {
+        "3,1": {pair: rows}}}))
+    memo.clear()
+    code, out, err = run(capsys, "--p", "3", "--f", "1",
+                         "--cache-path", str(cache_file),
+                         "decompose", "--factors", "1,1")
+    assert code == 0
+    assert ("discarding" in err) == discarded
+    terms = {(t["n"], t["m"]): t["coeff"] for t in json.loads(out)["terms"]}
+    assert terms == {(0, 1): "1/1", (2, 0): "1/1"}
+
+
+def run_python(flags, script, *argv):
+    """Run a script in a fresh interpreter that imports this modp_gl2."""
+    import os
+    import subprocess
+    import sys
+
+    import modp_gl2
+
+    env = dict(os.environ)
+    env.pop("MODP_GL2_CACHE", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(modp_gl2.__file__))
+    return subprocess.run([sys.executable, *flags, "-c", script, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--f", "2", "decompose", "--symm", "100"],
+    ["--p", "3", "--f", "2", "--format", "csv", "omega", "--all"]])
+def test_output_unchanged_under_optimize(argv):
+    script = "import sys; from modp_gl2.cli import main; sys.exit(main())"
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = run_python(flags, script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_result_checks_survive_optimize():
+    # an antecedent count that disagrees with omega's closed form
+    script = ("from modp_gl2 import FieldParams, principal\n"
+              "principal.antecedents = lambda *args: set()\n"
+              "principal.omega(FieldParams(3, 1), 0)\n")
+    proc = run_python(["-O"], script)
+    assert proc.returncode != 0
+    assert "internal bug" in proc.stderr

@@ -12,6 +12,7 @@ from modp_gl2 import (
     multiply,
     norm_L_inf,
     operator_norm,
+    ring,
 )
 
 PARAMS = [FieldParams(2, 1), FieldParams(3, 1), FieldParams(5, 1),
@@ -120,3 +121,82 @@ def test_twists_commute(v, i, j):
     assert v.det_twist(i).frobenius_twist(j) \
         == v.frobenius_twist(j).det_twist(
             (i * v.params.p ** (j % v.params.f)) % max(v.params.q - 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The int-or-Fraction kernel against a plain-Fraction reference
+
+KERNEL_PARAMS = [FieldParams(2, 2), FieldParams(5, 1), FieldParams(3, 2)]
+
+# integral values drawn both as ints and as Fractions with denominator 1
+exact_coeff = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def mixed_element(draw, params, basis=None):
+    basis = basis or draw(st.sampled_from(["L", "S"]))
+    labels = st.tuples(st.integers(0, params.q - 1), st.integers(-9, 9))
+    terms = draw(st.lists(st.tuples(labels, exact_coeff), max_size=5))
+    return RingElement(params, basis, terms)
+
+
+def assert_canonical(v):
+    for c in v.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def reference_terms(v, target):
+    """v's terms as Fractions in the target basis, from the base-change
+    columns."""
+    terms = {k: Fraction(c) for k, c in v.terms.items()}
+    if v.basis == target:
+        return terms
+    pr = v.params
+    cols = (ring._s_to_l_columns(pr) if target == "L"
+            else ring._l_to_s_columns(pr))
+    out = {}
+    for (n, m), c in terms.items():
+        for (a, x), k in cols[n].items():
+            key = (a, (x + m) % (pr.q - 1))
+            out[key] = out.get(key, Fraction(0)) + c * k
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def reference_product(v, w):
+    pr = v.params
+    out = {}
+    for (a, x), cv in reference_terms(v, "L").items():
+        for (b, y), cw in reference_terms(w, "L").items():
+            for (n, t), k in ring.structure_constants(pr, a, b).items():
+                key = (n, (t + x + y) % (pr.q - 1))
+                out[key] = out.get(key, Fraction(0)) + cv * cw * k
+    return {k: c for k, c in out.items() if c != 0}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_fraction_reference(data):
+    params = data.draw(st.sampled_from(KERNEL_PARAMS))
+    v = data.draw(mixed_element(params))
+    w = data.draw(mixed_element(params))
+    u = data.draw(mixed_element(params, v.basis))
+    c = data.draw(exact_coeff)
+
+    prod = multiply(v, w)
+    assert prod.terms == reference_product(v, w)
+    total = v + u
+    reference = reference_terms(v, v.basis)
+    for k, x in reference_terms(u, u.basis).items():
+        reference[k] = reference.get(k, Fraction(0)) + x
+    assert total.terms == {k: x for k, x in reference.items() if x != 0}
+    scaled = v.scale(c)
+    assert scaled.terms == {k: x * c for k, x in reference_terms(v, v.basis)
+                            .items() if x * c != 0}
+    converted = {b: convert_basis(v, b) for b in ("L", "S")}
+    for b, vb in converted.items():
+        assert vb.terms == reference_terms(v, b)
+    for elem in (v, w, u, prod, total, scaled, *converted.values()):
+        assert_canonical(elem)
