@@ -47,13 +47,20 @@ def _checked_rows(params: FieldParams, dims: list[int], a: int, b: int,
     return table
 
 
-def load_cache(path: str | None) -> None:
+def entry_count() -> int:
+    """Entries in the two persisted memo tables, which only ever grow."""
+    return (len(memo.table(ring.structure_constants))
+            + len(memo.table(asymptotics.compute_constants)))
+
+
+def load_cache(path: str | None) -> bool:
     """Populate the in-memory memo tables from a cache file, if readable.
 
     Nothing is stored unless the whole file parses and passes the checks.
+    Returns whether the file was loaded.
     """
     if not path or not os.path.exists(path):
-        return
+        return False
     structure_constants, constants = {}, {}
     try:
         with open(path) as fh:
@@ -77,9 +84,10 @@ def load_cache(path: str | None) -> None:
     except Exception as exc:  # corrupt cache: warn and start clean
         print(f"warning: discarding unreadable cache {path}: {exc}",
               file=sys.stderr)
-        return
+        return False
     memo.table(ring.structure_constants).update(structure_constants)
     memo.table(asymptotics.compute_constants).update(constants)
+    return True
 
 
 def save_cache(path: str | None) -> None:

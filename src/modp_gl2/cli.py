@@ -335,7 +335,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     cache_path = cache.resolve_path(args.cache_path)
-    cache.load_cache(cache_path)
+    # a loaded file is rewritten only when the command added a table entry
+    stale = not cache.load_cache(cache_path)
+    entries = cache.entry_count()
     try:
         code = args.func(params, args)
     except brauer.OracleError as exc:
@@ -344,7 +346,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    cache.save_cache(cache_path)
+    if stale or cache.entry_count() != entries:
+        cache.save_cache(cache_path)
     return code
 
 

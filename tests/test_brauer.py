@@ -12,6 +12,7 @@ from modp_gl2 import (
     character_of_symm,
     enumerate_p_regular_classes,
     oracle_decompose,
+    reduce_product,
     reduce_symm,
 )
 from modp_gl2.brauer import PRegularClass
@@ -123,3 +124,41 @@ def test_high_precision_branch(p3):
     assert oracle_decompose(p3, [(9, 1, 0)], precision=128) \
         == reduce_symm(p3, 9, m=1)
     assert mp.prec == prec
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (2, 3), (3, 2)])
+def test_block_table_matches_scalar_characters(p, f):
+    params = FieldParams(p, f)
+    q = params.q
+    table = build_table(params)
+    matrix = table.matrix
+    for r, cls in enumerate(table.classes):
+        for c, (n, m) in enumerate(table.labels):
+            assert abs(matrix[r, c]
+                       - character_of_irreducible(params, n, m, cls)) < 1e-9
+    # q - 1 determinant blocks of exactly q classes each, covering every
+    # class once, and each block holds one determinant exponent
+    assert table.blocks.shape == (q - 1, q)
+    assert sorted(table.blocks.ravel().tolist()) == list(range(q * (q - 1)))
+    for d, block in enumerate(table.blocks):
+        for r in block:
+            ea, eb = table.classes[r].eigen_exponents(q)
+            assert (ea + eb) // (q + 1) % (q - 1) == d
+
+
+def test_ring_matches_oracle_on_every_field():
+    import random
+
+    fields = [(p, f) for p in range(2, 65) if all(p % d for d in range(2, p))
+              for f in range(1, 7) if p ** f <= 64]
+    assert len(fields) == 27
+    rng = random.Random(20261018)
+    for p, f in fields:
+        params = FieldParams(p, f)
+        for _ in range(3):
+            factors = [SymmFactor(rng.randrange(300),
+                                  rng.randrange(params.q - 1),
+                                  rng.randrange(f))
+                       for _ in range(rng.choice((2, 3)))]
+            assert oracle_decompose(params, factors) \
+                == reduce_product(params, factors), (params, factors)

@@ -184,6 +184,28 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert cold == warm
 
 
+
+def test_warm_run_leaves_cache_file_alone(capsys, tmp_path):
+    from modp_gl2 import memo
+
+    cache_file = tmp_path / "cache.json"
+    argv = ["--p", "3", "--f", "1", "--cache-path", str(cache_file),
+            "decompose", "--factors", "7:1:0,4:0:0"]
+    memo.clear()
+    _, cold, _ = run(capsys, *argv)
+    # the file a cold run writes, byte for byte
+    assert cache_file.read_text() == (
+        '{"version": 1, "structure_constants": {"3,1": {"0,1": [[1, 0, 1]], '
+        '"1,1": [[0, 1, 1], [2, 0, 1]], "1,2": [[1, 0, 1], [1, 1, 2]]}}, '
+        '"constants": {}}')
+    before = cache_file.stat()
+    memo.clear()
+    code, warm, err = run(capsys, *argv)
+    after = cache_file.stat()
+    assert (code, warm, err) == (0, cold, "")
+    assert (after.st_ino, after.st_mtime_ns) \
+        == (before.st_ino, before.st_mtime_ns)
+
 def test_corrupt_cache_warns(capsys, tmp_path):
     cache_file = tmp_path / "cache.json"
     cache_file.write_text("{not json")
