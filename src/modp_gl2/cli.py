@@ -2,7 +2,9 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 disagreement between the ring and the oracle (``oracle-check`` only),
-2 validation error, 3 oracle residual failure, 4 bound violation.
+2 validation error, 3 oracle failure, 4 bound violation. ``--precision``
+and ``--jobs`` are accepted and ignored: the oracle is exact, and sweeps run
+serially.
 """
 
 from __future__ import annotations
@@ -180,8 +182,7 @@ def cmd_verify_bound(params, args):
 def cmd_oracle_check(params, args):
     factors = parse_factors(args.factors)
     ring_side = reduce_product(params, factors).det_twist(args.det)
-    oracle_side = brauer.oracle_decompose(params, factors, det=args.det,
-                                          precision=args.precision)
+    oracle_side = brauer.oracle_decompose(params, factors, det=args.det)
     agree = ring_side == oracle_side
     if args.format == "json":
         print(json.dumps({"agree": agree,
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-path", default=None,
                         help=f"cache file (or env {cache.ENV_VAR})")
     parser.add_argument("--precision", type=int, default=64,
-                        help="oracle working precision in bits")
+                        help="accepted and ignored; the oracle is exact")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted and ignored; sweeps run serially")
 

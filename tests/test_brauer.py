@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 
 from modp_gl2 import (
@@ -15,7 +16,9 @@ from modp_gl2 import (
     reduce_product,
     reduce_symm,
 )
+from modp_gl2 import brauer, memo
 from modp_gl2.brauer import PRegularClass
+from modp_gl2.params import is_prime
 
 
 def test_class_counts():
@@ -85,57 +88,87 @@ def test_character_additivity(p9):
 def test_table_is_square_and_solvable(p5):
     table = build_table(p5)
     assert len(table.classes) == len(table.labels) == 20
-    # solving for a known column must return a unit vector
-    import numpy as np
-    rhs = [character_of_irreducible(p5, 3, 2, cls) for cls in table.classes]
-    solution = table.solve(rhs)
-    index = table.labels.index((3, 2))
-    expected = np.zeros(20)
-    expected[index] = 1
-    assert np.allclose(solution, expected, atol=1e-9)
+    # solving for each column must return its unit vector exactly
+    matrix = table.matrix
+    for index in range(20):
+        expected = np.zeros(20, dtype=np.int64)
+        expected[index] = 1
+        assert table.solve(matrix[:, index]).tolist() == expected.tolist()
 
 
-def test_rounding_discipline(p3):
+def test_rounding_discipline(p3, monkeypatch):
     table = build_table(p3)
-    # a right-hand side that is not a character of any integral class
-    rhs = [0.5 for _ in table.classes]
-    from modp_gl2 import brauer
+    # a right-hand side that is not the character of any class: 1/2 at
+    # every class, which solves to 1/2 [L_0(0)] mod ell
+    half = (table.ell + 1) // 2
+    assert table.solve([half] * len(table.classes)).tolist() \
+        == [half] + [0] * (len(table.labels) - 1)
+    monkeypatch.setattr(brauer.BrauerTable, "values",
+                        lambda self, factor: np.full(len(self.classes), half))
+    with pytest.raises(OracleError, match="dimension"):
+        oracle_decompose(p3, [])
 
-    solution = table.solve(rhs)
-    bad = any(abs(complex(x) - round(complex(x).real)) >= brauer.ROUNDING_TOLERANCE
-              for x in solution)
-    assert bad  # sanity: this input really is non-integral
 
-
-def test_oracle_error_raised(p3, monkeypatch):
-    from modp_gl2 import brauer, memo
-
-    monkeypatch.setattr(brauer, "ROUNDING_TOLERANCE", 1e-18)
+@pytest.fixture
+def fresh_tables():
     memo.clear()
-    with pytest.raises(OracleError):
-        oracle_decompose(p3, [(40, 1, 0), (17, 0, 0)])
+    yield
     memo.clear()
 
 
-def test_high_precision_branch(p3):
-    from mpmath import mp
+def test_oracle_error_raised(p3, monkeypatch, fresh_tables):
+    factors = [(40, 1, 0), (17, 0, 0)]
+    # one corrupted entry of one block inverse
+    table = build_table(p3)
+    table.inverses[0, 0, 0] = (table.inverses[0, 0, 0] + 1) % table.ell
+    with pytest.raises(OracleError, match="dimension"):
+        oracle_decompose(p3, factors)
+    # a block forced singular mod ell: chi_n vanishes at one class
+    memo.clear()
+    values = brauer.BrauerTable.values
 
-    prec = mp.prec
-    assert oracle_decompose(p3, [(9, 1, 0)], precision=128) \
-        == reduce_symm(p3, 9, m=1)
-    assert mp.prec == prec
+    def vanish_at_first_class(self, factor):
+        out = values(self, factor)
+        out[0] = 0
+        return out
+
+    monkeypatch.setattr(brauer.BrauerTable, "values", vanish_at_first_class)
+    with pytest.raises(OracleError, match="singular"):
+        oracle_decompose(p3, factors)
+
+
+def exponents_of_irreducible(params, n, m, cls):
+    """The multiset of exponents e with chi_{L_n(m)}(cls) = sum zeta^e:
+    delta^m times, for each digit d_i of n, sum_a alpha_i^a beta_i^(d_i - a)
+    with alpha_i, beta_i the p^i-th powers of the eigenvalue lifts."""
+    ea, eb = cls.eigen_exponents(params.q)
+    exponents = [(ea + eb) * m]
+    for i, digit in enumerate(params.digits(n)):
+        pi = params.p ** i
+        exponents = [e + (a * ea + (digit - a) * eb) * pi
+                     for e in exponents for a in range(digit + 1)]
+    return exponents
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (2, 3), (3, 2)])
 def test_block_table_matches_scalar_characters(p, f):
     params = FieldParams(p, f)
     q = params.q
+    n2 = q * q - 1
     table = build_table(params)
+    ell, zeta = table.ell, int(table.powers[1])
+    assert ell % n2 == 1 and ell < 2 ** 26 and is_prime(ell)
+    # zeta has exact order q^2 - 1
+    assert pow(zeta, n2, ell) == 1 and len(set(table.powers.tolist())) == n2
     matrix = table.matrix
     for r, cls in enumerate(table.classes):
         for c, (n, m) in enumerate(table.labels):
-            assert abs(matrix[r, c]
+            exponents = exponents_of_irreducible(params, n, m, cls)
+            assert abs(sum(cmath.exp(2j * cmath.pi * e / n2)
+                           for e in exponents)
                        - character_of_irreducible(params, n, m, cls)) < 1e-9
+            assert matrix[r, c] \
+                == sum(pow(zeta, e, ell) for e in exponents) % ell
     # q - 1 determinant blocks of exactly q classes each, covering every
     # class once, and each block holds one determinant exponent
     assert table.blocks.shape == (q - 1, q)

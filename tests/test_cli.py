@@ -113,16 +113,38 @@ def test_oracle_check(capsys):
     assert json.loads(out)["agree"] is True
 
 
-def test_oracle_failure_exit_code(capsys, monkeypatch):
-    from modp_gl2 import brauer, memo
+def test_oracle_failure_exit_code(capsys):
+    from modp_gl2 import build_table, memo
 
-    monkeypatch.setattr(brauer, "ROUNDING_TOLERANCE", 1e-18)
     memo.clear()
-    code, _, err = run(capsys, "--p", "3", "--f", "1",
-                       "oracle-check", "--factors", "40:1,17:0")
-    memo.clear()
+    try:
+        # one corrupted entry of one block inverse
+        table = build_table(FieldParams(3, 1))
+        table.inverses[0, 0, 0] = (table.inverses[0, 0, 0] + 1) % table.ell
+        code, out, err = run(capsys, "--p", "3", "--f", "1",
+                             "oracle-check", "--factors", "40:1,17:0")
+    finally:
+        memo.clear()
     assert code == 3
+    assert out == ""
     assert "oracle" in err
+
+
+def test_oracle_check_lifts_large_multiplicities(capsys):
+    # multiplicities near 1e9: dim V = 4,428,883,692 needs two primes
+    code, out, _ = run(capsys, "--p", "2", "--f", "2", "oracle-check",
+                       "--factors", "1171:1:1,1958:2:0,1928:1:1",
+                       "--det", "2")
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+
+
+def test_precision_flag_is_ignored(capsys):
+    argv = ["oracle-check", "--factors", "11:1:0,6:0:1"]
+    plain = run(capsys, "--p", "3", "--f", "2", *argv)
+    assert plain[0] == 0
+    assert run(capsys, "--p", "3", "--f", "2", "--precision", "128",
+               *argv) == plain
 
 
 def test_bm_qp_sweep(capsys):
@@ -291,6 +313,17 @@ def test_output_unchanged_under_optimize(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_oracle_check_without_mpmath():
+    script = ("import sys\n"
+              "sys.modules['mpmath'] = None\n"
+              "from modp_gl2.cli import main\n"
+              "sys.exit(main())\n")
+    proc = run_python([], script, "--p", "3", "--f", "1", "oracle-check",
+                      "--factors", "7:1,4")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["agree"] is True
 
 
 def test_result_checks_survive_optimize():

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from modp_gl2 import (
     FieldParams,
     RingElement,
+    SymmFactor,
     convert_basis,
     multiply,
     norm_L_inf,
     operator_norm,
+    oracle_decompose,
+    reduce_product,
     ring,
 )
 
@@ -121,6 +124,27 @@ def test_twists_commute(v, i, j):
     assert v.det_twist(i).frobenius_twist(j) \
         == v.frobenius_twist(j).det_twist(
             (i * v.params.p ** (j % v.params.f)) % max(v.params.q - 1, 1))
+
+
+# every field with q <= 16
+ORACLE_PARAMS = [FieldParams(p, f) for p, f in
+                 [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                  (11, 1), (13, 1), (2, 4)]]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_ring_matches_oracle(data):
+    """Up to three factors with k up to 1e9 give dim V up to about 1e27, so
+    the oracle lifts its residues from as many as four primes."""
+    params = data.draw(st.sampled_from(ORACLE_PARAMS))
+    twist = st.integers(0, params.q - 1)
+    factor = st.builds(SymmFactor, st.integers(0, 10 ** 9), twist,
+                       st.integers(0, params.f - 1))
+    factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+    det = data.draw(twist)
+    assert oracle_decompose(params, factors, det=det) \
+        == reduce_product(params, factors).det_twist(det)
 
 
 # ---------------------------------------------------------------------------
