@@ -14,7 +14,7 @@ from fractions import Fraction
 from .memo import memo
 from .params import FieldParams
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import RingElement, multiply
+from .ring import RingElement, _element, multiply, structure_constants
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,16 @@ class SAlphaElement:
 @memo(lambda params, i: (params.p, params.f, i % max(params.q - 1, 1)))
 def s_alpha(params: FieldParams, i: int) -> SAlphaElement:
     """Average of [V(chi)] over the q-1 Borel characters chi with central
-    character i, normalized by 1/(q^2 - 1)."""
-    from .principal import diamond_decompose
+    character i, normalized by 1/(q^2 - 1). In closed form: omega(n)/(q^2 - 1)
+    on each label L_n(m) with n + 2m = i (mod q-1), and 0 elsewhere."""
+    from .principal import omega
 
     q = params.q
     qm1 = max(q - 1, 1)
     i = i % qm1
-    total = RingElement.zero(params, "L")
-    for r in range(qm1):
-        for j in range(qm1):
-            if (r + 2 * j) % qm1 == i:
-                total = total + diamond_decompose(params, r, j)
-    return SAlphaElement(i, total.scale(Fraction(1, q * q - 1)))
+    return SAlphaElement(i, _element(params, "L", {
+        (n, m): Fraction(omega(params, n), q * q - 1)
+        for n in range(q) for m in range(qm1) if (n + 2 * m) % qm1 == i}))
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +78,42 @@ def operator_norm(v: RingElement) -> Fraction:
     Equals the max over output labels of the absolute row sum of the
     q(q-1)-square multiplication matrix. Twisting an input by det only
     shifts the output twist, so the row sums only need the products
-    v * [L_b(0)] for the q untwisted generators.
+    v * [L_b(0)] for the q untwisted generators. When every coefficient of
+    v is positive, so is every such product, and the row sums are linear
+    in v: with s[a] the coefficients of v summed over the twist,
+    ||v|| = max over n of sum_a s[a] * R[a][n] (see ``_row_sums``).
+    Signed elements such as residuals take the generic path.
     """
-    return _l_operator_norm(v.to_basis("L"))
+    v = v.to_basis("L")
+    if not all(c > 0 for c in v.terms.values()):
+        return _l_operator_norm(v)
+    s: dict[int, int | Fraction] = {}
+    for (a, _), c in v.terms.items():
+        s[a] = s.get(a, 0) + c
+    table = _row_sums(v.params)
+    rows = [0] * v.params.q
+    for a, c in s.items():
+        rows = [x + c * r for x, r in zip(rows, table[a])]
+    return Fraction(max(rows))
+
+
+@memo(lambda params: (params.p, params.f))
+def _row_sums(params: FieldParams) -> list[list[int]]:
+    """R[a][n]: multiplicity of L_n(t) in [L_a][L_b], summed over b and t."""
+    q = params.q
+    table = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(q):
+            for (n, _), k in structure_constants(params, a, b).items():
+                table[a][n] += k
+    return table
 
 
 @memo(_twist_orbit_key)
 def _l_operator_norm(v: RingElement) -> Fraction:
-    """operator_norm of an element in the L basis."""
+    """operator_norm of an element in the L basis, from the q products
+    v * [L_b(0)]. Memoized because residuals repeat: that of
+    V = W * prod S_ki depends only on each k_i mod q^2 - 1."""
     if v.is_zero():
         return Fraction(0)
     params = v.params
@@ -142,7 +168,10 @@ class ConstantsReport:
 
 @memo(lambda params: (params.p, params.f, params.degree))
 def compute_constants(params: FieldParams) -> ConstantsReport:
-    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S_alpha_i||."""
+    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S_alpha_i||.
+
+    Each of these has positive coefficients, so its norm is linear (see
+    ``operator_norm``) and the report is cheap to recompute in every run."""
     from .ring import _l_to_s_columns
 
     q = params.q

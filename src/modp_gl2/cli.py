@@ -2,9 +2,10 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 disagreement between the ring and the oracle (``oracle-check`` only),
-2 validation error, 3 oracle failure, 4 bound violation. ``--precision``
-and ``--jobs`` are accepted and ignored: the oracle is exact, and sweeps run
-serially.
+2 validation error, 3 oracle failure, 4 bound violation. ``--precision``,
+``--jobs`` and ``--cache-path`` (or ``MODP_GL2_CACHE``) are accepted and
+ignored: the oracle is exact, sweeps run serially, and every table is
+recomputed in each run, so no file is read or written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import asymptotics, bm, brauer, cache, principal
+from . import asymptotics, bm, brauer, principal
 from .params import FieldParams
 from .reduction import SymmFactor, reduce_product, reduce_symm
 from .ring import RingElement, multiply, symm_to_L
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "csv", "pretty"],
                         default="json")
     parser.add_argument("--cache-path", default=None,
-                        help=f"cache file (or env {cache.ENV_VAR})")
+                        help="accepted and ignored; nothing is cached on disk")
     parser.add_argument("--precision", type=int, default=64,
                         help="accepted and ignored; the oracle is exact")
     parser.add_argument("--jobs", type=int, default=1,
@@ -335,21 +336,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    cache_path = cache.resolve_path(args.cache_path)
-    # a loaded file is rewritten only when the command added a table entry
-    stale = not cache.load_cache(cache_path)
-    entries = cache.entry_count()
     try:
-        code = args.func(params, args)
+        return args.func(params, args)
     except brauer.OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if stale or cache.entry_count() != entries:
-        cache.save_cache(cache_path)
-    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from modp_gl2 import (
     SymmFactor,
     check_theorem_bound,
     compute_constants,
+    diamond_decompose,
     exact_multiplicity,
     frobenius_proximity,
     multiplicity_estimate,
@@ -22,6 +24,23 @@ from modp_gl2 import (
     t_shift,
     t_shift_candidates,
 )
+from modp_gl2.asymptotics import _l_operator_norm
+
+# every field with q <= 16
+SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
+                (7, 1), (11, 1), (13, 1)]
+
+
+def diamond_sum(params, i):
+    """S-hat_i as the average of the (q-1)^2 principal series V_r(j) with
+    r + 2j = i (mod q-1): the reference for s_alpha's closed form."""
+    qm1 = max(params.q - 1, 1)
+    total = RingElement.zero(params, "L")
+    for r in range(qm1):
+        for j in range(qm1):
+            if (r + 2 * j) % qm1 == i:
+                total = total + diamond_decompose(params, r, j)
+    return total.scale(Fraction(1, params.q ** 2 - 1))
 
 
 def test_s_alpha_small(p3):
@@ -39,6 +58,13 @@ def test_s_alpha_dimension_and_character(p9):
         v = s_alpha(p9, i).element
         assert v.dimension() == 1
         assert v.central_character() == i
+
+
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_s_alpha_closed_form_matches_diamond_sum(p, f):
+    params = FieldParams(p, f)
+    for i in range(max(params.q - 1, 1)):
+        assert s_alpha(params, i).element == diamond_sum(params, i)
 
 
 def test_tensoriel(p3, p9):
@@ -67,6 +93,31 @@ def test_norms(p3, p9):
     for i in range(8):
         assert operator_norm(v.det_twist(i)) == operator_norm(v)
     assert operator_norm(v.frobenius_twist(1)) == operator_norm(v)
+
+
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_linear_norm_matches_generic(p, f):
+    # positive elements take operator_norm's linear path; _l_operator_norm
+    # forms the q products and is the reference
+    params = FieldParams(p, f)
+    q, qm1 = params.q, max(params.q - 1, 1)
+    classes = [reduce_symm(params, r) for r in range(q * q - 1)]
+    averages = [s_alpha(params, i).element for i in range(qm1)]
+    rng = random.Random(q)
+    mixes = [RingElement(params, "L", {
+        (rng.randrange(q), rng.randrange(qm1)): Fraction(rng.randint(1, 9),
+                                                         rng.randint(1, 9))
+        for _ in range(rng.randint(1, 6))}) for _ in range(5)]
+    for v in classes + averages + mixes:
+        assert operator_norm(v) == _l_operator_norm(v.to_basis("L"))
+    assert operator_norm(RingElement.zero(params)) == 0
+    # signed elements must stay on the generic path
+    for v in [residual(v) for v in classes[:8]] + [-v for v in mixes]:
+        assert operator_norm(v) == _l_operator_norm(v.to_basis("L"))
+    best = max(_l_operator_norm(v.to_basis("L")) for v in classes)
+    best = max([best] + [_l_operator_norm(diamond_sum(params, i))
+                         for i in range(qm1)])
+    assert compute_constants(params).A == (q * q + 2 * q) * best
 
 
 def test_norm_triangle_and_scaling(p9):
