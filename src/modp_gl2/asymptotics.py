@@ -1,5 +1,5 @@
-"""Averaged principal-series classes, exact norms, and the explicit
-constants controlling the asymptotic multiplicity bounds.
+"""Exact norms, residuals against the averaged classes S-hat_alpha, and the
+explicit constants controlling the asymptotic multiplicity bounds.
 
 All quantities here are exact rationals; bound checks are exact comparisons
 (the fractional-power corollary bound is checked by raising both sides to
@@ -13,32 +13,9 @@ from fractions import Fraction
 
 from .memo import memo
 from .params import FieldParams
+from .principal import SAlphaElement, s_alpha  # both re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import RingElement, _element, multiply, structure_constants
-
-
-@dataclass(frozen=True)
-class SAlphaElement:
-    """The dimension-1 averaged principal-series class of central character
-    alpha; the asymptotic limit of [V]/dim V."""
-
-    alpha: int
-    element: RingElement
-
-
-@memo(lambda params, i: (params.p, params.f, i % max(params.q - 1, 1)))
-def s_alpha(params: FieldParams, i: int) -> SAlphaElement:
-    """Average of [V(chi)] over the q-1 Borel characters chi with central
-    character i, normalized by 1/(q^2 - 1). In closed form: omega(n)/(q^2 - 1)
-    on each label L_n(m) with n + 2m = i (mod q-1), and 0 elsewhere."""
-    from .principal import omega
-
-    q = params.q
-    qm1 = max(q - 1, 1)
-    i = i % qm1
-    return SAlphaElement(i, _element(params, "L", {
-        (n, m): Fraction(omega(params, n), q * q - 1)
-        for n in range(q) for m in range(qm1) if (n + 2 * m) % qm1 == i}))
+from .ring import RingElement, _l_to_s_columns, multiply, structure_constants
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +149,6 @@ def compute_constants(params: FieldParams) -> ConstantsReport:
 
     Each of these has positive coefficients, so its norm is linear (see
     ``operator_norm``) and the report is cheap to recompute in every run."""
-    from .ring import _l_to_s_columns
-
     q = params.q
     qm1 = max(q - 1, 1)
     best = Fraction(0)
@@ -307,14 +282,9 @@ def frobenius_proximity(params: FieldParams, k: int, j: int,
 
 def multiplicity_estimate(params: FieldParams, n: int, m: int,
                           dim_v, alpha: int) -> Fraction:
-    """Leading term omega(n) dim(V) / (q^2 - 1), gated by the central
-    character condition n + 2m = alpha."""
-    from .principal import omega
-
-    qm1 = max(params.q - 1, 1)
-    if (n + 2 * m) % qm1 != alpha % qm1:
-        return Fraction(0)
-    return Fraction(omega(params, n)) * Fraction(dim_v) / (params.q ** 2 - 1)
+    """Leading term omega(n) dim(V) / (q^2 - 1): the coefficient of L_n(m)
+    in dim(V) * S_alpha, so 0 unless n + 2m = alpha (mod q-1)."""
+    return s_alpha(params, alpha).element.coeff(n, m) * Fraction(dim_v)
 
 
 def exact_multiplicity(v: RingElement, n: int, m: int) -> Fraction:

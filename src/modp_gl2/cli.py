@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import asymptotics, bm, brauer, principal
 from .params import FieldParams
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import RingElement, multiply, symm_to_L
+from .ring import RingElement, symm_to_L
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -4,11 +4,13 @@ Two 4-vertex graphs drive everything. Vertices carry digit functions; a
 closed walk of length f assigns one function per Frobenius slot. Walks on
 the first graph decompose a principal series V_n(m) into irreducibles; walks
 on the second one list the principal series containing a given irreducible.
+``omega`` counts the latter; ``s_alpha`` averages the principal series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .memo import memo
 from .params import FieldParams
@@ -203,6 +205,7 @@ def antecedents(params: FieldParams, n: int, m: int = 0) -> set[Label]:
     return result
 
 
+@memo(lambda params, n: (params.p, params.f, n))
 def omega(params: FieldParams, n: int) -> int:
     """Number of principal series containing L_n(m) (independent of m).
 
@@ -220,3 +223,25 @@ def omega(params: FieldParams, n: int) -> int:
         raise AssertionError(f"omega({n}): {counted} antecedent paths, closed "
                              f"form {closed} (internal bug)")
     return closed
+
+
+@dataclass(frozen=True)
+class SAlphaElement:
+    """The dimension-1 averaged principal-series class of central character
+    alpha; the asymptotic limit of [V]/dim V."""
+
+    alpha: int
+    element: RingElement
+
+
+@memo(lambda params, i: (params.p, params.f, i % max(params.q - 1, 1)))
+def s_alpha(params: FieldParams, i: int) -> SAlphaElement:
+    """Average of [V(chi)] over the q-1 Borel characters chi with central
+    character i, normalized by 1/(q^2 - 1). In closed form: omega(n)/(q^2 - 1)
+    on each label L_n(m) with n + 2m = i (mod q-1), and 0 elsewhere."""
+    q = params.q
+    qm1 = max(q - 1, 1)
+    i = i % qm1
+    return SAlphaElement(i, _element(params, "L", {
+        (n, m): Fraction(omega(params, n), q * q - 1)
+        for n in range(q) for m in range(qm1) if (n + 2 * m) % qm1 == i}))

@@ -1,9 +1,11 @@
 """Reduction of arbitrary symmetric powers to the irreducible basis.
 
 Two independent routes are exposed: the slow one keeps unrolling the Glover
-recursion past q-1, the fast one peels off principal series in blocks of
-q+1 using the Dickson-invariant periodicity and finishes with a base-change
-column. They must agree exactly; the fast one is O(q) per call.
+recursion past q-1; the fast one adds the full periods of k as one multiple
+of N S-hat_k, by [S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k =
+``s_alpha(k)``, peels off the rest in principal series of dimension q+1 and
+finishes with a base-change column. They must agree exactly; the fast one is
+O(q) per call.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .params import FieldParams
-from .principal import diamond_decompose
-from .ring import (RingElement, _element, multiply, structure_constants,
-                   symm_to_L)
+from .principal import diamond_decompose, s_alpha
+from .ring import (RingElement, _element, _glover_step, _s_to_l_columns,
+                   multiply, symm_to_L)
 
 
 class SymmFactor(NamedTuple):
@@ -25,44 +27,34 @@ class SymmFactor(NamedTuple):
 
 
 def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
+    """[S_k] = [S_(k mod N)] + (k div N) N S-hat_k, where k mod N = v(q+1) + w
+    and [S_(k mod N)] is the sum of V_(k-2i)(i), i < v, and of S_w(v)."""
     q = params.q
     qm1 = max(q - 1, 1)
-    u, rem = divmod(k, q * q - 1)
+    period = q * q - 1
+    u, rem = divmod(k, period)
     v, w = divmod(rem, q + 1)
-    total = RingElement.zero(params, "L")
+    parts = [diamond_decompose(params, (k - 2 * i) % qm1, i) for i in range(v)]
+    # for w = q, S_q is isomorphic to the principal series V(lambda_1)
+    parts.append(symm_to_L(params, w, v) if w < q
+                 else diamond_decompose(params, q % qm1, v))
     if u:
-        block = RingElement.zero(params, "L")
-        for i in range(q - 1):
-            block = block + diamond_decompose(params, (k - 2 * i) % qm1, i)
-        total = total + block.scale(u)
-    for i in range(v):
-        total = total + diamond_decompose(params, (k - 2 * i) % qm1, i)
-    if w <= q - 1:
-        tail = symm_to_L(params, w, 0)
-    else:
-        # w = q: S_q is isomorphic to the principal series V(lambda_1)
-        tail = diamond_decompose(params, q % qm1, 0)
-    return total + tail.det_twist(u * (q - 1) + v)
+        parts.append(s_alpha(params, k).element.scale(u * period))
+    terms: dict = {}
+    for part in parts:
+        for lbl, c in part.terms.items():
+            terms[lbl] = terms.get(lbl, 0) + c
+    return _element(params, "L", terms)
 
 
 def _reduce_symm_base_slow(params: FieldParams, k: int) -> RingElement:
-    if k <= params.q - 1:
-        return symm_to_L(params, k, 0)
-    qm1 = max(params.q - 1, 1)
-    prev2 = symm_to_L(params, params.q - 2, 0) if params.q >= 2 else None
-    prev = symm_to_L(params, params.q - 1, 0)
-    if params.q == 2:
-        prev2 = symm_to_L(params, 0, 0)
+    """[S_k] by the Glover recursion alone: the base-change column for k < q,
+    and past it ``_glover_step`` continued from [S_(q-2)] and [S_(q-1)]."""
+    cols = _s_to_l_columns(params)
+    prev2, prev = cols[-2], cols[-1]
     for _ in range(params.q, k + 1):
-        # [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1)
-        acc: dict = {}
-        for (a, x), c in prev.terms.items():
-            for (b, t), cnt in structure_constants(params, a, 1).items():
-                lbl = (b, (t + x) % qm1)
-                acc[lbl] = acc.get(lbl, 0) + c * cnt
-        cur = _element(params, "L", acc) - prev2.det_twist(1)
-        prev2, prev = prev, cur
-    return prev
+        prev2, prev = prev, _glover_step(params, prev, prev2)
+    return _element(params, "L", cols[k] if k < params.q else prev)
 
 
 def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,

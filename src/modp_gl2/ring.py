@@ -338,26 +338,29 @@ def _field_key(params: FieldParams) -> tuple[int, int]:
     return (params.p, params.f)
 
 
+def _glover_step(params: FieldParams, prev: Mapping[Label, int],
+                 prev2: Mapping[Label, int]) -> dict[Label, int]:
+    """[S_n] from [S_{n-1}] and [S_{n-2}], all as L-basis label dicts, by the
+    Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1); zeros dropped."""
+    qm1 = max(params.q - 1, 1)
+    acc: dict[Label, int] = {}
+    for (a, x), c in prev.items():
+        for (b, t), k in structure_constants(params, a, 1).items():
+            lbl = (b, (t + x) % qm1)
+            acc[lbl] = acc.get(lbl, 0) + c * k
+    for (a, x), c in prev2.items():
+        lbl = (a, (x + 1) % qm1)
+        acc[lbl] = acc.get(lbl, 0) - c
+    return {k: c for k, c in acc.items() if c != 0}
+
+
 @memo(_field_key)
 def _s_to_l_columns(params: FieldParams) -> list[dict[Label, int]]:
-    """[S_n(0)] in the L basis for 0 <= n <= q-1, by the Glover recursion
-    [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1)."""
-    q = params.q
-    qm1 = max(q - 1, 1)
-    cols: list[dict[Label, int]] = [{(0, 0): 1}]
-    if q >= 2:
-        cols.append({(1, 0): 1})
-    for n in range(2, q):
-        prev, prev2 = cols[n - 1], cols[n - 2]
-        acc: dict[Label, int] = {}
-        for (a, x), c in prev.items():
-            for (b, t), k in structure_constants(params, a, 1).items():
-                lbl = (b, (t + x) % qm1)
-                acc[lbl] = acc.get(lbl, 0) + c * k
-        for (a, x), c in prev2.items():
-            lbl = (a, (x + 1) % qm1)
-            acc[lbl] = acc.get(lbl, 0) - c
-        cols.append({k: c for k, c in acc.items() if c != 0})
+    """[S_n(0)] in the L basis for 0 <= n <= q-1: [S_0] = [L_0], [S_1] = [L_1]
+    and ``_glover_step`` from there on."""
+    cols: list[dict[Label, int]] = [{(0, 0): 1}, {(1, 0): 1}]
+    for n in range(2, params.q):
+        cols.append(_glover_step(params, cols[n - 1], cols[n - 2]))
     return cols
 
 

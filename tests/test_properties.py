@@ -15,7 +15,10 @@ from modp_gl2 import (
     operator_norm,
     oracle_decompose,
     reduce_product,
+    reduce_symm,
+    residual,
     ring,
+    s_alpha,
 )
 
 PARAMS = [FieldParams(2, 1), FieldParams(3, 1), FieldParams(5, 1),
@@ -145,6 +148,50 @@ def test_ring_matches_oracle(data):
     det = data.draw(twist)
     assert oracle_decompose(params, factors, det=det) \
         == reduce_product(params, factors).det_twist(det)
+
+
+# ---------------------------------------------------------------------------
+# The period N = q^2 - 1: [S_(k+N)] = [S_k] + N * S-hat_k
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_residual_is_periodic_in_each_k(data):
+    """The residual of V = W * prod S_(k_i)(m_i)^[j_i], W = L_n(m), depends
+    only on each k_i mod N: S-hat * W = dim W * S-hat, so the N * S-hat_k
+    that one more period adds is all absorbed by the leading term."""
+    params = data.draw(st.sampled_from(ORACLE_PARAMS))
+    q = params.q
+    period = q * q - 1
+    twist = st.integers(0, q - 2)
+    factor = st.builds(SymmFactor, st.integers(0, 3 * period), twist,
+                       st.integers(0, params.f - 1))
+    factors = data.draw(st.lists(factor, min_size=1, max_size=3))
+    w = RingElement.L(params, data.draw(st.integers(0, q - 1)),
+                      data.draw(twist))
+    i = data.draw(st.integers(0, len(factors) - 1))
+    grown = list(factors)
+    grown[i] = factors[i]._replace(
+        k=factors[i].k + data.draw(st.integers(1, 4)) * period)
+    assert residual(multiply(w, reduce_product(params, grown))) \
+        == residual(multiply(w, reduce_product(params, factors)))
+
+
+# every field with q <= 9
+SLOW_PARAMS = [pr for pr in ORACLE_PARAMS if pr.q <= 9]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_slow_route_has_period_n(data):
+    """The identity the fast route adds full periods by, checked on the
+    Glover recursion alone."""
+    params = data.draw(st.sampled_from(SLOW_PARAMS))
+    period = params.q ** 2 - 1
+    k = data.draw(st.integers(0, 2 * period))
+    assert reduce_symm(params, k + period, method="slow") \
+        == reduce_symm(params, k, method="slow") \
+        + s_alpha(params, k).element.scale(period)
 
 
 # ---------------------------------------------------------------------------
