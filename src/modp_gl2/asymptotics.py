@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .memo import memo
 from .params import FieldParams
 from .principal import SAlphaElement, s_alpha  # both re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import RingElement, _l_to_s_columns, multiply, structure_constants
+from .ring import (RingElement, _element, _l_to_s_columns, multiply,
+                   structure_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -33,73 +35,27 @@ def norm_S_1(v: RingElement) -> Fraction:
     return sum((abs(c) for c in v.terms.values()), Fraction(0))
 
 
-def _twist_orbit_key(v: RingElement) -> tuple:
-    """Canonical representative of v under determinant twists.
-
-    The operator norm is twist invariant, so caching by the orbit collapses
-    the q-1 twists of an element to a single entry.
-    """
-    qm1 = max(v.params.q - 1, 1)
-    best = None
-    for i in range(qm1):
-        cand = tuple(sorted(((n, (m + i) % qm1), c)
-                            for (n, m), c in v.terms.items()))
-        if best is None or cand < best:
-            best = cand
-    return (v.params.p, v.params.f, best)
-
-
 def operator_norm(v: RingElement) -> Fraction:
     """Exact induced infinity-norm of multiplication by v in the L basis.
 
     Equals the max over output labels of the absolute row sum of the
     q(q-1)-square multiplication matrix. Twisting an input by det only
-    shifts the output twist, so the row sums only need the products
-    v * [L_b(0)] for the q untwisted generators. When every coefficient of
-    v is positive, so is every such product, and the row sums are linear
-    in v: with s[a] the coefficients of v summed over the twist,
-    ||v|| = max over n of sum_a s[a] * R[a][n] (see ``_row_sums``).
-    Signed elements such as residuals take the generic path.
+    shifts the output twist, so the row of L_n(t) has the same sum for
+    every t: the sum over b and t of |coefficient of L_n(t)| in the q
+    products v * [L_b(0)]. These run on ints: v is first scaled by the lcm
+    D of its coefficient denominators, and the norm is the max row sum / D.
+    Every element, signed or not, takes this one path, and nothing is kept.
     """
     v = v.to_basis("L")
-    if not all(c > 0 for c in v.terms.values()):
-        return _l_operator_norm(v)
-    s: dict[int, int | Fraction] = {}
-    for (a, _), c in v.terms.items():
-        s[a] = s.get(a, 0) + c
-    table = _row_sums(v.params)
-    rows = [0] * v.params.q
-    for a, c in s.items():
-        rows = [x + c * r for x, r in zip(rows, table[a])]
-    return Fraction(max(rows))
-
-
-@memo(lambda params: (params.p, params.f))
-def _row_sums(params: FieldParams) -> list[list[int]]:
-    """R[a][n]: multiplicity of L_n(t) in [L_a][L_b], summed over b and t."""
-    q = params.q
-    table = [[0] * q for _ in range(q)]
-    for a in range(q):
-        for b in range(q):
-            for (n, _), k in structure_constants(params, a, b).items():
-                table[a][n] += k
-    return table
-
-
-@memo(_twist_orbit_key)
-def _l_operator_norm(v: RingElement) -> Fraction:
-    """operator_norm of an element in the L basis, from the q products
-    v * [L_b(0)]. Memoized because residuals repeat: that of
-    V = W * prod S_ki depends only on each k_i mod q^2 - 1."""
-    if v.is_zero():
-        return Fraction(0)
     params = v.params
-    rows: dict[int, int | Fraction] = {}
+    d = lcm(*(c.denominator for c in v.terms.values()))
+    scaled = _element(params, "L", {lbl: c.numerator * (d // c.denominator)
+                                    for lbl, c in v.terms.items()})
+    rows = [0] * params.q
     for b in range(params.q):
-        prod = multiply(v, RingElement.L(params, b, 0))
-        for (n, _), c in prod.terms.items():
-            rows[n] = rows.get(n, 0) + abs(c)
-    return Fraction(max(rows.values(), default=0))
+        for (n, _), c in multiply(scaled, RingElement.L(params, b, 0)).terms.items():
+            rows[n] += abs(c)
+    return Fraction(max(rows), d)
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +99,67 @@ class ConstantsReport:
         }
 
 
+def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
+    """||[S_r]|| for r < N = q^2 - 1 and ||S-hat_i|| for i < q - 1.
+
+    These classes are nonnegative, and so are their products with the L_b,
+    so each norm is the max over n of the row sums t[n]: the multiplicity
+    of L_n(t) in the class times [L_b(0)], summed over b and t. Summing out
+    the twist is a ring map (it sets det = 1), so the q x q matrices of
+    multiplication by L_1 (M) and by the sum of the L_b (R) commute, and the
+    Glover recursion [S_r] = [S_(r-1)][L_1] - [S_(r-2)](1) holds on the row
+    sums: t_r = t_(r-1) M - t_(r-2) from t_(-1) = 0 and t_0 = R[0]. As
+    N S-hat_i = [S_(i+N)] - [S_i], the row sums of S-hat_i are
+    (t_(i+N) - t_i) / N. Each t_r is checked exactly against the dimension:
+    sum_n t_r[n] dim L_n = (r + 1) sum_b dim L_b.
+    """
+    q = params.q
+    period = q * q - 1
+    R = [[0] * q for _ in range(q)]
+    M: list[dict[int, int]] = [{} for _ in range(q)]   # sparse rows
+    for a in range(q):
+        for b in range(q):
+            for (n, _), k in structure_constants(params, a, b).items():
+                R[a][n] += k
+                if b == 1:
+                    M[a][n] = M[a].get(n, 0) + k
+    dims = [prod(d + 1 for d in params.digits(n)) for n in range(q)]
+    heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
+    prev, cur = [0] * q, R[0]
+    for r in range(period + q - 1):
+        if sum(x * d for x, d in zip(cur, dims)) != (r + 1) * sum(dims):
+            raise AssertionError(
+                f"row sums of [S_{r}] fail the dimension check (internal bug)")
+        if r < period:
+            s_norms.append(max(cur))
+            if r < q - 1:
+                heads.append(cur)
+        else:
+            hat_norms.append(Fraction(
+                max(x - y for x, y in zip(cur, heads[r - period])), period))
+        nxt = [-x for x in prev]
+        for a, x in enumerate(cur):
+            for n, k in M[a].items():
+                nxt[n] += x * k
+        prev, cur = cur, nxt
+    return s_norms, hat_norms
+
+
 @memo(lambda params: (params.p, params.f, params.degree))
 def compute_constants(params: FieldParams) -> ConstantsReport:
-    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S_alpha_i||.
+    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||.
 
-    Each of these has positive coefficients, so its norm is linear (see
-    ``operator_norm``) and the report is cheap to recompute in every run."""
+    The norms come from ``_class_norms``, not from ``operator_norm``: these
+    classes are nonnegative, so a norm is linear in the class, and because
+    summing out the twist is a ring map, the matrices of multiplication by
+    L_1 and by the sum of the L_b commute. The Glover recursion then runs on
+    length-q row-sum vectors, each checked exactly against the dimension.
+    """
     q = params.q
-    qm1 = max(q - 1, 1)
-    best = Fraction(0)
-    for r in range(q * q - 1):
-        best = max(best, operator_norm(reduce_symm(params, r)))
-    for i in range(qm1):
-        best = max(best, operator_norm(s_alpha(params, i).element))
-    a_const = (q * q + 2 * q) * best
-    mass = Fraction(0)
-    for col in _l_to_s_columns(params):
-        mass += sum(abs(Fraction(c)) for c in col.values())
-    m_upper = qm1 * mass
-    return ConstantsReport(params, a_const, m_upper)
+    s_norms, hat_norms = _class_norms(params)
+    a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))
+    mass = sum(abs(c) for col in _l_to_s_columns(params) for c in col.values())
+    return ConstantsReport(params, a_const, max(q - 1, 1) * Fraction(mass))
 
 
 # ---------------------------------------------------------------------------

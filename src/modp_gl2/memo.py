@@ -39,12 +39,6 @@ def memo(key):
     return decorate
 
 
-def table(fn) -> dict:
-    """The memo table of a decorated function, or of any wrapper of it that
-    keeps its name (such as one made with ``functools.wraps``)."""
-    return TABLES[_name(fn)]
-
-
 def clear() -> None:
     """Empty every memo table."""
     for entries in TABLES.values():

@@ -12,6 +12,7 @@ from modp_gl2 import (
     diamond_decompose,
     exact_multiplicity,
     frobenius_proximity,
+    memo,
     multiplicity_estimate,
     multiply,
     norm_L_inf,
@@ -24,11 +25,13 @@ from modp_gl2 import (
     t_shift,
     t_shift_candidates,
 )
-from modp_gl2.asymptotics import _l_operator_norm
+from modp_gl2.asymptotics import _class_norms
 
 # every field with q <= 16
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
                 (7, 1), (11, 1), (13, 1)]
+# every field with q <= 9
+TINY_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
 
 
 def diamond_sum(params, i):
@@ -41,6 +44,20 @@ def diamond_sum(params, i):
             if (r + 2 * j) % qm1 == i:
                 total = total + diamond_decompose(params, r, j)
     return total.scale(Fraction(1, params.q ** 2 - 1))
+
+
+def brute_force_norm(v):
+    """Largest absolute row sum of the full q(q-1)-square matrix of
+    multiplication by v, whose column (b, y) is v * [L_b(y)]: the reference
+    for operator_norm, with no twist shortcut."""
+    params = v.params
+    q, qm1 = params.q, max(params.q - 1, 1)
+    rows = {(n, t): 0 for n in range(q) for t in range(qm1)}
+    for b in range(q):
+        for y in range(qm1):
+            for lbl, c in multiply(v, RingElement.L(params, b, y)).terms.items():
+                rows[lbl] += abs(c)
+    return max(rows.values())
 
 
 def test_s_alpha_small(p3):
@@ -95,29 +112,57 @@ def test_norms(p3, p9):
     assert operator_norm(v.frobenius_twist(1)) == operator_norm(v)
 
 
-@pytest.mark.parametrize("p,f", SMALL_FIELDS)
-def test_linear_norm_matches_generic(p, f):
-    # positive elements take operator_norm's linear path; _l_operator_norm
-    # forms the q products and is the reference
+@pytest.mark.parametrize("p,f", TINY_FIELDS)
+def test_operator_norm_matches_brute_force(p, f):
     params = FieldParams(p, f)
     q, qm1 = params.q, max(params.q - 1, 1)
-    classes = [reduce_symm(params, r) for r in range(q * q - 1)]
-    averages = [s_alpha(params, i).element for i in range(qm1)]
     rng = random.Random(q)
     mixes = [RingElement(params, "L", {
+        (rng.randrange(q), rng.randrange(qm1)):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for _ in range(rng.randint(1, 6))}) for _ in range(5)]
+    positive = RingElement(params, "L", {
         (rng.randrange(q), rng.randrange(qm1)): Fraction(rng.randint(1, 9),
                                                          rng.randint(1, 9))
-        for _ in range(rng.randint(1, 6))}) for _ in range(5)]
-    for v in classes + averages + mixes:
-        assert operator_norm(v) == _l_operator_norm(v.to_basis("L"))
-    assert operator_norm(RingElement.zero(params)) == 0
-    # signed elements must stay on the generic path
-    for v in [residual(v) for v in classes[:8]] + [-v for v in mixes]:
-        assert operator_norm(v) == _l_operator_norm(v.to_basis("L"))
-    best = max(_l_operator_norm(v.to_basis("L")) for v in classes)
-    best = max([best] + [_l_operator_norm(diamond_sum(params, i))
-                         for i in range(qm1)])
+        for _ in range(4)})
+    residuals = [residual(reduce_symm(params, r)) for r in range(0, 3 * q, 2)]
+    elements = (mixes + [-v for v in mixes] + [positive, -positive]
+                + residuals + [s_alpha(params, 0).element,
+                               RingElement.zero(params),
+                               RingElement.S(params, q - 1, 1)
+                               - RingElement.S(params, 1, 0).scale(Fraction(2, 3))])
+    for v in elements:
+        assert operator_norm(v) == brute_force_norm(v.to_basis("L"))
+
+
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_linear_norm_matches_generic(p, f):
+    # compute_constants norms the nonnegative classes by the recursion on
+    # row sums; the generic operator_norm on each class is the reference
+    params = FieldParams(p, f)
+    q, qm1 = params.q, max(params.q - 1, 1)
+    s_norms = [operator_norm(reduce_symm(params, r)) for r in range(q * q - 1)]
+    hat_norms = [operator_norm(diamond_sum(params, i)) for i in range(qm1)]
+    assert _class_norms(params) == (s_norms, hat_norms)
+    best = max(s_norms + hat_norms)
     assert compute_constants(params).A == (q * q + 2 * q) * best
+
+
+def test_memo_tables_stay_bounded(p9):
+    # every table is keyed by the field and a bounded index, so once warm,
+    # new bound checks on the same field store nothing
+    compute_constants(p9)
+    for k in range(p9.q ** 2 - 1 + p9.q):
+        check_theorem_bound(p9, RingElement.L(p9, 1, 0), [SymmFactor(k, 0, 0)])
+    before = sum(len(t) for t in memo.TABLES.values())
+    rng = random.Random(50)
+    for i in range(50):  # the first factor makes every call distinct
+        factors = [SymmFactor(10 ** 6 + i, rng.randrange(8), rng.randrange(2))]
+        if i % 2:
+            factors.append(SymmFactor(rng.randrange(10 ** 6), rng.randrange(8)))
+        w = RingElement.L(p9, rng.randrange(9), rng.randrange(8))
+        check_theorem_bound(p9, w, factors)
+    assert sum(len(t) for t in memo.TABLES.values()) == before
 
 
 def test_norm_triangle_and_scaling(p9):

@@ -88,6 +88,33 @@ def test_constants_json(capsys):
     assert {"A", "M_upper", "C", "C_r"} <= set(data)
 
 
+# `--format json constants` stdout on the larger fields, as the norms of
+# each [S_r] and S-hat_i printed it; too slow to recompute generically here
+PINNED_CONSTANTS = {
+    (5, 2): '{"p": 5, "f": 2, "h": 2, "A": "631800/1", "M_upper": "1560/1", '
+            '"C": "78686830270620000000000/1", "C_r": {"1": "39917913750000/1", '
+            '"2": "50440275814500000000/1", '
+            '"3": "63736332519202200000000000/1"}}',
+    (7, 2): '{"p": 7, "f": 2, "h": 2, "A": "7996800/1", "M_upper": "8400/1", '
+            '"C": "1683896471791367307264000000/1", "C_r": '
+            '{"1": "12534005207673600/1", "2": "200463865689448488960000/1", '
+            '"3": "3206138882290763353030656000000/1"}}',
+    (2, 6): '{"p": 2, "f": 6, "h": 6, "A": "193995648/1", "M_upper": "22995/1", '
+            '"C": "1947903061910394898738336235574174164304848486358574674498'
+            '866380800/1", "C_r": {"1": "9634385318604963840/1", '
+            '"2": "3738057645928912832314736640/1", '
+            '"3": "1450333830566668013680825348852285440/1"}}',
+}
+
+
+@pytest.mark.parametrize("p,f", sorted(PINNED_CONSTANTS))
+def test_constants_pinned_on_larger_fields(capsys, p, f):
+    code, out, err = run(capsys, "--p", str(p), "--f", str(f),
+                         "--format", "json", "constants")
+    assert (code, err) == (0, "")
+    assert out == PINNED_CONSTANTS[(p, f)] + "\n"
+
+
 def test_verify_bound_ok(capsys):
     code, out, _ = run(capsys, "--p", "3", "--f", "1", "verify-bound",
                        "--w", "[L_1(0)]", "--factors", "50:0")
@@ -335,3 +362,18 @@ def test_result_checks_survive_optimize():
     proc = run_python(["-O"], script)
     assert proc.returncode != 0
     assert "internal bug" in proc.stderr
+
+
+def test_no_bare_assert_in_src():
+    # invariant checks must raise, not vanish under python -O
+    import ast
+    import pathlib
+
+    import modp_gl2
+
+    found = []
+    for path in sorted(pathlib.Path(modp_gl2.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
