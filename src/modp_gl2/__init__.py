@@ -5,7 +5,6 @@ bounds, a Brauer-character oracle, and Breuil-Mezard multiplicities."""
 from .asymptotics import (
     BoundReport,
     ConstantsReport,
-    SAlphaElement,
     check_theorem_bound,
     compute_constants,
     exact_multiplicity,

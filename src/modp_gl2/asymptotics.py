@@ -14,10 +14,10 @@ from math import lcm, prod
 
 from .memo import memo
 from .params import FieldParams
-from .principal import SAlphaElement, s_alpha  # both re-exported
+from .principal import s_alpha  # re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (RingElement, _element, _l_to_s_columns, multiply,
-                   structure_constants)
+from .ring import (RingElement, _element, _l_to_s_columns, frac_str,
+                   multiply, structure_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +85,14 @@ class ConstantsReport:
         return self.M_upper * q * (2 * self.A + q) * (2 * self.A) ** h
 
     def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "p": self.params.p,
             "f": self.params.f,
             "h": self.params.degree,
-            "A": frac(self.A),
-            "M_upper": frac(self.M_upper),
-            "C": frac(self.C),
-            "C_r": {str(r): frac(self.C_r(r)) for r in (1, 2, 3)},
+            "A": frac_str(self.A),
+            "M_upper": frac_str(self.M_upper),
+            "C": frac_str(self.C),
+            "C_r": {str(r): frac_str(self.C_r(r)) for r in (1, 2, 3)},
         }
 
 
@@ -105,27 +102,23 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     These classes are nonnegative, and so are their products with the L_b,
     so each norm is the max over n of the row sums t[n]: the multiplicity
     of L_n(t) in the class times [L_b(0)], summed over b and t. Summing out
-    the twist is a ring map (it sets det = 1), so the q x q matrices of
-    multiplication by L_1 (M) and by the sum of the L_b (R) commute, and the
-    Glover recursion [S_r] = [S_(r-1)][L_1] - [S_(r-2)](1) holds on the row
-    sums: t_r = t_(r-1) M - t_(r-2) from t_(-1) = 0 and t_0 = R[0]. As
-    N S-hat_i = [S_(i+N)] - [S_i], the row sums of S-hat_i are
-    (t_(i+N) - t_i) / N. Each t_r is checked exactly against the dimension:
-    sum_n t_r[n] dim L_n = (r + 1) sum_b dim L_b.
+    the twist is a ring map (it sets det = 1), so multiplication by L_1 (the
+    q x q matrix M, from the products [L_a][L_1] alone) commutes with the
+    sum over b, and the Glover recursion [S_r] = [S_(r-1)][L_1] - [S_(r-2)](1)
+    holds on the row sums: t_r = t_(r-1) M - t_(r-2) from t_(-1) = 0 and
+    t_0 = all ones, as [L_0][L_b] = [L_b]. As N S-hat_i = [S_(i+N)] - [S_i],
+    the row sums of S-hat_i are (t_(i+N) - t_i) / N. Each t_r is checked
+    exactly against the dimension: sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b.
     """
     q = params.q
     period = q * q - 1
-    R = [[0] * q for _ in range(q)]
     M: list[dict[int, int]] = [{} for _ in range(q)]   # sparse rows
     for a in range(q):
-        for b in range(q):
-            for (n, _), k in structure_constants(params, a, b).items():
-                R[a][n] += k
-                if b == 1:
-                    M[a][n] = M[a].get(n, 0) + k
+        for (n, _), k in structure_constants(params, a, 1).items():
+            M[a][n] = M[a].get(n, 0) + k
     dims = [prod(d + 1 for d in params.digits(n)) for n in range(q)]
     heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
-    prev, cur = [0] * q, R[0]
+    prev, cur = [0] * q, [1] * q
     for r in range(period + q - 1):
         if sum(x * d for x, d in zip(cur, dims)) != (r + 1) * sum(dims):
             raise AssertionError(
@@ -150,16 +143,16 @@ def compute_constants(params: FieldParams) -> ConstantsReport:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||.
 
     The norms come from ``_class_norms``, not from ``operator_norm``: these
-    classes are nonnegative, so a norm is linear in the class, and because
-    summing out the twist is a ring map, the matrices of multiplication by
-    L_1 and by the sum of the L_b commute. The Glover recursion then runs on
-    length-q row-sum vectors, each checked exactly against the dimension.
+    classes are nonnegative, so a norm is linear in the class, and the
+    Glover recursion runs on length-q row-sum vectors from t_0 = all ones
+    ([L_0][L_b] = [L_b]), reading only the products [L_a][L_1]. Each t_r is
+    checked exactly against the dimension.
     """
     q = params.q
     s_norms, hat_norms = _class_norms(params)
     a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))
     mass = sum(abs(c) for col in _l_to_s_columns(params) for c in col.values())
-    return ConstantsReport(params, a_const, max(q - 1, 1) * Fraction(mass))
+    return ConstantsReport(params, a_const, (q - 1) * Fraction(mass))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +161,7 @@ def compute_constants(params: FieldParams) -> ConstantsReport:
 def split_by_central_character(v: RingElement) -> dict[int, RingElement]:
     """Decompose v into character-homogeneous parts (L basis)."""
     v = v.to_basis("L")
-    qm1 = max(v.params.q - 1, 1)
+    qm1 = v.params.q - 1
     parts: dict[int, dict] = {}
     for (n, m), c in v.terms.items():
         parts.setdefault((n + 2 * m) % qm1, {})[(n, m)] = c
@@ -181,7 +174,7 @@ def residual(v: RingElement) -> RingElement:
     if alpha is None:
         raise ValueError("element has no central character; split it first")
     v = v.to_basis("L")
-    return v - s_alpha(v.params, alpha).element.scale(v.dimension())
+    return v - s_alpha(v.params, alpha).scale(v.dimension())
 
 
 @dataclass(frozen=True)
@@ -198,9 +191,8 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "lhs": f"{self.lhs.numerator}/{self.lhs.denominator}",
-            "rhs_theorem":
-                f"{self.rhs_theorem.numerator}/{self.rhs_theorem.denominator}",
+            "lhs": frac_str(self.lhs),
+            "rhs_theorem": frac_str(self.rhs_theorem),
             "satisfied_theorem": self.satisfied_theorem,
             "rhs_corollary": self.rhs_corollary_float,
             "satisfied_corollary": self.satisfied_corollary,
@@ -243,11 +235,11 @@ def check_theorem_bound(params: FieldParams, w: RingElement,
 def t_shift_candidates(params: FieldParams, j: int, k: int) -> list[int]:
     """All residues t with 2t = theta^j k - k mod q-1 (one for p = 2, two
     otherwise), sorted increasingly."""
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     diff = (params.theta_residue(k % qm1, j) - k) % qm1
     if params.p == 2:
         # 2 is invertible mod q-1
-        return [(diff * pow(2, -1, qm1)) % qm1] if qm1 > 1 else [0]
+        return [(diff * pow(2, -1, qm1)) % qm1]
     if diff % 2 != 0:
         raise AssertionError("theta preserves parity mod q-1 (internal bug)")
     t0 = (diff // 2) % qm1
@@ -282,7 +274,7 @@ def multiplicity_estimate(params: FieldParams, n: int, m: int,
                           dim_v, alpha: int) -> Fraction:
     """Leading term omega(n) dim(V) / (q^2 - 1): the coefficient of L_n(m)
     in dim(V) * S_alpha, so 0 unless n + 2m = alpha (mod q-1)."""
-    return s_alpha(params, alpha).element.coeff(n, m) * Fraction(dim_v)
+    return s_alpha(params, alpha).coeff(n, m) * Fraction(dim_v)
 
 
 def exact_multiplicity(v: RingElement, n: int, m: int) -> Fraction:

@@ -98,7 +98,7 @@ def mu_aut(params: FieldParams, intrinsics: dict,
            factors, type_class: GaloisTypeClass) -> int:
     """Sum over weights of intrinsic multiplicity times a_sigma."""
     coeffs = a_sigma(params, type_class, factors)
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     total = 0
     for (n, m), mu in intrinsics.items():
         total += mu * coeffs.get((n, m % qm1), 0)
@@ -112,7 +112,7 @@ def qp_gate(params: FieldParams, rho: RhoBarQp, a: int, b: int) -> bool:
     """Central character gate over Q_p: both trivial-type reductions
     (Steinberg and the trivial representation) have central character 0,
     so the multiplicity can be nonzero only when a + 2b = n + 2m mod p-1."""
-    pm1 = max(params.p - 1, 1)
+    pm1 = params.p - 1
     return (a + 2 * b) % pm1 == (rho.n + 2 * rho.m) % pm1
 
 
@@ -170,7 +170,7 @@ def unramified_gate(params: FieldParams, r_list, a_list, b_list,
     for r in r_list[1:]:
         if not 1 <= r <= p - 4:
             raise ValueError(f"r_i = {r} violates 1 <= r_i <= p-4")
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     lhs = sum(p ** i * (a + 2 * b) for i, (a, b) in enumerate(zip(a_list, b_list)))
     rhs = sum(p ** i * (r + 1) for i, r in enumerate(r_list))
     return (lhs + alpha_type) % qm1 == rhs % qm1

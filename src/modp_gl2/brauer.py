@@ -218,7 +218,7 @@ class BrauerTable:
 def build_table(params: FieldParams, index: int = 0) -> BrauerTable:
     """The table mod ``_prime(q^2 - 1, index)``."""
     q = params.q
-    qm1 = max(q - 1, 1)
+    qm1 = q - 1
     n2 = q * q - 1
     ell = _prime(n2, index)
     # zeta has exact order n2: zeta^(n2 / r) != 1 for each prime r | n2

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import asymptotics, bm, brauer, principal
 from .params import FieldParams
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import RingElement, symm_to_L
+from .ring import RingElement, frac_str, symm_to_L
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,10 +72,6 @@ def parse_factors(text: str) -> list[SymmFactor]:
     return factors
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def emit_element(elem: RingElement, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(elem.to_json_dict()))
@@ -83,7 +79,7 @@ def emit_element(elem: RingElement, fmt: str) -> None:
         writer = csv.writer(sys.stdout)
         writer.writerow(["basis", "n", "m", "coeff"])
         for (n, m), c in elem.sorted_terms():
-            writer.writerow([elem.basis, n, m, _frac_str(c)])
+            writer.writerow([elem.basis, n, m, frac_str(c)])
     else:
         print(repr(elem))
 
@@ -111,8 +107,6 @@ def cmd_decompose(params, args):
         factors = parse_factors(args.factors)
         elem = reduce_product(params, factors)
     elif args.symm is not None:
-        if args.symm < 0:
-            raise ValueError(f"k = {args.symm} must be >= 0")
         elem = reduce_symm(params, args.symm, m=args.det, j=args.frob)
     else:
         raise ValueError("decompose needs --symm or --factors")
@@ -122,20 +116,18 @@ def cmd_decompose(params, args):
 
 def cmd_principal_series(params, args):
     elem = principal.diamond_decompose(params, args.n, args.m)
-    if args.explain:
-        rows = principal.explain_decomposition(params, args.n)
-        if args.format == "json":
-            print(json.dumps({"element": elem.to_json_dict(), "paths": rows}))
-        else:
-            emit_element(elem, args.format)
-            for row in rows:
-                if row["compatible"]:
-                    print(f"# path {row['path']}: lambda={row['lambda']} "
-                          f"ell={row['ell']}")
-                else:
-                    print(f"# path {row['path']}: incompatible")
+    rows = (principal.explain_decomposition(params, args.n) if args.explain
+            else [])
+    if args.explain and args.format == "json":
+        print(json.dumps({"element": elem.to_json_dict(), "paths": rows}))
         return EXIT_OK
     emit_element(elem, args.format)
+    for row in rows:
+        if row["compatible"]:
+            print(f"# path {row['path']}: lambda={row['lambda']} "
+                  f"ell={row['ell']}")
+        else:
+            print(f"# path {row['path']}: incompatible")
     return EXIT_OK
 
 
@@ -152,7 +144,7 @@ def cmd_omega(params, args):
 
 
 def cmd_s_alpha(params, args):
-    emit_element(asymptotics.s_alpha(params, args.i).element, args.format)
+    emit_element(asymptotics.s_alpha(params, args.i), args.format)
     return EXIT_OK
 
 
@@ -197,7 +189,7 @@ def cmd_oracle_check(params, args):
 
 
 def _qp_sweep_row(params, rho, type_class, intrinsics, variant, a, b_fixed):
-    pm1 = max(params.p - 1, 1)
+    pm1 = params.p - 1
     if b_fixed is not None:
         b = b_fixed
     else:
@@ -206,8 +198,8 @@ def _qp_sweep_row(params, rho, type_class, intrinsics, variant, a, b_fixed):
     gate = bm.qp_gate(params, rho, a, b)
     mu_exact = bm.mu_aut(params, intrinsics, [(a, b, 0)], type_class)
     mu_asym = bm.mu_aut_asymptotic_qp(params, rho, a, b, variant)
-    return [a, b, gate, mu_exact, _frac_str(mu_asym),
-            _frac_str(abs(mu_exact - mu_asym))]
+    return [a, b, gate, mu_exact, frac_str(mu_asym),
+            frac_str(abs(mu_exact - mu_asym))]
 
 
 def cmd_bm(params, args):
@@ -237,7 +229,7 @@ def cmd_bm(params, args):
     for f in factors:
         dim_v *= f.k + 1
     out = {"mu_aut": mu, "dim": dim_v,
-           "ratio": _frac_str(Fraction(mu, dim_v))}
+           "ratio": frac_str(Fraction(mu, dim_v))}
     if args.format == "json":
         print(json.dumps(out))
     else:

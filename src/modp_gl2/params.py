@@ -79,10 +79,8 @@ class FieldParams:
 
     def theta_residue(self, m: int, j: int = 1) -> int:
         """Multiply a residue mod q-1 by p^j (theta on Z/(q-1)Z)."""
-        if self.q == 2:
-            return 0
         return (m * pow(self.p, j % self.f, self.q - 1)) % (self.q - 1)
 
     def residue(self, m: int) -> int:
-        """Canonical representative of m mod q-1 (0 when q = 2)."""
-        return m % (self.q - 1) if self.q > 2 else 0
+        """Canonical representative of m mod q-1."""
+        return m % (self.q - 1)

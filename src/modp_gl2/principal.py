@@ -107,7 +107,7 @@ def lambda_of_path(params: FieldParams, path: ClosedPath, n: int) -> int | None:
     is incompatible with n."""
     if path.graph != DECOMPOSITION:
         raise ValueError("lambda is defined on decomposition-graph paths")
-    if not 0 <= n <= params.q - 2 and not (params.q == 2 and n == 0):
+    if not 0 <= n <= params.q - 2:
         raise ValueError(f"n = {n} out of range [0, {params.q - 2}]")
     images = _digit_images(params, path, n)
     if images is None:
@@ -146,38 +146,13 @@ def ell_of_path(params: FieldParams, path: ClosedPath, n: int) -> int:
         total += params.q - 1
     if total % 2 != 0:
         raise AssertionError("non-integral determinant shift (internal bug)")
-    return (total // 2) % max(params.q - 1, 1)
-
-
-# Only the untwisted class is kept; twists are cheap to apply per call.
-@memo(lambda params, n: (params.p, params.f, n))
-def _diamond_base(params: FieldParams, n: int) -> RingElement:
-    terms: dict[Label, int] = {}
-    for path in enumerate_closed_paths(DECOMPOSITION, params.f):
-        lam = lambda_of_path(params, path, n)
-        if lam is None:
-            continue
-        lbl = (lam, ell_of_path(params, path, n))
-        terms[lbl] = terms.get(lbl, 0) + 1
-    return _element(params, "L", terms)
-
-
-def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
-    """Irreducible constituents of the principal series V_n(m), n in [0, q-2].
-
-    One constituent L_{lambda(n)}(m + ell(n)) per compatible closed path;
-    all multiplicities are 1 and dimensions add up to q + 1.
-    """
-    q = params.q
-    n_max = max(q - 2, 0)
-    if not 0 <= n <= n_max:
-        raise ValueError(f"n = {n} out of range [0, {n_max}]")
-    base = _diamond_base(params, n)
-    return base.det_twist(m) if m else base
+    return (total // 2) % (params.q - 1)
 
 
 def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
-    """Per-path report used by the CLI --explain flag."""
+    """Per-path report: lambda and ell of every compatible decomposition
+    path. ``diamond_decompose`` sums its compatible rows; the CLI --explain
+    flag prints them all."""
     rows = []
     for path in enumerate_closed_paths(DECOMPOSITION, params.f):
         lam = lambda_of_path(params, path, n)
@@ -187,6 +162,29 @@ def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
             row["ell"] = ell_of_path(params, path, n)
         rows.append(row)
     return rows
+
+
+# Only the untwisted class is kept; twists are cheap to apply per call.
+@memo(lambda params, n: (params.p, params.f, n))
+def _diamond_base(params: FieldParams, n: int) -> RingElement:
+    terms: dict[Label, int] = {}
+    for row in explain_decomposition(params, n):
+        if row["compatible"]:
+            lbl = (row["lambda"], row["ell"])
+            terms[lbl] = terms.get(lbl, 0) + 1
+    return _element(params, "L", terms)
+
+
+def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
+    """Irreducible constituents of the principal series V_n(m), n in [0, q-2].
+
+    One constituent L_{lambda(n)}(m + ell(n)) per compatible closed path;
+    all multiplicities are 1 and dimensions add up to q + 1.
+    """
+    if not 0 <= n <= params.q - 2:
+        raise ValueError(f"n = {n} out of range [0, {params.q - 2}]")
+    base = _diamond_base(params, n)
+    return base.det_twist(m) if m else base
 
 
 def antecedents(params: FieldParams, n: int, m: int = 0) -> set[Label]:
@@ -225,23 +223,16 @@ def omega(params: FieldParams, n: int) -> int:
     return closed
 
 
-@dataclass(frozen=True)
-class SAlphaElement:
-    """The dimension-1 averaged principal-series class of central character
-    alpha; the asymptotic limit of [V]/dim V."""
-
-    alpha: int
-    element: RingElement
-
-
-@memo(lambda params, i: (params.p, params.f, i % max(params.q - 1, 1)))
-def s_alpha(params: FieldParams, i: int) -> SAlphaElement:
-    """Average of [V(chi)] over the q-1 Borel characters chi with central
-    character i, normalized by 1/(q^2 - 1). In closed form: omega(n)/(q^2 - 1)
-    on each label L_n(m) with n + 2m = i (mod q-1), and 0 elsewhere."""
+@memo(lambda params, i: (params.p, params.f, i % (params.q - 1)))
+def s_alpha(params: FieldParams, i: int) -> RingElement:
+    """The dimension-1 averaged class of central character i, as an L-basis
+    ``RingElement``: the average of [V(chi)] over the q-1 Borel characters
+    chi with central character i, normalized by 1/(q^2 - 1), and the limit
+    of [V]/dim V. In closed form: omega(n)/(q^2 - 1) on each label L_n(m)
+    with n + 2m = i (mod q-1), and 0 elsewhere."""
     q = params.q
-    qm1 = max(q - 1, 1)
+    qm1 = q - 1
     i = i % qm1
-    return SAlphaElement(i, _element(params, "L", {
+    return _element(params, "L", {
         (n, m): Fraction(omega(params, n), q * q - 1)
-        for n in range(q) for m in range(qm1) if (n + 2 * m) % qm1 == i}))
+        for n in range(q) for m in range(qm1) if (n + 2 * m) % qm1 == i})

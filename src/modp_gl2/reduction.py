@@ -30,7 +30,7 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
     """[S_k] = [S_(k mod N)] + (k div N) N S-hat_k, where k mod N = v(q+1) + w
     and [S_(k mod N)] is the sum of V_(k-2i)(i), i < v, and of S_w(v)."""
     q = params.q
-    qm1 = max(q - 1, 1)
+    qm1 = q - 1
     period = q * q - 1
     u, rem = divmod(k, period)
     v, w = divmod(rem, q + 1)
@@ -39,7 +39,7 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
     parts.append(symm_to_L(params, w, v) if w < q
                  else diamond_decompose(params, q % qm1, v))
     if u:
-        parts.append(s_alpha(params, k).element.scale(u * period))
+        parts.append(s_alpha(params, k).scale(u * period))
     terms: dict = {}
     for part in parts:
         for lbl, c in part.terms.items():

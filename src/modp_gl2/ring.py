@@ -51,6 +51,11 @@ def _element(params: FieldParams, basis: str,
     return v
 
 
+def frac_str(x: Coeff) -> str:
+    """The exact "num/den" wire format of a coefficient or a constant."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 class RingElement:
     """An element of the Grothendieck ring with exact rational coefficients.
 
@@ -167,7 +172,7 @@ class RingElement:
 
     def det_twist(self, i: int) -> "RingElement":
         """Shift every label (n, m) to (n, m + i); works in either basis."""
-        qm1 = max(self.params.q - 1, 1)
+        qm1 = self.params.q - 1
         return _element(self.params, self.basis,
                         {(n, (m + i) % qm1): c
                          for (n, m), c in self.terms.items()})
@@ -205,7 +210,7 @@ class RingElement:
 
     def central_character(self) -> int | None:
         """Common value of n + 2m mod q-1 over all terms, or None."""
-        qm1 = max(self.params.q - 1, 1)
+        qm1 = self.params.q - 1
         alpha = None
         for (n, m), _ in self.terms.items():
             a = (n + 2 * m) % qm1
@@ -223,7 +228,7 @@ class RingElement:
             "f": self.params.f,
             "basis": self.basis,
             "terms": [
-                {"n": n, "m": m, "coeff": f"{c.numerator}/{c.denominator}"}
+                {"n": n, "m": m, "coeff": frac_str(c)}
                 for (n, m), c in self.sorted_terms()
             ],
         }
@@ -252,7 +257,7 @@ def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
     via S_d (x) S_1 = S_{d+1} + S_{d-1}(1). Terminal states are labels.
     """
     p, f = params.p, params.f
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     result: dict[Label, int] = {}
     stack = list(initial)
     while stack:
@@ -318,7 +323,7 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     params = v.params
     v = v.to_basis("L")
     w = w.to_basis("L")
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     out: dict[Label, Coeff] = {}
     get = out.get
     for (a, x), cv in v.terms.items():
@@ -342,7 +347,7 @@ def _glover_step(params: FieldParams, prev: Mapping[Label, int],
                  prev2: Mapping[Label, int]) -> dict[Label, int]:
     """[S_n] from [S_{n-1}] and [S_{n-2}], all as L-basis label dicts, by the
     Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1); zeros dropped."""
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     acc: dict[Label, int] = {}
     for (a, x), c in prev.items():
         for (b, t), k in structure_constants(params, a, 1).items():
@@ -368,7 +373,7 @@ def _s_to_l_columns(params: FieldParams) -> list[dict[Label, int]]:
 def _l_to_s_columns(params: FieldParams) -> list[dict[Label, int]]:
     """[L_n(0)] in the S basis, inverting the unit-triangular S -> L change."""
     q = params.q
-    qm1 = max(q - 1, 1)
+    qm1 = q - 1
     s_cols = _s_to_l_columns(params)
     cols: list[dict[Label, int]] = []
     for n in range(q):
@@ -388,7 +393,7 @@ def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """L-basis expansion of [S_n(m)] for 0 <= n <= q-1."""
     if not 0 <= n <= params.q - 1:
         raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     col = _s_to_l_columns(params)[n]
     return _element(params, "L",
                     {(a, (x + m) % qm1): c for (a, x), c in col.items()})
@@ -401,7 +406,7 @@ def convert_basis(v: RingElement, target: str) -> RingElement:
         return v
     params = v.params
     cols = _s_to_l_columns(params) if target == "L" else _l_to_s_columns(params)
-    qm1 = max(params.q - 1, 1)
+    qm1 = params.q - 1
     out: dict[Label, Coeff] = {}
     get = out.get
     for (n, m), c in v.terms.items():

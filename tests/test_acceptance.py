@@ -130,9 +130,9 @@ def test_06_tensoriel():
         qm1 = max(params.q - 1, 1)
         for a in range(qm1):
             for b in range(qm1):
-                product = multiply(s_alpha(params, a).element,
-                                   s_alpha(params, b).element)
-                if product != s_alpha(params, (a + b) % qm1).element:
+                product = multiply(s_alpha(params, a),
+                                   s_alpha(params, b))
+                if product != s_alpha(params, (a + b) % qm1):
                     ok = False
     report(6, "averaged classes form a group", ok)
 

@@ -78,7 +78,7 @@ def test_s_alpha(capsys, p3):
     elem = RingElement.from_json_dict(json.loads(out))
     from modp_gl2 import s_alpha
 
-    assert elem == s_alpha(p3, 1).element
+    assert elem == s_alpha(p3, 1)
 
 
 def test_constants_json(capsys):

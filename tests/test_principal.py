@@ -1,3 +1,5 @@
+import pytest
+
 
 from modp_gl2 import (
     FieldParams,
@@ -9,6 +11,7 @@ from modp_gl2 import (
     lambda_of_path,
     omega,
     symm_to_L,
+    t_shift_candidates,
 )
 from modp_gl2.principal import ANTECEDENT, DECOMPOSITION, explain_decomposition
 
@@ -127,3 +130,21 @@ def test_explain_rows(p9):
 def test_coefficients_are_integral(p9):
     v = diamond_decompose(p9, 5, 2)
     assert all(type(c) is int for _, c in v.sorted_terms())
+
+
+def test_q2_needs_no_guard():
+    # q - 1 = 1, so every residue is 0, and V_0 = L_0 + L_1 is the only
+    # principal series: the plain formulas handle it with no special case
+    params = FieldParams(2, 1)
+    assert [params.residue(m) for m in (-3, 0, 1, 5)] == [0, 0, 0, 0]
+    assert [params.theta_residue(m, j) for m in (0, 3) for j in (1, 2)] \
+        == [0, 0, 0, 0]
+    for k in range(6):
+        assert t_shift_candidates(params, 1, k) == [0]
+    v = diamond_decompose(params, 0)
+    assert v.dimension() == 3
+    assert v == RingElement.L(params, 0, 0) + RingElement.L(params, 1, 0)
+    paths = enumerate_closed_paths(DECOMPOSITION, 1)
+    assert [lambda_of_path(params, path, 0) for path in paths] == [0, 1]
+    with pytest.raises(ValueError):
+        lambda_of_path(params, paths[0], 1)

@@ -191,7 +191,7 @@ def test_slow_route_has_period_n(data):
     k = data.draw(st.integers(0, 2 * period))
     assert reduce_symm(params, k + period, method="slow") \
         == reduce_symm(params, k, method="slow") \
-        + s_alpha(params, k).element.scale(period)
+        + s_alpha(params, k).scale(period)
 
 
 # ---------------------------------------------------------------------------
