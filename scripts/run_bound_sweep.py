@@ -29,7 +29,6 @@ def main():
 
     params = FieldParams(args.p, args.f, args.f)
     q = params.q
-    qm1 = max(q - 1, 1)
 
     worst_theorem = Fraction(0)
     worst_coro = 0.0

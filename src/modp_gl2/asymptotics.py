@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 
 from .memo import memo
 from .params import FieldParams
 from .principal import s_alpha  # re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (RingElement, _element, _l_to_s_columns, frac_str,
-                   multiply, structure_constants)
+from .ring import (RingElement, _expand, _l_to_s_columns, frac_str, multiply,
+                   structure_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +45,19 @@ def operator_norm(v: RingElement) -> Fraction:
     every t: the sum over b and t of |coefficient of L_n(t)| in the q
     products v * [L_b(0)]. These run on ints: v is first scaled by the lcm
     D of its coefficient denominators, and the norm is the max row sum / D.
-    Every element, signed or not, takes this one path, and nothing is kept.
+    Each product is an ``_expand`` label dict, not a ``RingElement``; every
+    element, signed or not, takes this one path, and nothing is kept.
     """
     v = v.to_basis("L")
     params = v.params
     d = lcm(*(c.denominator for c in v.terms.values()))
-    scaled = _element(params, "L", {lbl: c.numerator * (d // c.denominator)
-                                    for lbl, c in v.terms.items()})
+    scaled = {lbl: c.numerator * (d // c.denominator)
+              for lbl, c in v.terms.items()}
     rows = [0] * params.q
     for b in range(params.q):
-        for (n, _), c in multiply(scaled, RingElement.L(params, b, 0)).terms.items():
+        product = _expand(params, {}, scaled,
+                          partial(structure_constants, params, b))
+        for (n, _), c in product.items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)
 
@@ -138,9 +142,10 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     return s_norms, hat_norms
 
 
-@memo(lambda params: (params.p, params.f, params.degree))
-def compute_constants(params: FieldParams) -> ConstantsReport:
-    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||.
+@memo(lambda params: (params.p, params.f))
+def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
+    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, and
+    M_upper: the constants that depend on the field alone, not on h.
 
     The norms come from ``_class_norms``, not from ``operator_norm``: these
     classes are nonnegative, so a norm is linear in the class, and the
@@ -152,7 +157,12 @@ def compute_constants(params: FieldParams) -> ConstantsReport:
     s_norms, hat_norms = _class_norms(params)
     a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))
     mass = sum(abs(c) for col in _l_to_s_columns(params) for c in col.values())
-    return ConstantsReport(params, a_const, (q - 1) * Fraction(mass))
+    return a_const, (q - 1) * Fraction(mass)
+
+
+def compute_constants(params: FieldParams) -> ConstantsReport:
+    """The explicit constants at (p, f, h); A and M_upper are per field."""
+    return ConstantsReport(params, *_field_constants(params))
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,15 @@ EDGES = frozenset({
 RIGHT_COLUMN = frozenset({"TR", "BR"})
 
 
-def vertex_function(graph: str, vertex: str, p: int):
-    """Digit function attached to a vertex; the graphs differ only at BL."""
+def _image(graph: str, vertex: str, p: int, x: int) -> int:
+    """A vertex's digit function at x; the graphs differ only at BL."""
     if vertex == "TL":
-        return lambda x: x
+        return x
     if vertex == "TR":
-        return lambda x: p - 1 - x
+        return p - 1 - x
     if vertex == "BR":
-        return lambda x: p - 2 - x
-    if vertex == "BL":
-        if graph == DECOMPOSITION:
-            return lambda x: x - 1
-        if graph == ANTECEDENT:
-            return lambda x: x + 1
-    raise ValueError(f"unknown graph/vertex {graph!r}/{vertex!r}")
+        return p - 2 - x
+    return x - 1 if graph == DECOMPOSITION else x + 1
 
 
 @dataclass(frozen=True)
@@ -89,59 +84,40 @@ def enumerate_closed_paths(graph: str, f: int) -> tuple[ClosedPath, ...]:
     return tuple(paths)
 
 
-def _digit_images(params: FieldParams, path: ClosedPath, n: int):
-    """Images of the digits of n under the path's functions, or None if any
-    image falls outside [0, p-1]."""
-    p = params.p
-    images = []
-    for i, digit in enumerate(params.digits(n)):
-        y = vertex_function(path.graph, path.vertices[i], p)(digit)
-        if not 0 <= y <= p - 1:
-            return None
-        images.append(y)
-    return images
+def _path_label(params: FieldParams, path: ClosedPath, n: int, graph: str,
+                top: int, name: str) -> int | None:
+    """The label with the digits of n in [0, top] mapped along a ``graph``
+    path, or None if an image leaves [0, p-1]; ``name`` names the map."""
+    if path.graph != graph:
+        raise ValueError(f"{name} is defined on {graph}-graph paths")
+    if not 0 <= n <= top:
+        raise ValueError(f"n = {n} out of range [0, {top}]")
+    images = [_image(graph, path.vertices[i], params.p, digit)
+              for i, digit in enumerate(params.digits(n))]
+    if not all(0 <= y <= params.p - 1 for y in images):
+        return None
+    return params.from_digits(images)
 
 
 def lambda_of_path(params: FieldParams, path: ClosedPath, n: int) -> int | None:
-    """The label produced by a decomposition-graph path, or None if the path
-    is incompatible with n."""
-    if path.graph != DECOMPOSITION:
-        raise ValueError("lambda is defined on decomposition-graph paths")
-    if not 0 <= n <= params.q - 2:
-        raise ValueError(f"n = {n} out of range [0, {params.q - 2}]")
-    images = _digit_images(params, path, n)
-    if images is None:
-        return None
-    return params.from_digits(images)
+    """lambda(n) along a decomposition-graph path, or None if incompatible."""
+    return _path_label(params, path, n, DECOMPOSITION, params.q - 2, "lambda")
 
 
 def mu_of_path(params: FieldParams, path: ClosedPath, n: int) -> int | None:
     """The antecedent label produced by an antecedent-graph path, or None."""
-    if path.graph != ANTECEDENT:
-        raise ValueError("mu is defined on antecedent-graph paths")
-    if not 0 <= n <= params.q - 1:
-        raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
-    images = _digit_images(params, path, n)
-    if images is None:
-        return None
-    return params.from_digits(images)
+    return _path_label(params, path, n, ANTECEDENT, params.q - 1, "mu")
 
 
 def ell_of_path(params: FieldParams, path: ClosedPath, n: int) -> int:
-    """Determinant shift of the constituent cut out by a compatible path.
-
-    Computed as (sum_i p^i (n_i - lambda_i(n_i))) / 2, with q - 1 added
-    inside the half when the final vertex sits in the right column. The
-    half is always integral; a failure here is a bug, not bad input.
-    """
-    if path.graph != DECOMPOSITION:
-        raise ValueError("ell is defined on decomposition-graph paths")
-    p = params.p
-    images = _digit_images(params, path, n)
-    if images is None:
+    """Determinant shift of the constituent cut out by a compatible path:
+    (n - lambda(n)) / 2, as sum_i p^i (n_i - lambda_i(n_i)) = n - lambda(n),
+    with q - 1 added inside the half when the last vertex is in the right
+    column. The half is always integral; a failure here is a bug."""
+    lam = _path_label(params, path, n, DECOMPOSITION, params.q - 2, "ell")
+    if lam is None:
         raise ValueError(f"path {path.serialize()} incompatible with n = {n}")
-    total = sum(p ** i * (d - y)
-                for i, (d, y) in enumerate(zip(params.digits(n), images)))
+    total = n - lam
     if path.vertices[-1] in RIGHT_COLUMN:
         total += params.q - 1
     if total % 2 != 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping
 
 from .memo import memo
@@ -261,7 +262,7 @@ def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
     result: dict[Label, int] = {}
     stack = list(initial)
     while stack:
-        degrees, carries, twist, coeff = stack.pop()
+        degrees, carries, twist = stack.pop()
         over = [i for i in range(f) if degrees[i] >= p]
         if over:
             i = max(over, key=lambda k: (degrees[k], -k))
@@ -273,11 +274,10 @@ def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
             d1[i] = c - p
             c1 = list(carries)
             c1[(i + 1) % f] += 1
-            stack.append((tuple(d1), tuple(c1), twist, coeff))
+            stack.append((tuple(d1), tuple(c1), twist))
             d2 = list(degrees)
             d2[i] = 2 * p - 2 - c
-            stack.append((tuple(d2), carries,
-                          twist + (c - p + 1) * p ** i, coeff))
+            stack.append((tuple(d2), carries, twist + (c - p + 1) * p ** i))
             continue
         pending = [j for j in range(f) if carries[j] > 0]
         if pending:
@@ -287,15 +287,15 @@ def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
             c1[j] -= 1
             d1 = list(degrees)
             d1[j] = d + 1
-            stack.append((tuple(d1), tuple(c1), twist, coeff))
+            stack.append((tuple(d1), tuple(c1), twist))
             if d >= 1:
                 d2 = list(degrees)
                 d2[j] = d - 1
-                stack.append((tuple(d2), tuple(c1), twist + p ** j, coeff))
+                stack.append((tuple(d2), tuple(c1), twist + p ** j))
             continue
         n = params.from_digits(degrees)
         key = (n, twist % qm1)
-        result[key] = result.get(key, 0) + coeff
+        result[key] = result.get(key, 0) + 1
     return result
 
 
@@ -312,8 +312,25 @@ def structure_constants(params: FieldParams, a: int, b: int) -> dict[Label, int]
                                   for i in range(f))):
         degrees = tuple(da[i] + db[i] - 2 * ts[i] for i in range(f))
         twist = sum(ts[i] * p ** i for i in range(f))
-        initial.append((degrees, (0,) * f, twist, 1))
+        initial.append((degrees, (0,) * f, twist))
     return _normalize_states(params, initial)
+
+
+def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
+            column, scale: Coeff = 1, shift: int = 0) -> dict:
+    """Add scale * c * column(n), twisted by m + shift, to ``out`` for each
+    term (n, m) -> c; return ``out``, zeros kept. The maps applied to classes
+    here (products, S <-> L base change) commute with the determinant twist,
+    so their columns on the untwisted labels (n, 0) give them: one loop."""
+    qm1 = params.q - 1
+    get = out.get
+    for (n, m), c in terms.items():
+        c *= scale
+        m += shift
+        for (a, x), k in column(n).items():
+            key = (a, (x + m) % qm1)
+            out[key] = get(key, 0) + c * k
+    return out
 
 
 def multiply(v: RingElement, w: RingElement) -> RingElement:
@@ -323,16 +340,10 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     params = v.params
     v = v.to_basis("L")
     w = w.to_basis("L")
-    qm1 = params.q - 1
     out: dict[Label, Coeff] = {}
-    get = out.get
     for (a, x), cv in v.terms.items():
-        for (b, y), cw in w.terms.items():
-            c = cv * cw
-            shift = x + y
-            for (n, t), k in structure_constants(params, a, b).items():
-                key = (n, (t + shift) % qm1)
-                out[key] = get(key, 0) + c * k
+        _expand(params, out, w.terms, partial(structure_constants, params, a),
+                cv, x)
     return _element(params, "L", out)
 
 
@@ -372,19 +383,11 @@ def _s_to_l_columns(params: FieldParams) -> list[dict[Label, int]]:
 @memo(_field_key)
 def _l_to_s_columns(params: FieldParams) -> list[dict[Label, int]]:
     """[L_n(0)] in the S basis, inverting the unit-triangular S -> L change."""
-    q = params.q
-    qm1 = q - 1
-    s_cols = _s_to_l_columns(params)
     cols: list[dict[Label, int]] = []
-    for n in range(q):
-        acc: dict[Label, int] = {(n, 0): 1}
-        for (i, j), c in s_cols[n].items():
-            if (i, j) == (n, 0):
-                continue
-            # constituents of S_n other than L_n have i < n (triangularity)
-            for (a, x), k in cols[i].items():
-                lbl = (a, (x + j) % qm1)
-                acc[lbl] = acc.get(lbl, 0) - c * k
+    for n, s_col in enumerate(_s_to_l_columns(params)):
+        # constituents of S_n other than L_n have i < n (triangularity)
+        rest = {lbl: c for lbl, c in s_col.items() if lbl != (n, 0)}
+        acc = _expand(params, {(n, 0): 1}, rest, cols.__getitem__, -1)
         cols.append({k: c for k, c in acc.items() if c != 0})
     return cols
 
@@ -393,10 +396,8 @@ def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """L-basis expansion of [S_n(m)] for 0 <= n <= q-1."""
     if not 0 <= n <= params.q - 1:
         raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
-    qm1 = params.q - 1
-    col = _s_to_l_columns(params)[n]
-    return _element(params, "L",
-                    {(a, (x + m) % qm1): c for (a, x), c in col.items()})
+    return _element(params, "L", _expand(params, {}, {(n, m): 1},
+                                         _s_to_l_columns(params).__getitem__))
 
 
 def convert_basis(v: RingElement, target: str) -> RingElement:
@@ -406,11 +407,5 @@ def convert_basis(v: RingElement, target: str) -> RingElement:
         return v
     params = v.params
     cols = _s_to_l_columns(params) if target == "L" else _l_to_s_columns(params)
-    qm1 = params.q - 1
-    out: dict[Label, Coeff] = {}
-    get = out.get
-    for (n, m), c in v.terms.items():
-        for (a, x), k in cols[n].items():
-            key = (a, (x + m) % qm1)
-            out[key] = get(key, 0) + c * k
-    return _element(params, target, out)
+    return _element(params, target, _expand(params, {}, v.terms,
+                                            cols.__getitem__))

@@ -173,6 +173,26 @@ def test_constants_read_only_products_with_L1():
     assert len(memo.TABLES["modp_gl2.ring.structure_constants"]) == 16
 
 
+def test_constants_are_computed_once_per_field(monkeypatch):
+    # A and M_upper depend on (p, f) alone: a second h reuses them
+    from modp_gl2 import asymptotics
+
+    calls = []
+    class_norms = asymptotics._class_norms
+
+    def counted(params):
+        calls.append(params)
+        return class_norms(params)
+
+    monkeypatch.setattr(asymptotics, "_class_norms", counted)
+    memo.clear()
+    h4 = compute_constants(FieldParams(2, 4, 4))
+    h8 = compute_constants(FieldParams(2, 4, 8))
+    assert len(calls) == 1
+    assert (h4.A, h4.M_upper) == (h8.A, h8.M_upper)
+    assert h4.C != h8.C
+
+
 def test_norm_triangle_and_scaling(p9):
     a = RingElement.L(p9, 5, 1) - 2 * RingElement.L(p9, 2, 3)
     b = RingElement.L(p9, 7, 0).scale(Fraction(3, 2))

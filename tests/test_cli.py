@@ -205,6 +205,144 @@ def test_bm_general(capsys, tmp_path):
     assert data["dim"] == 5
 
 
+# stdout of the output branches the other tests only parse or never reach
+# (csv and pretty emitters, --explain as json, omega --n, bm qp with --b
+# and the crystalline type), byte for byte at q = 3 and q = 9
+GOLDEN_STDOUT = [
+    ('--p 3 --f 1 --format csv decompose --symm 10',
+     'basis,n,m,coeff\r\n'
+     'L,0,0,1/1\r\n'
+     'L,0,1,1/1\r\n'
+     'L,2,0,2/1\r\n'
+     'L,2,1,1/1\r\n'),
+    ('--p 3 --f 2 --format csv decompose --factors 11:1:0,6:0:1',
+     'basis,n,m,coeff\r\n'
+     'L,1,3,6/1\r\n'
+     'L,1,7,3/1\r\n'
+     'L,3,2,5/1\r\n'
+     'L,3,6,4/1\r\n'
+     'L,5,1,1/1\r\n'
+     'L,5,5,3/1\r\n'
+     'L,7,0,2/1\r\n'
+     'L,7,4,2/1\r\n'),
+    ('--p 3 --f 1 omega --all',
+     '[{"n": 0, "omega": 1}, {"n": 1, "omega": 2}, {"n": 2, "omega": 1}]\n'),
+    ('--p 3 --f 2 --format pretty omega --all',
+     'n  omega\n'
+     '0  3    \n'
+     '1  4    \n'
+     '2  2    \n'
+     '3  4    \n'
+     '4  4    \n'
+     '5  2    \n'
+     '6  2    \n'
+     '7  2    \n'
+     '8  1    \n'),
+    ('--p 3 --f 1 principal-series --n 1 --explain',
+     '{"element": {"p": 3, "f": 1, "basis": "L", "terms": [{"n": 1, '
+     '"m": 0, "coeff": "1/1"}, {"n": 1, "m": 1, "coeff": "1/1"}]}, '
+     '"paths": [{"path": "TL", "compatible": true, "lambda": 1, '
+     '"ell": 0}, {"path": "TR", "compatible": true, "lambda": 1, '
+     '"ell": 1}]}\n'),
+    ('--p 3 --f 2 principal-series --n 5 --m 3 --explain',
+     '{"element": {"p": 3, "f": 2, "basis": "L", "terms": [{"n": 1, '
+     '"m": 1, "coeff": "1/1"}, {"n": 3, "m": 0, "coeff": "1/1"}, '
+     '{"n": 5, "m": 3, "coeff": "1/1"}]}, "paths": [{"path": '
+     '"BL,BR", "compatible": true, "lambda": 1, "ell": 6}, {"path": '
+     '"BR,BL", "compatible": false}, {"path": "TL,TL", '
+     '"compatible": true, "lambda": 5, "ell": 0}, {"path": "TR,TR", '
+     '"compatible": true, "lambda": 3, "ell": 5}]}\n'),
+    ('--p 3 --f 1 --format csv omega --n 2',
+     'n,omega\r\n'
+     '2,1\r\n'),
+    ('--p 3 --f 2 omega --n 4',
+     '[{"n": 4, "omega": 4}]\n'),
+    ('--p 3 --f 1 --format csv constants',
+     'constant,value\r\n'
+     'p,3\r\n'
+     'f,1\r\n'
+     'h,1\r\n'
+     'A,240/1\r\n'
+     'M_upper,6/1\r\n'
+     'C,4173120/1\r\n'
+     'C_1,695520/1\r\n'
+     'C_2,333849600/1\r\n'
+     'C_3,160247808000/1\r\n'),
+    ('--p 3 --f 2 --format pretty constants',
+     'constant  value                \n'
+     'p         3                    \n'
+     'f         2                    \n'
+     'h         2                    \n'
+     'A         15840/1              \n'
+     'M_upper   120/1                \n'
+     'C         34348093452288000/1  \n'
+     'C_1       9035167680/1         \n'
+     'C_2       286234112102400/1    \n'
+     'C_3       9067896671404032000/1\n'),
+    ('--p 3 --f 1 --format pretty verify-bound --w [L_1(0)] --factors 50:0',
+     'lhs: 2/1\n'
+     'rhs_theorem: 695520/1\n'
+     'satisfied_theorem: True\n'
+     'rhs_corollary: 16692480.0\n'
+     'satisfied_corollary: True\n'),
+    ('--p 3 --f 2 --format pretty verify-bound --w [L_2(1)] '
+     '--factors 40:1:1,7',
+     'lhs: 15/1\n'
+     'rhs_theorem: 11735598596198400/1\n'
+     'satisfied_theorem: True\n'
+     'rhs_corollary: 3.110352149712039e+18\n'
+     'satisfied_corollary: True\n'),
+    ('--p 3 --f 1 --format pretty oracle-check --factors 7:1,4',
+     'agree: True\n'
+     'ring:   10*[L_1(0)] + 10*[L_1(1)]\n'
+     'oracle: 10*[L_1(0)] + 10*[L_1(1)]\n'),
+    ('--p 3 --f 2 --format pretty oracle-check --factors 11:1:0,6:0:1',
+     'agree: True\n'
+     'ring:   6*[L_1(3)] + 3*[L_1(7)] + 5*[L_3(2)] + 4*[L_3(6)] + '
+     '[L_5(1)] + 3*[L_5(5)] + 2*[L_7(0)] + 2*[L_7(4)]\n'
+     'oracle: 6*[L_1(3)] + 3*[L_1(7)] + 5*[L_3(2)] + 4*[L_3(6)] + '
+     '[L_5(1)] + 3*[L_5(5)] + 2*[L_7(0)] + 2*[L_7(4)]\n'),
+    ('--p 3 --f 1 --format pretty bm general --type-json {type} '
+     '--weights-json {weights} --factors 4:0:0',
+     'mu_aut: 2\n'
+     'dim: 5\n'
+     'ratio: 2/5\n'),
+    ('--p 3 --f 1 --format csv bm qp --rho-n 1 --a-max 6 --b 1',
+     'a,b,gate,mu_exact,mu_asymptotic,abs_error\r\n'
+     '0,1,False,0,0/1,0/1\r\n'
+     '1,1,True,3,3/1,0/1\r\n'
+     '2,1,False,0,0/1,0/1\r\n'
+     '3,1,True,6,6/1,0/1\r\n'
+     '4,1,False,0,0/1,0/1\r\n'
+     '5,1,True,9,9/1,0/1\r\n'
+     '6,1,False,0,0/1,0/1\r\n'),
+    ('--p 3 --f 1 --format csv bm qp --rho-n 0 --rho-m 1 --type '
+     'crystalline --a-max 6',
+     'a,b,gate,mu_exact,mu_asymptotic,abs_error\r\n'
+     '0,0,True,0,1/4,1/4\r\n'
+     '1,0,False,0,0/1,0/1\r\n'
+     '2,0,True,0,3/4,3/4\r\n'
+     '3,0,False,0,0/1,0/1\r\n'
+     '4,0,True,1,5/4,1/4\r\n'
+     '5,0,False,0,0/1,0/1\r\n'
+     '6,0,True,1,7/4,3/4\r\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, tmp_path, argv, expected):
+    from modp_gl2 import bm
+
+    type_path = tmp_path / "type.json"
+    weights_path = tmp_path / "weights.json"
+    type_path.write_text(json.dumps(
+        bm.type_to_json(bm.preset_type_crystalline_trivial_qp(3))))
+    weights_path.write_text(json.dumps(
+        bm.intrinsics_to_json({(0, 0): 1, (2, 0): 1})))
+    argv = argv.format(type=type_path, weights=weights_path).split()
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 def test_determinism(capsys):
     argv = ["--p", "3", "--f", "2", "decompose", "--factors", "11:1:0,6:0:1"]
     _, first, _ = run(capsys, *argv)

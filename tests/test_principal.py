@@ -116,6 +116,33 @@ def test_omega_matches_antecedent_count():
             assert counts == {omega(params, n)}, (params.q, n)
 
 
+def _ell_by_digit_sum(params, path, n):
+    """ell as the path's digit functions give it: half the digit sum
+    sum_i p^i (n_i - y_i) over the images y_i, with q - 1 added when the
+    path ends in the right column."""
+    p = params.p
+    functions = {"TL": lambda x: x, "TR": lambda x: p - 1 - x,
+                 "BR": lambda x: p - 2 - x, "BL": lambda x: x - 1}
+    total = sum(p ** i * (d - functions[v](d)) for i, (v, d)
+                in enumerate(zip(path.vertices, params.digits(n))))
+    if path.vertices[-1] in ("TR", "BR"):
+        total += params.q - 1
+    assert total % 2 == 0
+    return (total // 2) % (params.q - 1)
+
+
+def test_ell_matches_digit_sum():
+    for params in _all_params_q_le_9():
+        for path in enumerate_closed_paths(DECOMPOSITION, params.f):
+            for n in range(params.q - 1):
+                if lambda_of_path(params, path, n) is not None:
+                    assert ell_of_path(params, path, n) \
+                        == _ell_by_digit_sum(params, path, n), \
+                        (params.q, path.serialize(), n)
+        with pytest.raises(ValueError):  # V_n exists only for n <= q - 2
+            ell_of_path(params, path, params.q - 1)
+
+
 def test_explain_rows(p9):
     rows = explain_decomposition(p9, 1)
     assert {row["path"] for row in rows} \
