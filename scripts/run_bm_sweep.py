@@ -17,15 +17,12 @@ from modp_gl2 import FieldParams, bm
 
 def sweep(params, rho, variant, type_class, a_max):
     weights = bm.serre_weights_qp_irreducible(params, rho)
-    pm1 = params.p - 1
     rows = []
     worst = Fraction(0)
     for a in range(a_max + 1):
-        b = next((b for b in range(pm1) if bm.qp_gate(params, rho, a, b)), 0)
-        gate = bm.qp_gate(params, rho, a, b)
-        mu = bm.mu_aut(params, weights, [(a, b, 0)], type_class)
-        asym = bm.mu_aut_asymptotic_qp(params, rho, a, b, variant)
-        gap = abs(Fraction(mu) - asym)
+        _, b, gate, mu, asym = bm.qp_sweep_row(params, rho, weights,
+                                               type_class, variant, a)
+        gap = abs(mu - asym)
         if gate:
             worst = max(worst, gap)
         rows.append([a, b, gate, mu, float(asym), float(gap)])

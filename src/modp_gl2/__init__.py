@@ -37,8 +37,6 @@ from .brauer import (
     OracleError,
     PRegularClass,
     build_table,
-    character_of_irreducible,
-    character_of_symm,
     enumerate_p_regular_classes,
     oracle_decompose,
 )

@@ -9,7 +9,6 @@ else arrives through the JSON schemas at the bottom.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +137,19 @@ def mu_aut_asymptotic_qp(params: FieldParams, rho: RhoBarQp, a: int, b: int,
     return lead
 
 
+def qp_sweep_row(params: FieldParams, rho: RhoBarQp, intrinsics: dict,
+                 type_class: GaloisTypeClass, variant: str, a: int,
+                 b: int | None = None) -> tuple:
+    """One row (a, b, gate, mu_aut, asymptotic mu) of a sweep over Q_p, with
+    b, when not given, the smallest in [0, p-2] passing the gate, else 0."""
+    if b is None:
+        b = next((c for c in range(params.p - 1)
+                  if qp_gate(params, rho, a, c)), 0)
+    return (a, b, qp_gate(params, rho, a, b),
+            mu_aut(params, intrinsics, [(a, b, 0)], type_class),
+            mu_aut_asymptotic_qp(params, rho, a, b, variant))
+
+
 def mu_aut_asymptotic_unramified(h: int, p: int, dim_type: int,
                                  a_list, gate: bool) -> Fraction:
     """Leading term 4^h dim(type) prod(a_i + 1) / (p^(2h) - 1) in the
@@ -185,8 +197,6 @@ def intrinsics_to_json(intrinsics: dict) -> list[dict]:
 
 
 def intrinsics_from_json(data) -> dict:
-    if isinstance(data, str):
-        data = json.loads(data)
     out = {}
     for row in data:
         mu = int(row["mu"])
@@ -205,7 +215,5 @@ def type_to_json(type_class: GaloisTypeClass) -> dict:
 
 
 def type_from_json(data) -> GaloisTypeClass:
-    if isinstance(data, str):
-        data = json.loads(data)
     cls = RingElement.from_json_dict(data["class"])
     return GaloisTypeClass(int(data["dim"]), cls, data.get("label", ""))

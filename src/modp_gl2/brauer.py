@@ -9,8 +9,7 @@ identities hold in Z[zeta], so they also hold modulo a prime above any prime
 ell = 1 (mod q^2 - 1), where zeta becomes an element of F_ell of exact order
 q^2 - 1: the oracle computes in F_ell, with no floating point. The primes
 are taken below 2^26, counting down, so q (ell - 1)^2 < 2^63 for q <= 64
-and every int64 product sum below is exact. The scalar functions keep the
-complex lift exp(2 pi i e / (q^2 - 1)) as an independent reference.
+and every int64 product sum below is exact.
 
 The character of L_n(m) at a class c factors as chi_n(c) * omega^(d(c) m):
 chi_n is the product of the untwisted digit characters, omega = zeta^(q+1)
@@ -25,7 +24,6 @@ and an inverse discrete Fourier transform over d gives x mod ell.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,44 +85,6 @@ def enumerate_p_regular_classes(params: FieldParams) -> list[PRegularClass]:
     return classes
 
 
-def _root(params: FieldParams, e: int):
-    n2 = params.q ** 2 - 1
-    return cmath.exp(2j * cmath.pi * (e % n2) / n2)
-
-
-def character_of_symm(params: FieldParams, factor: SymmFactor,
-                      cls: PRegularClass):
-    """Brauer character of S_k(m)^{[j]} at a p-regular class, in C.
-
-    With lifted eigenvalues alpha, beta (raised to the p^j power) and
-    delta = alpha * beta, the value is delta^m (alpha^{k+1} - beta^{k+1})
-    / (alpha - beta), read as (k+1) alpha^k delta^m when alpha = beta.
-    """
-    k, m, j = SymmFactor(*factor)
-    q = params.q
-    n2 = q * q - 1
-    pj = pow(params.p, j % params.f, n2)
-    ea, eb = cls.eigen_exponents(q)
-    ea = (ea * pj) % n2
-    eb = (eb * pj) % n2
-    delta_m = _root(params, (ea + eb) * m)
-    if ea == eb:
-        return delta_m * (k + 1) * _root(params, ea * k)
-    num = _root(params, ea * (k + 1)) - _root(params, eb * (k + 1))
-    den = _root(params, ea) - _root(params, eb)
-    return delta_m * num / den
-
-
-def character_of_irreducible(params: FieldParams, n: int, m: int,
-                             cls: PRegularClass):
-    """Brauer character of L_n(m): product over base-p digits of twisted
-    symmetric-power characters, times the determinant lift to the m."""
-    value = character_of_symm(params, SymmFactor(0, m, 0), cls)
-    for i, digit in enumerate(params.digits(n)):
-        value *= character_of_symm(params, SymmFactor(digit, 0, i), cls)
-    return value
-
-
 def _prime(n2: int, index: int) -> int:
     """The index-th prime ell = 1 (mod n2) below PRIME_BOUND, counting down."""
     candidates = range((PRIME_BOUND - 2) // n2 * n2 + 1, n2, -n2)
@@ -180,9 +140,10 @@ class BrauerTable:
     twist: np.ndarray | None = None
 
     def values(self, factor: SymmFactor) -> np.ndarray:
-        """``character_of_symm`` mod ell at every class at once: with
-        t = alpha / beta, the value is delta^m beta^k (1 - t^(k+1)) / (1 - t),
-        read as delta^m beta^k (k + 1) when t = 1."""
+        """The character of S_k(m)^[j] mod ell at every class at once: with
+        alpha, beta the p^j-th powers of the eigenvalue lifts, delta = alpha
+        beta and t = alpha / beta, the value is delta^m beta^k (1 - t^(k+1))
+        / (1 - t), read as delta^m beta^k (k + 1) when t = 1."""
         k, m, j = SymmFactor(*factor)
         n2, ell = len(self.powers), self.ell
         ea, eb = self.exponents * pow(self.params.p, j % self.params.f, n2) % n2

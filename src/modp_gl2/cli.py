@@ -2,10 +2,9 @@
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 disagreement between the ring and the oracle (``oracle-check`` only),
-2 validation error, 3 oracle failure, 4 bound violation. ``--precision``,
-``--jobs`` and ``--cache-path`` (or ``MODP_GL2_CACHE``) are accepted and
-ignored: the oracle is exact, sweeps run serially, and every table is
-recomputed in each run, so no file is read or written.
+2 validation error, 3 oracle failure, 4 bound violation. ``--jobs`` and
+``--cache-path`` are accepted and ignored: sweeps run serially, and every
+table is recomputed in each run, so no file is read or written.
 """
 
 from __future__ import annotations
@@ -99,6 +98,14 @@ def emit_rows(header: list[str], rows: list[list], fmt: str) -> None:
             print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
 
 
+def emit_mapping(data: dict, fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps(data))
+    else:
+        for k, v in data.items():
+            print(f"{k}: {v}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -164,11 +171,7 @@ def cmd_verify_bound(params, args):
     w = parse_element(params, args.w)
     factors = parse_factors(args.factors)
     report = asymptotics.check_theorem_bound(params, w, factors)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        for k, v in report.to_json_dict().items():
-            print(f"{k}: {v}")
+    emit_mapping(report.to_json_dict(), args.format)
     return EXIT_OK if report.satisfied else EXIT_BOUND
 
 
@@ -188,33 +191,20 @@ def cmd_oracle_check(params, args):
     return EXIT_OK if agree else 1
 
 
-def _qp_sweep_row(params, rho, type_class, intrinsics, variant, a, b_fixed):
-    pm1 = params.p - 1
-    if b_fixed is not None:
-        b = b_fixed
-    else:
-        b = next((cand for cand in range(pm1)
-                  if bm.qp_gate(params, rho, a, cand)), 0)
-    gate = bm.qp_gate(params, rho, a, b)
-    mu_exact = bm.mu_aut(params, intrinsics, [(a, b, 0)], type_class)
-    mu_asym = bm.mu_aut_asymptotic_qp(params, rho, a, b, variant)
-    return [a, b, gate, mu_exact, frac_str(mu_asym),
-            frac_str(abs(mu_exact - mu_asym))]
-
-
 def cmd_bm(params, args):
     if args.bm_mode == "qp":
-        if params.f != 1:
-            raise ValueError("bm qp requires f = 1")
         rho = bm.RhoBarQp(args.rho_n, args.rho_m)
         intrinsics = bm.serre_weights_qp_irreducible(params, rho)
         if args.type == "trivial":
             type_class = bm.preset_type_trivial_qp(params.p)
         else:
             type_class = bm.preset_type_crystalline_trivial_qp(params.p)
-        rows = [_qp_sweep_row(params, rho, type_class, intrinsics,
-                              args.type, a, args.b)
-                for a in range(args.a_min, args.a_max + 1)]
+        rows = []
+        for a in range(args.a_min, args.a_max + 1):
+            _, b, gate, mu, mu_asym = bm.qp_sweep_row(
+                params, rho, intrinsics, type_class, args.type, a, args.b)
+            rows.append([a, b, gate, mu, frac_str(mu_asym),
+                         frac_str(abs(mu - mu_asym))])
         emit_rows(["a", "b", "gate", "mu_exact", "mu_asymptotic", "abs_error"],
                   rows, args.format)
         return EXIT_OK
@@ -228,13 +218,8 @@ def cmd_bm(params, args):
     dim_v = type_class.dim_type
     for f in factors:
         dim_v *= f.k + 1
-    out = {"mu_aut": mu, "dim": dim_v,
-           "ratio": frac_str(Fraction(mu, dim_v))}
-    if args.format == "json":
-        print(json.dumps(out))
-    else:
-        for k, v in out.items():
-            print(f"{k}: {v}")
+    emit_mapping({"mu_aut": mu, "dim": dim_v,
+                  "ratio": frac_str(Fraction(mu, dim_v))}, args.format)
     return EXIT_OK
 
 
@@ -253,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json")
     parser.add_argument("--cache-path", default=None,
                         help="accepted and ignored; nothing is cached on disk")
-    parser.add_argument("--precision", type=int, default=64,
-                        help="accepted and ignored; the oracle is exact")
     parser.add_argument("--jobs", type=int, default=1,
                         help="accepted and ignored; sweeps run serially")
 

@@ -90,6 +90,9 @@ def _path_label(params: FieldParams, path: ClosedPath, n: int, graph: str,
     path, or None if an image leaves [0, p-1]; ``name`` names the map."""
     if path.graph != graph:
         raise ValueError(f"{name} is defined on {graph}-graph paths")
+    if len(path.vertices) != params.f:
+        raise ValueError(f"path {path.serialize()} has length "
+                         f"{len(path.vertices)}, not f = {params.f}")
     if not 0 <= n <= top:
         raise ValueError(f"n = {n} out of range [0, {top}]")
     images = [_image(graph, path.vertices[i], params.p, digit)

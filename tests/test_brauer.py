@@ -9,8 +9,6 @@ from modp_gl2 import (
     RingElement,
     SymmFactor,
     build_table,
-    character_of_irreducible,
-    character_of_symm,
     enumerate_p_regular_classes,
     oracle_decompose,
     reduce_product,
@@ -19,6 +17,46 @@ from modp_gl2 import (
 from modp_gl2 import brauer, memo
 from modp_gl2.brauer import PRegularClass
 from modp_gl2.params import is_prime
+
+
+# A floating-point reference, independent of the oracle's arithmetic mod
+# ell: the complex lift exp(2 pi i e / (q^2 - 1)) of each eigenvalue g2^e.
+def _root(params: FieldParams, e: int):
+    n2 = params.q ** 2 - 1
+    return cmath.exp(2j * cmath.pi * (e % n2) / n2)
+
+
+def character_of_symm(params: FieldParams, factor: SymmFactor,
+                      cls: PRegularClass):
+    """Brauer character of S_k(m)^{[j]} at a p-regular class, in C.
+
+    With lifted eigenvalues alpha, beta (raised to the p^j power) and
+    delta = alpha * beta, the value is delta^m (alpha^{k+1} - beta^{k+1})
+    / (alpha - beta), read as (k+1) alpha^k delta^m when alpha = beta.
+    """
+    k, m, j = SymmFactor(*factor)
+    q = params.q
+    n2 = q * q - 1
+    pj = pow(params.p, j % params.f, n2)
+    ea, eb = cls.eigen_exponents(q)
+    ea = (ea * pj) % n2
+    eb = (eb * pj) % n2
+    delta_m = _root(params, (ea + eb) * m)
+    if ea == eb:
+        return delta_m * (k + 1) * _root(params, ea * k)
+    num = _root(params, ea * (k + 1)) - _root(params, eb * (k + 1))
+    den = _root(params, ea) - _root(params, eb)
+    return delta_m * num / den
+
+
+def character_of_irreducible(params: FieldParams, n: int, m: int,
+                             cls: PRegularClass):
+    """Brauer character of L_n(m): product over base-p digits of twisted
+    symmetric-power characters, times the determinant lift to the m."""
+    value = character_of_symm(params, SymmFactor(0, m, 0), cls)
+    for i, digit in enumerate(params.digits(n)):
+        value *= character_of_symm(params, SymmFactor(digit, 0, i), cls)
+    return value
 
 
 def test_class_counts():

@@ -1,8 +1,11 @@
+import argparse
+import inspect
 import json
+import re
 
 import pytest
 
-from modp_gl2 import FieldParams, RingElement, reduce_symm
+from modp_gl2 import FieldParams, RingElement, cli, reduce_symm
 from modp_gl2.cli import main, parse_element, parse_factors
 
 
@@ -166,12 +169,36 @@ def test_oracle_check_lifts_large_multiplicities(capsys):
     assert json.loads(out)["agree"] is True
 
 
-def test_precision_flag_is_ignored(capsys):
-    argv = ["oracle-check", "--factors", "11:1:0,6:0:1"]
-    plain = run(capsys, "--p", "3", "--f", "2", *argv)
-    assert plain[0] == 0
-    assert run(capsys, "--p", "3", "--f", "2", "--precision", "128",
-               *argv) == plain
+def test_precision_flag_is_rejected(capsys):
+    code, out, _ = run(capsys, "--p", "3", "--f", "2", "--precision", "128",
+                       "oracle-check", "--factors", "11:1:0,6:0:1")
+    assert code == 2
+    assert out == ""
+
+
+def test_bm_qp_needs_f_1(capsys):
+    code, out, err = run(capsys, "--p", "3", "--f", "2", "bm", "qp",
+                         "--rho-n", "1", "--a-max", "3")
+    assert code == 2
+    assert out == ""
+    assert "f = 1" in err
+
+
+def test_every_flag_is_read():
+    # perfbench's cli-batch workload passes --cache-path and --jobs, so they
+    # stay accepted though nothing reads them
+    ignored = {"cache_path", "jobs"}
+    source = inspect.getsource(cli)
+    parsers, dests = [cli.build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and action.dest != "help":
+                dests.add(action.dest)
+    unread = {d for d in dests - ignored
+              if not re.search(rf"\bargs\.{d}\b", source)}
+    assert not unread
 
 
 def test_bm_qp_sweep(capsys):

@@ -175,3 +175,15 @@ def test_q2_needs_no_guard():
     assert [lambda_of_path(params, path, 0) for path in paths] == [0, 1]
     with pytest.raises(ValueError):
         lambda_of_path(params, paths[0], 1)
+
+
+def test_path_length_must_be_f(p9):
+    # paths of length 3 and 1 at f = 2 used to give wrong labels, an
+    # AssertionError or an IndexError
+    calls = [(lambda_of_path, ("TL", "TL", "TL"), 1),
+             (lambda_of_path, ("TL", "BR", "BL"), 1),
+             (ell_of_path, ("TL", "BR", "BL"), 1),
+             (lambda_of_path, ("TL",), 4)]
+    for func, vertices, n in calls:
+        with pytest.raises(ValueError, match="not f = 2"):
+            func(p9, _path(DECOMPOSITION, *vertices), n)
