@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm, prod
 
 from .memo import memo
 from .params import FieldParams
 from .principal import s_alpha  # re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (RingElement, _expand, _l_to_s_columns, frac_str, multiply,
-                   structure_constants)
+from .ring import (RingElement, _expand, _l1_rows, _l_to_s_columns, _products,
+                   frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +53,8 @@ def operator_norm(v: RingElement) -> Fraction:
     scaled = {lbl: c.numerator * (d // c.denominator)
               for lbl, c in v.terms.items()}
     rows = [0] * params.q
-    for b in range(params.q):
-        product = _expand(params, {}, scaled,
-                          partial(structure_constants, params, b))
+    for times_b in _products(params):
+        product = _expand(params, {}, scaled, times_b.__getitem__)
         for (n, _), c in product.items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)
@@ -117,8 +115,8 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     q = params.q
     period = q * q - 1
     M: list[dict[int, int]] = [{} for _ in range(q)]   # sparse rows
-    for a in range(q):
-        for (n, _), k in structure_constants(params, a, 1).items():
+    for a, row in enumerate(_l1_rows(params)):
+        for (n, _), k in row.items():
             M[a][n] = M[a].get(n, 0) + k
     dims = [prod(d + 1 for d in params.digits(n)) for n in range(q)]
     heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1

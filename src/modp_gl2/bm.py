@@ -197,13 +197,13 @@ def intrinsics_to_json(intrinsics: dict) -> list[dict]:
 
 
 def intrinsics_from_json(data) -> dict:
-    out = {}
-    for row in data:
-        mu = int(row["mu"])
-        if mu < 0:
-            raise ValueError("intrinsic multiplicities are nonnegative")
-        out[(int(row["n"]), int(row["m"]))] = mu
-    return out
+    try:
+        rows = [(int(r["n"]), int(r["m"]), int(r["mu"])) for r in data]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed weights JSON: {exc!r}") from None
+    if any(mu < 0 for *_, mu in rows):
+        raise ValueError("intrinsic multiplicities are nonnegative")
+    return {(n, m): mu for n, m, mu in rows}
 
 
 def type_to_json(type_class: GaloisTypeClass) -> dict:
@@ -215,5 +215,9 @@ def type_to_json(type_class: GaloisTypeClass) -> dict:
 
 
 def type_from_json(data) -> GaloisTypeClass:
-    cls = RingElement.from_json_dict(data["class"])
-    return GaloisTypeClass(int(data["dim"]), cls, data.get("label", ""))
+    try:
+        cls = RingElement.from_json_dict(data["class"])
+        dim, label = int(data["dim"]), data.get("label", "")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed type JSON: {exc!r}") from None
+    return GaloisTypeClass(dim, cls, label)

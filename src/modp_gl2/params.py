@@ -39,6 +39,8 @@ class FieldParams:
             raise ValueError(f"f = {self.f} must be >= 1")
         if self.p ** self.f > Q_CAP:
             raise ValueError(f"q = {self.p ** self.f} exceeds the cap {Q_CAP}")
+        if self.h is not None and self.h < 1:
+            raise ValueError(f"h = {self.h} must be >= 1")
         if self.h is not None and self.h % self.f != 0:
             raise ValueError(f"h = {self.h} is not a multiple of f = {self.f}")
 

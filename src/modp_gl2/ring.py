@@ -9,18 +9,17 @@ is an integer (as for every class of a representation), otherwise a reduced
 ``Fraction``; zero coefficients are not stored. The arithmetic below thus
 runs on Python ints except where a true fraction takes part.
 
-Multiplication works digit-by-digit: an irreducible with label n is the
-tensor product over Frobenius slots of symmetric powers of the digits of n,
-so a product of two irreducibles expands slotwise by the Clebsch-Gordan rule
-S_a (x) S_b = sum_t S_{a+b-2t}(t) and is then renormalized by a carry
-automaton that pushes slot degrees back below p.
+Multiplication starts from the q products [L_a][L_1]. L_n is the tensor
+product over Frobenius slots of symmetric powers of the digits of n, and L_1
+is S_1 in slot 0, so [L_a][L_1] takes one carry along the slots. As
+[L_(b-1)][L_1] is [L_b] plus classes of lower labels, every [L_a][L_b]
+follows by recursion on b. The Glover recursion
+[S_n] = [S_(n-1)][L_1] - [S_(n-2)](1) gives the S <-> L base change.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Mapping
 
 from .memo import memo
@@ -236,84 +235,13 @@ class RingElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RingElement":
-        params = FieldParams(data["p"], data["f"])
-        terms = {}
-        for t in data["terms"]:
-            terms[(t["n"], t["m"])] = Fraction(t["coeff"])
-        return cls(params, data["basis"], terms)
-
-
-# ---------------------------------------------------------------------------
-# Structure constants via the digit-carry automaton
-
-def _normalize_states(params: FieldParams, initial) -> dict[Label, int]:
-    """Run the carry automaton on the given monomial states.
-
-    A state is (slot degrees, pending carries per slot, global twist).
-    Overflowing slots (degree in [p, 2p-2]) split as
-        S_c -> [degree c-p, carry S_1 into the next slot]
-             + [degree 2p-2-c, extra twist (c-p+1) at this slot],
-    resolved greedily (largest degree first, smallest index on ties).
-    A pending carry at a slot applies only once that slot's degree is <= p-1,
-    via S_d (x) S_1 = S_{d+1} + S_{d-1}(1). Terminal states are labels.
-    """
-    p, f = params.p, params.f
-    qm1 = params.q - 1
-    result: dict[Label, int] = {}
-    stack = list(initial)
-    while stack:
-        degrees, carries, twist = stack.pop()
-        over = [i for i in range(f) if degrees[i] >= p]
-        if over:
-            i = max(over, key=lambda k: (degrees[k], -k))
-            c = degrees[i]
-            if c > 2 * p - 2:
-                raise AssertionError(
-                    "carry-automaton safety violated (internal bug)")
-            d1 = list(degrees)
-            d1[i] = c - p
-            c1 = list(carries)
-            c1[(i + 1) % f] += 1
-            stack.append((tuple(d1), tuple(c1), twist))
-            d2 = list(degrees)
-            d2[i] = 2 * p - 2 - c
-            stack.append((tuple(d2), carries, twist + (c - p + 1) * p ** i))
-            continue
-        pending = [j for j in range(f) if carries[j] > 0]
-        if pending:
-            j = pending[0]
-            d = degrees[j]
-            c1 = list(carries)
-            c1[j] -= 1
-            d1 = list(degrees)
-            d1[j] = d + 1
-            stack.append((tuple(d1), tuple(c1), twist))
-            if d >= 1:
-                d2 = list(degrees)
-                d2[j] = d - 1
-                stack.append((tuple(d2), tuple(c1), twist + p ** j))
-            continue
-        n = params.from_digits(degrees)
-        key = (n, twist % qm1)
-        result[key] = result.get(key, 0) + 1
-    return result
-
-
-# Twists factor out and the product is commutative, so the table has at most
-# q^2 entries per field, keyed by (p, f) and the unordered pair (a, b).
-@memo(lambda params, a, b: (params.p, params.f, a, b) if a <= b
-      else (params.p, params.f, b, a))
-def structure_constants(params: FieldParams, a: int, b: int) -> dict[Label, int]:
-    """L-basis expansion of [L_a][L_b] (twists shifted out): label -> coeff."""
-    p, f = params.p, params.f
-    da, db = params.digits(a), params.digits(b)
-    initial = []
-    for ts in itertools.product(*(range(min(da[i], db[i]) + 1)
-                                  for i in range(f))):
-        degrees = tuple(da[i] + db[i] - 2 * ts[i] for i in range(f))
-        twist = sum(ts[i] * p ** i for i in range(f))
-        initial.append((degrees, (0,) * f, twist))
-    return _normalize_states(params, initial)
+        try:
+            params = FieldParams(data["p"], data["f"])
+            terms = {(t["n"], t["m"]): Fraction(t["coeff"])
+                     for t in data["terms"]}
+            return cls(params, data["basis"], terms)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed element JSON: {exc!r}") from None
 
 
 def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
@@ -333,6 +261,64 @@ def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
     return out
 
 
+# ---------------------------------------------------------------------------
+# Products: the q rows [L_a][L_1], then a recursion on the second label
+
+def _field_key(params: FieldParams) -> tuple[int, int]:
+    return (params.p, params.f)
+
+
+@memo(_field_key)
+def _l1_rows(params: FieldParams) -> list[dict[Label, int]]:
+    """[L_a][L_1] in the L basis for a < q. L_1 is S_1 in slot 0; tensoring
+    S_1 into slot i sends S_d to S_(d+1) + S_(d-1)(p^i), and at d = p-1 the
+    S_p made is S_(p-2)(p^i) plus S_0 with S_1 carried into slot i+1 mod f,
+    a carry that stops at the first slot below p-1 (at worst one it zeroed)."""
+    p, f, qm1 = params.p, params.f, params.q - 1
+    rows = []
+    for a in range(params.q):
+        row: dict[Label, int] = {}
+        digits, i = params.digits(a), 0
+        while digits[i] == p - 1:
+            # S_(p-2)(p^i) twice: once from S_(d-1)(p^i), once from S_p
+            lbl = (params.from_digits(digits) - p ** i, p ** i % qm1)
+            row[lbl] = row.get(lbl, 0) + 2
+            digits[i] = 0
+            i = (i + 1) % f
+        n, pi = params.from_digits(digits), p ** i
+        for lbl in [(n + pi, 0)] + [(n - pi, pi % qm1)] * (digits[i] > 0):
+            row[lbl] = row.get(lbl, 0) + 1
+        rows.append(row)
+    return rows
+
+
+@memo(_field_key)
+def _products(params: FieldParams) -> list[list[dict[Label, int]]]:
+    """[L_a][L_b] (twists shifted out) for a, b < q. [L_(b-1)][L_1] is [L_b]
+    plus classes of labels below b, so [L_a][L_b] is [L_a][L_(b-1)][L_1] less
+    [L_a] times those, all earlier in the table. Entries [a][b] and [b][a]
+    are one dict."""
+    q = params.q
+    rows = _l1_rows(params)
+    rests = [{lbl: -c for lbl, c in row.items() if lbl != (b + 1, 0)}
+             for b, row in enumerate(rows)]
+    table: list[list] = [[None] * q for _ in range(q)]
+    table[0][0] = {(0, 0): 1}
+    for a in range(q):
+        for b in range(max(a, 1), q):
+            acc = _expand(params, {}, table[a][b - 1], rows.__getitem__)
+            _expand(params, acc, rests[b - 1], table[a].__getitem__)
+            table[a][b] = table[b][a] = {k: c for k, c in acc.items() if c}
+    return table
+
+
+def structure_constants(params: FieldParams, a: int, b: int) -> dict[Label, int]:
+    """L-basis expansion of [L_a][L_b] (twists shifted out): label -> coeff."""
+    if not (0 <= a < params.q and 0 <= b < params.q):
+        raise ValueError(f"labels {a}, {b} out of range [0, {params.q - 1}]")
+    return _products(params)[a][b]
+
+
 def multiply(v: RingElement, w: RingElement) -> RingElement:
     """Product in the ring, returned in the L basis."""
     if (v.params.p, v.params.f) != (w.params.p, w.params.f):
@@ -340,28 +326,25 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     params = v.params
     v = v.to_basis("L")
     w = w.to_basis("L")
+    products = _products(params)
     out: dict[Label, Coeff] = {}
     for (a, x), cv in v.terms.items():
-        _expand(params, out, w.terms, partial(structure_constants, params, a),
-                cv, x)
+        _expand(params, out, w.terms, products[a].__getitem__, cv, x)
     return _element(params, "L", out)
 
 
 # ---------------------------------------------------------------------------
 # Base change between the S and L bases
 
-def _field_key(params: FieldParams) -> tuple[int, int]:
-    return (params.p, params.f)
-
-
 def _glover_step(params: FieldParams, prev: Mapping[Label, int],
                  prev2: Mapping[Label, int]) -> dict[Label, int]:
     """[S_n] from [S_{n-1}] and [S_{n-2}], all as L-basis label dicts, by the
     Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1); zeros dropped."""
     qm1 = params.q - 1
+    rows = _l1_rows(params)
     acc: dict[Label, int] = {}
     for (a, x), c in prev.items():
-        for (b, t), k in structure_constants(params, a, 1).items():
+        for (b, t), k in rows[a].items():
             lbl = (b, (t + x) % qm1)
             acc[lbl] = acc.get(lbl, 0) + c * k
     for (a, x), c in prev2.items():

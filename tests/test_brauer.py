@@ -17,6 +17,7 @@ from modp_gl2 import (
 from modp_gl2 import brauer, memo
 from modp_gl2.brauer import PRegularClass
 from modp_gl2.params import is_prime
+from modp_gl2.ring import structure_constants
 
 
 # A floating-point reference, independent of the oracle's arithmetic mod
@@ -215,6 +216,24 @@ def test_block_table_matches_scalar_characters(p, f):
         for r in block:
             ea, eb = table.classes[r].eigen_exponents(q)
             assert (ea + eb) // (q + 1) % (q - 1) == d
+
+
+def test_every_product_matches_the_oracle():
+    # the character of [L_a][L_b] is chi_a chi_b; solved against the table
+    # mod ell, every multiplicity is below q^2 < ell, so the residues are
+    # the product's coefficients exactly
+    fields = [(p, f) for p in range(2, 33) if is_prime(p)
+              for f in range(1, 6) if p ** f <= 32]
+    assert len(fields) == 18
+    for p, f in fields:
+        params = FieldParams(p, f)
+        table = build_table(params)
+        chi = table.untwisted
+        for a in range(params.q):
+            for b in range(a, params.q):
+                x = table.solve(chi[:, a] * chi[:, b] % table.ell)
+                assert {lbl: int(c) for lbl, c in zip(table.labels, x) if c} \
+                    == structure_constants(params, a, b), (params, a, b)
 
 
 def test_ring_matches_oracle_on_every_field():

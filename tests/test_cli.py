@@ -232,6 +232,47 @@ def test_bm_general(capsys, tmp_path):
     assert data["dim"] == 5
 
 
+@pytest.mark.parametrize("h,argv", [
+    ("0", "verify-bound --w [L_1(0)] --factors 5:0"),
+    ("-1", "constants"),
+])
+def test_degree_below_one_is_rejected(capsys, h, argv):
+    code, out, err = run(capsys, "--p", "3", "--h", h, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: h = {h} ")
+
+
+ELEMENT = {"p": 3, "f": 1, "basis": "L",
+           "terms": [{"n": 1, "m": 0, "coeff": "1/1"}]}
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("w", {"p": 3}),
+    ("w", dict(ELEMENT, terms=5)),
+    ("w", dict(ELEMENT, terms=[{"n": 1, "m": 0}])),
+    ("type", {"dim": 1, "label": "no class"}),
+    ("weights", {"n": 0, "m": 0, "mu": 1}),
+])
+def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
+    from modp_gl2 import bm
+
+    if kind == "w":
+        argv = ["verify-bound", "--w", json.dumps(data), "--factors", "5:0"]
+    else:
+        files = {
+            "type": bm.type_to_json(bm.preset_type_crystalline_trivial_qp(3)),
+            "weights": bm.intrinsics_to_json({(0, 0): 1, (2, 0): 1}),
+            kind: data}
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        argv = ["bm", "general", "--type-json", str(tmp_path / "type"),
+                "--weights-json", str(tmp_path / "weights"),
+                "--factors", "4:0:0"]
+    code, out, err = run(capsys, "--p", "3", "--f", "1", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # stdout of the output branches the other tests only parse or never reach
 # (csv and pretty emitters, --explain as json, omega --n, bm qp with --b
 # and the crystalline type), byte for byte at q = 3 and q = 9

@@ -19,6 +19,10 @@ def test_validation():
         FieldParams(3, 2, h=3)
     with pytest.raises(ValueError):
         FieldParams(2, 7)  # q beyond the supported cap
+    with pytest.raises(ValueError):
+        FieldParams(3, 1, h=0)
+    with pytest.raises(ValueError):
+        FieldParams(3, 1, h=-1)
 
 
 def test_digits_roundtrip():
