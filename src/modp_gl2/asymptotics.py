@@ -16,8 +16,8 @@ from .memo import memo
 from .params import FieldParams
 from .principal import s_alpha  # re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (RingElement, _expand, _l1_rows, _l_to_s_columns, _products,
-                   frac_str, multiply)
+from .ring import (RingElement, _expand, _field_key, _l1_rows, _l_to_s_columns,
+                   _products, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +54,7 @@ def operator_norm(v: RingElement) -> Fraction:
               for lbl, c in v.terms.items()}
     rows = [0] * params.q
     for times_b in _products(params):
-        product = _expand(params, {}, scaled, times_b.__getitem__)
+        product = _expand(params, {}, scaled, times_b)
         for (n, _), c in product.items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)
@@ -140,7 +140,7 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     return s_norms, hat_norms
 
 
-@memo(lambda params: (params.p, params.f))
+@memo(_field_key)
 def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, and
     M_upper: the constants that depend on the field alone, not on h.

@@ -198,9 +198,11 @@ def intrinsics_to_json(intrinsics: dict) -> list[dict]:
 
 def intrinsics_from_json(data) -> dict:
     try:
-        rows = [(int(r["n"]), int(r["m"]), int(r["mu"])) for r in data]
+        rows = [(r["n"], r["m"], r["mu"]) for r in data]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed weights JSON: {exc!r}") from None
+    if any(type(x) is not int for row in rows for x in row):
+        raise ValueError("weights JSON: n, m and mu must be integers")
     if any(mu < 0 for *_, mu in rows):
         raise ValueError("intrinsic multiplicities are nonnegative")
     return {(n, m): mu for n, m, mu in rows}
@@ -217,7 +219,9 @@ def type_to_json(type_class: GaloisTypeClass) -> dict:
 def type_from_json(data) -> GaloisTypeClass:
     try:
         cls = RingElement.from_json_dict(data["class"])
-        dim, label = int(data["dim"]), data.get("label", "")
+        dim, label = data["dim"], data.get("label", "")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed type JSON: {exc!r}") from None
+    if type(dim) is not int:
+        raise ValueError(f"type JSON: dim = {dim!r} is not an integer")
     return GaloisTypeClass(dim, cls, label)

@@ -116,7 +116,7 @@ def _inverse_mod(blocks: np.ndarray, ell: int) -> np.ndarray:
     return aug[:, :, size:]
 
 
-@dataclass
+@dataclass(eq=False)
 class BrauerTable:
     """Character table of the irreducibles mod ell: one row per p-regular
     class, one column per irreducible label (n, m) in sorted order.

@@ -33,6 +33,9 @@ class FieldParams:
     h: int | None = None
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("f", self.f), ("h", self.h)):
+            if type(value) is not int and (name, value) != ("h", None):
+                raise TypeError(f"{name} = {value!r} is not an int")
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.f < 1:

@@ -9,12 +9,14 @@ on the second one list the principal series containing a given irreducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .memo import memo
 from .params import FieldParams
-from .ring import Label, RingElement, _element
+from .ring import Label, RingElement, _element, _expand, _field_key
 
 DECOMPOSITION = "decomposition"
 ANTECEDENT = "antecedent"
@@ -67,21 +69,10 @@ def enumerate_closed_paths(graph: str, f: int) -> tuple[ClosedPath, ...]:
     """All closed walks of length f, in lexicographic vertex order."""
     if f < 1:
         raise ValueError("path length must be >= 1")
-    paths = []
-
-    def extend(seq):
-        if len(seq) == f:
-            if (seq[-1], seq[0]) in EDGES:
-                paths.append(ClosedPath(graph, tuple(seq)))
-            return
-        for v in VERTICES:
-            if (seq[-1], v) in EDGES:
-                extend(seq + [v])
-
-    for start in sorted(VERTICES):
-        extend([start])
-    paths.sort(key=lambda c: c.vertices)
-    return tuple(paths)
+    # the pairs (seq[i-1], seq[i]) for i < f: every step, last to first too
+    return tuple(ClosedPath(graph, seq)
+                 for seq in product(sorted(VERTICES), repeat=f)
+                 if EDGES.issuperset(zip(seq[-1:] + seq, seq)))
 
 
 def _path_label(params: FieldParams, path: ClosedPath, n: int, graph: str,
@@ -130,7 +121,7 @@ def ell_of_path(params: FieldParams, path: ClosedPath, n: int) -> int:
 
 def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
     """Per-path report: lambda and ell of every compatible decomposition
-    path. ``diamond_decompose`` sums its compatible rows; the CLI --explain
+    path. ``_diamond_columns`` sums its compatible rows; the CLI --explain
     flag prints them all."""
     rows = []
     for path in enumerate_closed_paths(DECOMPOSITION, params.f):
@@ -143,15 +134,14 @@ def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
     return rows
 
 
-# Only the untwisted class is kept; twists are cheap to apply per call.
-@memo(lambda params, n: (params.p, params.f, n))
-def _diamond_base(params: FieldParams, n: int) -> RingElement:
-    terms: dict[Label, int] = {}
-    for row in explain_decomposition(params, n):
-        if row["compatible"]:
-            lbl = (row["lambda"], row["ell"])
-            terms[lbl] = terms.get(lbl, 0) + 1
-    return _element(params, "L", terms)
+@memo(_field_key)
+def _diamond_columns(params: FieldParams) -> list[dict[Label, int]]:
+    """The untwisted V_n in the L basis for n < q-1: one L_lambda(ell) per
+    compatible decomposition path, as a label dict."""
+    return [Counter((row["lambda"], row["ell"])
+                    for row in explain_decomposition(params, n)
+                    if row["compatible"])
+            for n in range(params.q - 1)]
 
 
 def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
@@ -162,8 +152,8 @@ def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """
     if not 0 <= n <= params.q - 2:
         raise ValueError(f"n = {n} out of range [0, {params.q - 2}]")
-    base = _diamond_base(params, n)
-    return base.det_twist(m) if m else base
+    return _element(params, "L", _expand(params, {}, {(n, m): 1},
+                                         _diamond_columns(params)))
 
 
 def antecedents(params: FieldParams, n: int, m: int = 0) -> set[Label]:

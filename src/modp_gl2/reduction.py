@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .params import FieldParams
-from .principal import diamond_decompose, s_alpha
-from .ring import (RingElement, _element, _glover_step, _s_to_l_columns,
-                   multiply, symm_to_L)
+from .principal import _diamond_columns, s_alpha
+from .ring import (RingElement, _element, _expand, _glover_step,
+                   _s_to_l_columns, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -34,16 +34,14 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
     period = q * q - 1
     u, rem = divmod(k, period)
     v, w = divmod(rem, q + 1)
-    parts = [diamond_decompose(params, (k - 2 * i) % qm1, i) for i in range(v)]
-    # for w = q, S_q is isomorphic to the principal series V(lambda_1)
-    parts.append(symm_to_L(params, w, v) if w < q
-                 else diamond_decompose(params, q % qm1, v))
+    # for w = q, S_q(v) is the principal series V_(k-2v)(v), as k - 2v = q
+    # (mod q-1): one more V in the sum
+    series = {((k - 2 * i) % qm1, i): 1 for i in range(v + (w == q))}
+    terms = _expand(params, {}, series, _diamond_columns(params))
+    if w < q:
+        _expand(params, terms, {(w, v): 1}, _s_to_l_columns(params))
     if u:
-        parts.append(s_alpha(params, k).scale(u * period))
-    terms: dict = {}
-    for part in parts:
-        for lbl, c in part.terms.items():
-            terms[lbl] = terms.get(lbl, 0) + c
+        _expand(params, terms, {(0, 0): u * period}, [s_alpha(params, k).terms])
     return _element(params, "L", terms)
 
 

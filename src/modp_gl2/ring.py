@@ -74,6 +74,8 @@ class RingElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Label, Coeff] = {}
         for (n, m), c in items:
+            if type(n) is not int or type(m) is not int:
+                raise TypeError(f"label ({n!r}, {m!r}) is not a pair of ints")
             if not 0 <= n <= q - 1:
                 raise ValueError(f"label n = {n} out of range [0, {q - 1}]")
             if type(c) is not int:
@@ -194,10 +196,10 @@ class RingElement:
 
     # -- invariants --------------------------------------------------------
 
-    def dimension(self) -> Fraction:
+    def dimension(self) -> Coeff:
         """Linear extension of dim; basis independent."""
         pr = self.params
-        total = Fraction(0)
+        total = 0
         for (n, m), c in self.terms.items():
             if self.basis == "S":
                 d = n + 1
@@ -237,25 +239,31 @@ class RingElement:
     def from_json_dict(cls, data: dict) -> "RingElement":
         try:
             params = FieldParams(data["p"], data["f"])
-            terms = {(t["n"], t["m"]): Fraction(t["coeff"])
-                     for t in data["terms"]}
+            terms = []   # a list, so that repeated labels add up
+            for t in data["terms"]:
+                # a float coefficient would arrive already rounded
+                if type(t["coeff"]) not in (int, str):
+                    raise TypeError(f"coefficient {t['coeff']!r} is not an "
+                                    "int or a string")
+                terms.append(((t["n"], t["m"]), Fraction(t["coeff"])))
             return cls(params, data["basis"], terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed element JSON: {exc!r}") from None
 
 
 def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
-            column, scale: Coeff = 1, shift: int = 0) -> dict:
-    """Add scale * c * column(n), twisted by m + shift, to ``out`` for each
+            columns, scale: Coeff = 1, shift: int = 0) -> dict:
+    """Add scale * c * columns[n], twisted by m + shift, to ``out`` for each
     term (n, m) -> c; return ``out``, zeros kept. The maps applied to classes
-    here (products, S <-> L base change) commute with the determinant twist,
-    so their columns on the untwisted labels (n, 0) give them: one loop."""
+    here (products, S <-> L base change, V_n to its constituents) commute
+    with the determinant twist, so their columns on the untwisted labels
+    (n, 0), one per-field table each, give them: one loop."""
     qm1 = params.q - 1
     get = out.get
     for (n, m), c in terms.items():
         c *= scale
         m += shift
-        for (a, x), k in column(n).items():
+        for (a, x), k in columns[n].items():
             key = (a, (x + m) % qm1)
             out[key] = get(key, 0) + c * k
     return out
@@ -306,8 +314,8 @@ def _products(params: FieldParams) -> list[list[dict[Label, int]]]:
     table[0][0] = {(0, 0): 1}
     for a in range(q):
         for b in range(max(a, 1), q):
-            acc = _expand(params, {}, table[a][b - 1], rows.__getitem__)
-            _expand(params, acc, rests[b - 1], table[a].__getitem__)
+            acc = _expand(params, {}, table[a][b - 1], rows)
+            _expand(params, acc, rests[b - 1], table[a])
             table[a][b] = table[b][a] = {k: c for k, c in acc.items() if c}
     return table
 
@@ -329,7 +337,7 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     products = _products(params)
     out: dict[Label, Coeff] = {}
     for (a, x), cv in v.terms.items():
-        _expand(params, out, w.terms, products[a].__getitem__, cv, x)
+        _expand(params, out, w.terms, products[a], cv, x)
     return _element(params, "L", out)
 
 
@@ -370,7 +378,7 @@ def _l_to_s_columns(params: FieldParams) -> list[dict[Label, int]]:
     for n, s_col in enumerate(_s_to_l_columns(params)):
         # constituents of S_n other than L_n have i < n (triangularity)
         rest = {lbl: c for lbl, c in s_col.items() if lbl != (n, 0)}
-        acc = _expand(params, {(n, 0): 1}, rest, cols.__getitem__, -1)
+        acc = _expand(params, {(n, 0): 1}, rest, cols, -1)
         cols.append({k: c for k, c in acc.items() if c != 0})
     return cols
 
@@ -380,7 +388,7 @@ def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:
     if not 0 <= n <= params.q - 1:
         raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
     return _element(params, "L", _expand(params, {}, {(n, m): 1},
-                                         _s_to_l_columns(params).__getitem__))
+                                         _s_to_l_columns(params)))
 
 
 def convert_basis(v: RingElement, target: str) -> RingElement:
@@ -390,5 +398,4 @@ def convert_basis(v: RingElement, target: str) -> RingElement:
         return v
     params = v.params
     cols = _s_to_l_columns(params) if target == "L" else _l_to_s_columns(params)
-    return _element(params, target, _expand(params, {}, v.terms,
-                                            cols.__getitem__))
+    return _element(params, target, _expand(params, {}, v.terms, cols))

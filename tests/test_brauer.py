@@ -155,6 +155,15 @@ def fresh_tables():
     memo.clear()
 
 
+def test_tables_compare_by_identity(p3, fresh_tables):
+    # the generated field-wise __eq__ would compare numpy arrays and raise
+    first = build_table(p3)
+    memo.clear()
+    second = build_table(p3)
+    assert first == first
+    assert first != second
+
+
 def test_oracle_error_raised(p3, monkeypatch, fresh_tables):
     factors = [(40, 1, 0), (17, 0, 0)]
     # one corrupted entry of one block inverse

@@ -252,6 +252,18 @@ ELEMENT = {"p": 3, "f": 1, "basis": "L",
     ("w", dict(ELEMENT, terms=[{"n": 1, "m": 0}])),
     ("type", {"dim": 1, "label": "no class"}),
     ("weights", {"n": 0, "m": 0, "mu": 1}),
+    # labels and coefficients must arrive as ints, coefficients also as
+    # exact strings: a float is not truncated, rounded or misread
+    ("w", dict(ELEMENT, terms=[{"n": 1, "m": 0.5, "coeff": "1"}])),
+    ("w", dict(ELEMENT, terms=[{"n": 1.0, "m": 0, "coeff": "1"}])),
+    ("w", dict(ELEMENT, p=3.0)),
+    ("w", dict(ELEMENT, f=True)),
+    ("w", dict(ELEMENT, terms=[{"n": 1, "m": 0, "coeff": 0.1}])),
+    ("weights", [{"n": 1.5, "m": 0, "mu": 1}]),
+    ("weights", [{"n": 0, "m": 0, "mu": 1.0}]),
+    ("weights", [{"n": 0, "m": 0, "mu": -1}]),
+    ("type", {"dim": 1.0, "label": "", "class": dict(ELEMENT, terms=[
+        {"n": 0, "m": 0, "coeff": "1"}])}),
 ])
 def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
     from modp_gl2 import bm
@@ -269,6 +281,25 @@ def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
                 "--weights-json", str(tmp_path / "weights"),
                 "--factors", "4:0:0"]
     code, out, err = run(capsys, "--p", "3", "--f", "1", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 3 decompose",
+    "--p 3 omega",
+    "--p 1 omega --all",
+    "--p 3 verify-bound --w [L_9(0)] --factors 5:0",
+    "--p 3 verify-bound --w [S_9(0)] --factors 5:0",
+    '--p 3 verify-bound --w {"p":3,"f":1,"basis":"X","terms":[]} '
+    "--factors 5:0",
+    '--p 3 verify-bound --w {"p":5,"f":1,"basis":"L","terms":[]} '
+    "--factors 5:0",
+    "--p 3 --f 2 principal-series --n 8",
+    "--p 5 bm qp --rho-n 9 --a-max 3",
+])
+def test_invalid_input_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
 

@@ -23,6 +23,10 @@ def test_validation():
         FieldParams(3, 1, h=0)
     with pytest.raises(ValueError):
         FieldParams(3, 1, h=-1)
+    # p, f and h are ints, not floats or bools that compare equal to one
+    for args in [(3.0, 1), (3, 1.0), (3, True), (3, 1, 1.0), (3, 1, True)]:
+        with pytest.raises(TypeError):
+            FieldParams(*args)
 
 
 def test_digits_roundtrip():

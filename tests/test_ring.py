@@ -34,6 +34,7 @@ def test_multiply_small(p3, p9):
         == RingElement.L(p9, 4, 0)
     v = RingElement.L(p3, 2, 1) + 3 * RingElement.L(p3, 1, 0)
     assert multiply(RingElement.L(p3, 0, 0), v) == v
+    assert v * l1 == multiply(v, l1)
 
 
 def test_symm_to_L(p3, p9):
@@ -108,6 +109,9 @@ def test_json_roundtrip(p9):
     assert data["basis"] == "L"
     assert all(set(t) == {"n", "m", "coeff"} for t in data["terms"])
     assert RingElement.from_json_dict(data) == v
+    # a label given twice adds up, as one given twice modulo q-1 does
+    twice = dict(data, terms=data["terms"] + data["terms"])
+    assert RingElement.from_json_dict(twice) == 2 * v
 
 
 def test_zero(p3):
