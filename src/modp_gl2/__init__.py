@@ -32,14 +32,6 @@ from .bm import (
     serre_weights_qp_irreducible,
     unramified_gate,
 )
-from .brauer import (
-    BrauerTable,
-    OracleError,
-    PRegularClass,
-    build_table,
-    enumerate_p_regular_classes,
-    oracle_decompose,
-)
 from .params import FieldParams
 from .principal import (
     ClosedPath,
@@ -54,4 +46,17 @@ from .principal import (
 from .reduction import SymmFactor, reduce_product, reduce_symm
 from .ring import RingElement, convert_basis, multiply, symm_to_L
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The Brauer oracle needs numpy, so it loads on first use (PEP 562); a star
+# import still binds "brauer", which the import system loads from __all__.
+_BRAUER = ("BrauerTable", "OracleError", "PRegularClass", "build_table",
+           "enumerate_p_regular_classes", "oracle_decompose")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["brauer", *_BRAUER])
+
+
+def __getattr__(name):
+    if name not in _BRAUER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import brauer
+    return getattr(brauer, name)

@@ -5,6 +5,8 @@ Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 validation error, 3 oracle failure, 4 bound violation. ``--jobs`` and
 ``--cache-path`` are accepted and ignored: sweeps run serially, and every
 table is recomputed in each run, so no file is read or written.
+numpy is needed only by the Brauer oracle (``oracle-check`` and the
+``brauer`` API), and loads on its first use.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import asymptotics, bm, brauer, principal
+from . import asymptotics, bm, principal
 from .params import FieldParams
 from .reduction import SymmFactor, reduce_product, reduce_symm
 from .ring import RingElement, frac_str, symm_to_L
@@ -176,9 +178,15 @@ def cmd_verify_bound(params, args):
 
 
 def cmd_oracle_check(params, args):
+    from . import brauer  # loads numpy, which no other command needs
+
     factors = parse_factors(args.factors)
     ring_side = reduce_product(params, factors).det_twist(args.det)
-    oracle_side = brauer.oracle_decompose(params, factors, det=args.det)
+    try:
+        oracle_side = brauer.oracle_decompose(params, factors, det=args.det)
+    except brauer.OracleError as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     agree = ring_side == oracle_side
     if args.format == "json":
         print(json.dumps({"agree": agree,
@@ -313,9 +321,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(params, args)
-    except brauer.OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -111,6 +111,11 @@ def ell_of_path(params: FieldParams, path: ClosedPath, n: int) -> int:
     lam = _path_label(params, path, n, DECOMPOSITION, params.q - 2, "ell")
     if lam is None:
         raise ValueError(f"path {path.serialize()} incompatible with n = {n}")
+    return _shift(params, path, n, lam)
+
+
+def _shift(params: FieldParams, path: ClosedPath, n: int, lam: int) -> int:
+    """``ell_of_path`` given lam = lambda(n) along the path."""
     total = n - lam
     if path.vertices[-1] in RIGHT_COLUMN:
         total += params.q - 1
@@ -129,7 +134,7 @@ def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
         row = {"path": path.serialize(), "compatible": lam is not None}
         if lam is not None:
             row["lambda"] = lam
-            row["ell"] = ell_of_path(params, path, n)
+            row["ell"] = _shift(params, path, n, lam)
         rows.append(row)
     return rows
 
@@ -166,8 +171,9 @@ def antecedents(params: FieldParams, n: int, m: int = 0) -> set[Label]:
         nprime = mu_of_path(params, path, n)
         if nprime is None or nprime == q - 1:
             continue
-        mirror = ClosedPath(DECOMPOSITION, path.vertices)
-        ell = ell_of_path(params, mirror, nprime)
+        # the decomposition digit maps invert the antecedent ones, so the
+        # decomposition path on the same vertices takes n' back to n
+        ell = _shift(params, path, nprime, n)
         result.add((nprime, params.residue(m - ell)))
     return result
 

@@ -591,6 +591,84 @@ def test_oracle_check_without_mpmath():
     assert json.loads(proc.stdout)["agree"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    "--p 3 --f 2 decompose --symm 100",
+    "--p 3 --f 2 --h 2 constants",
+    "--p 3 --f 1 verify-bound --w [L_1(0)] --factors 50:0",
+    "--p 5 --f 1 --format csv bm qp --rho-n 1 --a-max 20",
+    "--p 3 --f 1 bm general --type-json {type} --weights-json {weights} "
+    "--factors 4:0:0",
+])
+def test_commands_run_without_numpy(tmp_path, argv):
+    # only oracle-check needs numpy
+    from modp_gl2 import bm
+
+    type_path = tmp_path / "type.json"
+    weights_path = tmp_path / "weights.json"
+    type_path.write_text(json.dumps(
+        bm.type_to_json(bm.preset_type_crystalline_trivial_qp(3))))
+    weights_path.write_text(json.dumps(
+        bm.intrinsics_to_json({(0, 0): 1, (2, 0): 1})))
+    argv = argv.format(type=type_path, weights=weights_path).split()
+    outputs = []
+    for block in ("", "sys.modules['numpy'] = None; "):
+        script = f"import sys; {block}from modp_gl2.cli import main; " \
+                 "sys.exit(main())"
+        proc = run_python([], script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_numpy_loads_with_the_oracle_only():
+    script = ("import sys\n"
+              "import modp_gl2.cli\n"
+              "assert 'numpy' not in sys.modules\n"
+              "modp_gl2.OracleError\n"
+              "assert 'numpy' in sys.modules\n")
+    proc = run_python([], script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports():
+    import modp_gl2
+
+    assert sorted(modp_gl2.__all__) == [
+        "BoundReport", "BrauerTable", "ClosedPath", "ConstantsReport",
+        "FieldParams", "GaloisTypeClass", "OracleError", "PRegularClass",
+        "RhoBarQp", "RingElement", "SymmFactor", "a_sigma", "antecedents",
+        "asymptotics", "bm", "brauer", "build_table", "check_theorem_bound",
+        "compute_constants", "convert_basis", "diamond_decompose",
+        "ell_of_path", "enumerate_closed_paths",
+        "enumerate_p_regular_classes", "exact_multiplicity",
+        "frobenius_proximity", "lambda_of_path", "memo", "mu_aut",
+        "mu_aut_asymptotic_qp", "mu_aut_asymptotic_unramified",
+        "mu_of_path", "multiplicity_estimate", "multiply", "norm_L_inf",
+        "norm_S_1", "omega", "operator_norm", "oracle_decompose", "params",
+        "preset_type_crystalline_trivial_qp", "preset_type_trivial_qp",
+        "principal", "qp_gate", "reduce_product", "reduce_symm",
+        "reduction", "residual", "ring", "s_alpha",
+        "serre_weights_qp_irreducible", "split_by_central_character",
+        "symm_to_L", "t_shift", "t_shift_candidates", "unramified_gate"]
+    namespace = {}
+    exec("from modp_gl2 import *", namespace)
+    from modp_gl2 import brauer
+
+    for name in ("BrauerTable", "OracleError", "PRegularClass",
+                 "build_table", "enumerate_p_regular_classes",
+                 "oracle_decompose"):
+        assert namespace[name] is getattr(brauer, name)
+    assert namespace["brauer"] is brauer
+
+
+def test_unknown_package_attribute():
+    import modp_gl2
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        modp_gl2.no_such_name
+    assert not hasattr(modp_gl2, "cli_main")
+
+
 def test_result_checks_survive_optimize():
     # an antecedent count that disagrees with omega's closed form
     script = ("from modp_gl2 import FieldParams, principal\n"
