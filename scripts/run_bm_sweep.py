@@ -15,20 +15,6 @@ from fractions import Fraction
 from modp_gl2 import FieldParams, bm
 
 
-def sweep(params, rho, variant, type_class, a_max):
-    weights = bm.serre_weights_qp_irreducible(params, rho)
-    rows = []
-    worst = Fraction(0)
-    for a in range(a_max + 1):
-        _, b, gate, mu, asym = bm.qp_sweep_row(params, rho, weights,
-                                               type_class, variant, a)
-        gap = abs(mu - asym)
-        if gate:
-            worst = max(worst, gap)
-        rows.append([a, b, gate, mu, float(asym), float(gap)])
-    return rows, worst
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=5)
@@ -43,10 +29,14 @@ def main():
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for variant, type_class in (
-            ("trivial", bm.preset_type_trivial_qp(args.p)),
-            ("crystalline", bm.preset_type_crystalline_trivial_qp(args.p))):
-        rows, worst = sweep(params, rho, variant, type_class, args.a_max)
+    for variant in bm.QP_TYPES:
+        rows, worst = [], Fraction(0)
+        for a, b, gate, mu, asym in bm.qp_sweep(params, rho, variant,
+                                                range(args.a_max + 1)):
+            gap = abs(mu - asym)
+            if gate:
+                worst = max(worst, gap)
+            rows.append([a, b, gate, mu, float(asym), float(gap)])
         path = out_dir / f"qp_{variant}_p{args.p}_n{args.rho_n}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .params import FieldParams
-from .reduction import SymmFactor, reduce_product
+from .reduction import reduce_product
 from .ring import RingElement, multiply, symm_to_L
 
 
@@ -82,7 +82,7 @@ def a_sigma(params: FieldParams, type_class: GaloisTypeClass, factors) -> dict:
 
     Returns the full map (n, m) -> nonnegative integer.
     """
-    product = reduce_product(params, [SymmFactor(*f) for f in factors])
+    product = reduce_product(params, factors)
     total = multiply(type_class.reduction_class.to_basis("L"), product)
     out = {}
     for lbl, c in total.sorted_terms():
@@ -100,6 +100,8 @@ def mu_aut(params: FieldParams, intrinsics: dict,
     qm1 = params.q - 1
     total = 0
     for (n, m), mu in intrinsics.items():
+        if not 0 <= n <= qm1:
+            raise ValueError(f"weight n = {n} out of range [0, {qm1}]")
         total += mu * coeffs.get((n, m % qm1), 0)
     return total
 
@@ -137,17 +139,27 @@ def mu_aut_asymptotic_qp(params: FieldParams, rho: RhoBarQp, a: int, b: int,
     return lead
 
 
-def qp_sweep_row(params: FieldParams, rho: RhoBarQp, intrinsics: dict,
-                 type_class: GaloisTypeClass, variant: str, a: int,
-                 b: int | None = None) -> tuple:
-    """One row (a, b, gate, mu_aut, asymptotic mu) of a sweep over Q_p, with
-    b, when not given, the smallest in [0, p-2] passing the gate, else 0."""
-    if b is None:
-        b = next((c for c in range(params.p - 1)
-                  if qp_gate(params, rho, a, c)), 0)
-    return (a, b, qp_gate(params, rho, a, b),
-            mu_aut(params, intrinsics, [(a, b, 0)], type_class),
-            mu_aut_asymptotic_qp(params, rho, a, b, variant))
+QP_TYPES = {
+    "trivial": preset_type_trivial_qp,
+    "crystalline": preset_type_crystalline_trivial_qp,
+}
+
+
+def qp_sweep(params: FieldParams, rho: RhoBarQp, variant: str, a_values,
+             b: int | None = None):
+    """Rows (a, b, gate, mu_aut, asymptotic mu) over Q_p, one per a, for the
+    type ``QP_TYPES[variant]`` and the Serre weights of rho; b, when not
+    given, is per row the smallest in [0, p-2] passing the gate, else 0."""
+    weights = serre_weights_qp_irreducible(params, rho)
+    if variant not in QP_TYPES:
+        raise ValueError(f"unknown variant {variant!r}")
+    type_class = QP_TYPES[variant](params.p)
+    for a in a_values:
+        b_a = b if b is not None else next(
+            (c for c in range(params.p - 1) if qp_gate(params, rho, a, c)), 0)
+        yield (a, b_a, qp_gate(params, rho, a, b_a),
+               mu_aut(params, weights, [(a, b_a, 0)], type_class),
+               mu_aut_asymptotic_qp(params, rho, a, b_a, variant))
 
 
 def mu_aut_asymptotic_unramified(h: int, p: int, dim_type: int,

@@ -201,18 +201,10 @@ def cmd_oracle_check(params, args):
 
 def cmd_bm(params, args):
     if args.bm_mode == "qp":
-        rho = bm.RhoBarQp(args.rho_n, args.rho_m)
-        intrinsics = bm.serre_weights_qp_irreducible(params, rho)
-        if args.type == "trivial":
-            type_class = bm.preset_type_trivial_qp(params.p)
-        else:
-            type_class = bm.preset_type_crystalline_trivial_qp(params.p)
-        rows = []
-        for a in range(args.a_min, args.a_max + 1):
-            _, b, gate, mu, mu_asym = bm.qp_sweep_row(
-                params, rho, intrinsics, type_class, args.type, a, args.b)
-            rows.append([a, b, gate, mu, frac_str(mu_asym),
-                         frac_str(abs(mu - mu_asym))])
+        rows = [[a, b, gate, mu, frac_str(mu_asym), frac_str(abs(mu - mu_asym))]
+                for a, b, gate, mu, mu_asym in bm.qp_sweep(
+                    params, bm.RhoBarQp(args.rho_n, args.rho_m), args.type,
+                    range(args.a_min, args.a_max + 1), args.b)]
         emit_rows(["a", "b", "gate", "mu_exact", "mu_asymptotic", "abs_error"],
                   rows, args.format)
         return EXIT_OK
@@ -292,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     spq = bm_sub.add_parser("qp", help="K = Q_p irreducible example sweep")
     spq.add_argument("--rho-n", type=int, required=True)
     spq.add_argument("--rho-m", type=int, default=0)
-    spq.add_argument("--type", choices=["trivial", "crystalline"],
+    spq.add_argument("--type", choices=list(bm.QP_TYPES),
                      default="trivial")
     spq.add_argument("--a-min", type=int, default=0)
     spq.add_argument("--a-max", type=int, required=True)

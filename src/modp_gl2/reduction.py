@@ -10,6 +10,7 @@ O(q) per call.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .params import FieldParams
@@ -59,10 +60,12 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
                 method: str = "fast") -> RingElement:
     """L-basis class of S_k(m)^{[j]}.
 
-    ``factor`` may be a SymmFactor or a bare k (then m, j are taken from the
-    keyword arguments). The result always has dimension k + 1.
+    ``factor`` is a SymmFactor, or a bare k twisted by the keywords m and j.
+    The result always has dimension k + 1.
     """
     if isinstance(factor, SymmFactor):
+        if m or j:
+            raise ValueError("a SymmFactor carries its own twists, not m or j")
         k, m, j = factor
     else:
         k = factor
@@ -83,8 +86,6 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
 
 def reduce_product(params: FieldParams, factors, method: str = "fast") -> RingElement:
     """L-basis class of a tensor product of twisted symmetric powers."""
-    result = RingElement.L(params, 0, 0)
-    for factor in factors:
-        result = multiply(result, reduce_symm(params, SymmFactor(*factor),
-                                              method=method))
-    return result
+    classes = [reduce_symm(params, SymmFactor(*f), method=method)
+               for f in factors]
+    return reduce(multiply, classes) if classes else RingElement.L(params, 0, 0)

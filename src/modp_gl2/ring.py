@@ -20,6 +20,7 @@ follows by recursion on b. The Glover recursion
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .memo import memo
@@ -35,9 +36,9 @@ def _fill(v: "RingElement", params: FieldParams, basis: str,
     as ints."""
     object.__setattr__(v, "params", params)
     object.__setattr__(v, "basis", basis)
-    object.__setattr__(v, "terms", {
+    object.__setattr__(v, "terms", MappingProxyType({
         k: c if type(c) is int or c.denominator != 1 else c.numerator
-        for k, c in terms.items() if c})
+        for k, c in terms.items() if c}))
 
 
 def _element(params: FieldParams, basis: str,
@@ -59,8 +60,8 @@ def frac_str(x: Coeff) -> str:
 class RingElement:
     """An element of the Grothendieck ring with exact rational coefficients.
 
-    Immutable by convention: all operations return new elements. ``terms``
-    maps labels (n, m) to nonzero coefficients, each an ``int`` when
+    Immutable: all operations return new elements. ``terms`` is a read-only
+    map from labels (n, m) to nonzero coefficients, each an ``int`` when
     integral and a ``Fraction`` otherwise.
     """
 
@@ -320,11 +321,12 @@ def _products(params: FieldParams) -> list[list[dict[Label, int]]]:
     return table
 
 
-def structure_constants(params: FieldParams, a: int, b: int) -> dict[Label, int]:
-    """L-basis expansion of [L_a][L_b] (twists shifted out): label -> coeff."""
+def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, int]:
+    """L-basis expansion of [L_a][L_b] (twists shifted out): label -> coeff,
+    a read-only view of the memoized table."""
     if not (0 <= a < params.q and 0 <= b < params.q):
         raise ValueError(f"labels {a}, {b} out of range [0, {params.q - 1}]")
-    return _products(params)[a][b]
+    return MappingProxyType(_products(params)[a][b])
 
 
 def multiply(v: RingElement, w: RingElement) -> RingElement:

@@ -78,6 +78,15 @@ def test_mu_aut():
     assert mu_aut(p3, {(0, 0): 1, (2, 0): 1}, [(4, 0, 0)], crystalline) == 2
 
 
+def test_repeated_weight_label_keeps_the_last():
+    p3 = FieldParams(3, 1, 1)
+    crystalline = preset_type_crystalline_trivial_qp(3)
+    weights = intrinsics_from_json([{"n": 0, "m": 0, "mu": 5},
+                                    {"n": 2, "m": 0, "mu": 1},
+                                    {"n": 0, "m": 0, "mu": 1}])
+    assert mu_aut(p3, weights, [(4, 0, 0)], crystalline) == 2
+
+
 def test_asymptotic_qp():
     p5 = FieldParams(5, 1, 1)
     rho = RhoBarQp(1, 0)

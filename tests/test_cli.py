@@ -264,6 +264,8 @@ ELEMENT = {"p": 3, "f": 1, "basis": "L",
     ("weights", [{"n": 0, "m": 0, "mu": -1}]),
     ("type", {"dim": 1.0, "label": "", "class": dict(ELEMENT, terms=[
         {"n": 0, "m": 0, "coeff": "1"}])}),
+    # a weight label n must lie in [0, q-1]
+    ("weights", [{"n": 99, "m": 0, "mu": 1}]),
 ])
 def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
     from modp_gl2 import bm

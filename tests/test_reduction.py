@@ -9,6 +9,7 @@ from modp_gl2 import (
     reduce_symm,
     symm_to_L,
 )
+from modp_gl2 import reduction
 
 
 def test_small_values(p3, p5):
@@ -63,6 +64,24 @@ def test_reduce_product(p9):
     expected = multiply(reduce_symm(p9, 7, m=1), reduce_symm(p9, 11, j=1))
     assert reduce_product(p9, factors) == expected
     assert reduce_product(p9, []) == RingElement.L(p9, 0, 0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
+                                                         count):
+    calls = []
+
+    def counted(v, w):
+        calls.append(1)
+        return multiply(v, w)
+
+    monkeypatch.setattr(reduction, "multiply", counted)
+    factors = [SymmFactor(7, 1, 0), SymmFactor(11, 0, 1), SymmFactor(30)]
+    expected = reduce_symm(p9, 7, m=1)
+    for k, m, j in factors[1:count]:
+        expected = multiply(expected, reduce_symm(p9, k, m=m, j=j))
+    assert reduce_product(p9, factors[:count]) == expected
+    assert len(calls) == count - 1
 
 
 def test_central_character(p9):

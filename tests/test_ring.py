@@ -7,8 +7,11 @@ from modp_gl2 import (
     RingElement,
     convert_basis,
     multiply,
+    reduce_symm,
+    s_alpha,
     symm_to_L,
 )
+from modp_gl2.ring import structure_constants
 
 
 def test_det_twist(p3, p9):
@@ -100,6 +103,19 @@ def test_immutability(p3):
     v = RingElement.L(p3, 1, 0)
     with pytest.raises(AttributeError):
         v.basis = "S"
+
+
+def test_memoized_state_is_read_only(p3):
+    # a product and an S-hat are memoized: a write through what the caller
+    # got back would change every later answer
+    product = structure_constants(p3, 1, 1)
+    with pytest.raises(TypeError):
+        product[(0, 0)] = 100
+    with pytest.raises(TypeError):
+        s_alpha(p3, 0).terms[(0, 0)] = 5
+    assert multiply(RingElement.L(p3, 1, 0), RingElement.L(p3, 1, 0)) \
+        == RingElement.L(p3, 2, 0) + RingElement.L(p3, 0, 1)
+    assert reduce_symm(p3, 20).dimension() == 21
 
 
 def test_json_roundtrip(p9):
