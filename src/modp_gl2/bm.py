@@ -95,15 +95,17 @@ def a_sigma(params: FieldParams, type_class: GaloisTypeClass, factors) -> dict:
 
 def mu_aut(params: FieldParams, intrinsics: dict,
            factors, type_class: GaloisTypeClass) -> int:
-    """Sum over weights of intrinsic multiplicity times a_sigma."""
+    """Sum over weights of intrinsic multiplicity times a_sigma. A weight's
+    m is read mod q-1, so two spellings of one weight are one label and the
+    later entry wins."""
     coeffs = a_sigma(params, type_class, factors)
     qm1 = params.q - 1
-    total = 0
+    weights = {}
     for (n, m), mu in intrinsics.items():
         if not 0 <= n <= qm1:
             raise ValueError(f"weight n = {n} out of range [0, {qm1}]")
-        total += mu * coeffs.get((n, m % qm1), 0)
-    return total
+        weights[n, m % qm1] = mu
+    return sum(mu * coeffs.get(lbl, 0) for lbl, mu in weights.items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Reduction of arbitrary symmetric powers to the irreducible basis.
 
 Two independent routes are exposed: the slow one keeps unrolling the Glover
-recursion past q-1; the fast one adds the full periods of k as one multiple
-of N S-hat_k, by [S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k =
-``s_alpha(k)``, peels off the rest in principal series of dimension q+1 and
-finishes with a base-change column. They must agree exactly; the fast one is
-O(q) per call.
+recursion past q-1, resuming from the last k it reached on the field; the
+fast one adds the full periods of k as one multiple of N S-hat_k, by
+[S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``,
+peels off the rest in principal series of dimension q+1 and finishes with a
+base-change column. They must agree exactly; the fast one is O(q) per call.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple
 
+from .memo import memo
 from .params import FieldParams
 from .principal import _diamond_columns, s_alpha
-from .ring import (RingElement, _element, _expand, _glover_step,
+from .ring import (RingElement, _element, _expand, _field_key, _glover_step,
                    _s_to_l_columns, multiply)
 
 
@@ -46,14 +47,31 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
     return _element(params, "L", terms)
 
 
+@memo(_field_key)
+def _glover_checkpoint(params: FieldParams) -> list:
+    """The slow route's last stop on the field: a one-slot list holding
+    (k, [S_(k-1)], [S_k]), first (q-1, [S_(q-2)], [S_(q-1)])."""
+    cols = _s_to_l_columns(params)
+    return [(params.q - 1, cols[-2], cols[-1])]
+
+
 def _reduce_symm_base_slow(params: FieldParams, k: int) -> RingElement:
     """[S_k] by the Glover recursion alone: the base-change column for k < q,
-    and past it ``_glover_step`` continued from [S_(q-2)] and [S_(q-1)]."""
+    and past it ``_glover_step`` continued from the field's checkpoint when
+    k is at least the checkpoint's k, else from [S_(q-2)] and [S_(q-1)]."""
     cols = _s_to_l_columns(params)
-    prev2, prev = cols[-2], cols[-1]
-    for _ in range(params.q, k + 1):
+    if k < params.q:
+        return _element(params, "L", cols[k])
+    checkpoint = _glover_checkpoint(params)
+    n, prev2, prev = checkpoint[0]
+    if k < n:
+        n, prev2, prev = params.q - 1, cols[-2], cols[-1]
+    for _ in range(n, k):
         prev2, prev = prev, _glover_step(params, prev, prev2)
-    return _element(params, "L", cols[k] if k < params.q else prev)
+    # one assignment once the walk is done: a walk that raises leaves the
+    # old checkpoint whole
+    checkpoint[0] = (k, prev2, prev)
+    return _element(params, "L", prev)
 
 
 def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,

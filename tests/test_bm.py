@@ -87,6 +87,17 @@ def test_repeated_weight_label_keeps_the_last():
     assert mu_aut(p3, weights, [(4, 0, 0)], crystalline) == 2
 
 
+def test_weight_spelled_twice_mod_q_minus_1_is_one_label():
+    # (0, 2) is (0, 0) at q = 3: one weight, and the later entry wins
+    p3 = FieldParams(3, 1, 1)
+    crystalline = preset_type_crystalline_trivial_qp(3)
+    assert mu_aut(p3, {(0, 0): 1, (0, 2): 1, (2, 0): 1}, [(4, 0, 0)],
+                  crystalline) == 2
+    assert mu_aut(p3, {(0, 0): 5, (0, 2): 1, (2, 0): 1}, [(4, 0, 0)],
+                  crystalline) == 2
+    assert mu_aut(p3, {(0, -2): 1, (0, 0): 5}, [(4, 0, 0)], crystalline) == 5
+
+
 def test_asymptotic_qp():
     p5 = FieldParams(5, 1, 1)
     rho = RhoBarQp(1, 0)

@@ -9,7 +9,7 @@ from modp_gl2 import (
     reduce_symm,
     symm_to_L,
 )
-from modp_gl2 import reduction
+from modp_gl2 import memo, reduction
 
 
 def test_small_values(p3, p5):
@@ -33,6 +33,79 @@ def test_fast_equals_slow():
         for k in range(0, 501):
             assert reduce_symm(params, k, method="fast") \
                 == reduce_symm(params, k, method="slow"), (p, f, k)
+
+
+@pytest.mark.parametrize("p, f", [(2, 4), (5, 2), (3, 3), (2, 5)])
+def test_fast_equals_slow_over_two_periods(p, f):
+    # every k < 2N + q, N = q^2 - 1: zero, one and two full periods
+    params = FieldParams(p, f)
+    for k in range(2 * (params.q ** 2 - 1) + params.q):
+        assert reduce_symm(params, k, method="fast") \
+            == reduce_symm(params, k, method="slow"), (p, f, k)
+
+
+def _walk(params, top):
+    """[S_k] for k <= top: the base range, then [S_n] = [S_(n-1)][L_1] -
+    [S_(n-2)](1) by ``multiply``, from q and with no checkpoint."""
+    classes = [symm_to_L(params, n) for n in range(params.q)]
+    l1 = RingElement.L(params, 1, 0)
+    for _ in range(params.q, top + 1):
+        classes.append(multiply(classes[-1], l1) - classes[-2].det_twist(1))
+    return classes
+
+
+def test_slow_checkpoint_never_goes_stale(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the slow route reached the fast route")
+
+    # the slow route shares nothing with the fast route
+    for name in ("_reduce_symm_base_fast", "s_alpha", "_diamond_columns",
+                 "_expand"):
+        monkeypatch.setattr(reduction, name, forbidden)
+    p3, p16, p16h4 = FieldParams(3, 1), FieldParams(2, 4), FieldParams(2, 4, 4)
+    # up, repeat, down (also into the base range), then up past the checkpoint
+    runs = {p3: [5, 9, 9, 4, 7, 2, 12, 20],
+            p16: [20, 31, 31, 17, 25, 3, 40, 50]}
+    walks = {params: _walk(params, 50) for params in (p3, p16, p16h4)}
+
+    def check(params, k):
+        got = reduce_symm(params, k, method="slow")
+        assert got == walks[params][k] and got.params == params, (params, k)
+
+    memo.clear()
+    for ks in zip(*runs.values()):
+        for params, k in zip(runs, ks):
+            check(params, k)
+    assert len(memo.TABLES["modp_gl2.reduction._glover_checkpoint"]) == 2
+    memo.clear()
+    for k in (30, 10, 30, 31):
+        check(p16, k)
+    # h = 4 and the default h share one checkpoint
+    for k in (33, 33, 18, 41, 44, 35, 46):
+        check(p16h4 if k % 2 else p16, k)
+    assert len(memo.TABLES["modp_gl2.reduction._glover_checkpoint"]) == 1
+
+
+def test_slow_walk_that_raises_keeps_the_checkpoint(p9, monkeypatch):
+    step = reduction._glover_step
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("interrupted")
+        return step(*args)
+
+    walk = _walk(p9, 40)
+    memo.clear()
+    assert reduce_symm(p9, 20, method="slow") == walk[20]
+    monkeypatch.setattr(reduction, "_glover_step", failing)
+    with pytest.raises(RuntimeError):
+        reduce_symm(p9, 40, method="slow")
+    monkeypatch.undo()
+    assert reduction._glover_checkpoint(p9)[0][0] == 20
+    for k in (20, 21, 40):
+        assert reduce_symm(p9, k, method="slow") == walk[k], k
 
 
 def test_dimension_is_k_plus_one(p3, p9):
