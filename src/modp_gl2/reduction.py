@@ -6,18 +6,30 @@ fast one adds the full periods of k as one multiple of N S-hat_k, by
 [S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``,
 peels off the rest in principal series of dimension q+1 and finishes with a
 base-change column. They must agree exactly; the fast one is O(q) per call.
-"""
+
+A product of two or more factors splits each factor the fast route's way,
+into a V-part (its principal series, N S-hat_k among them, as
+N S-hat_alpha is the sum of the q-1 series [V_chi] of central character
+alpha) and a remainder S_w(v) with w < q. A principal series absorbs a
+tensor product: [V_chi][X] is the sum of [V_(chi psi)] over the torus
+weights psi of X, since X restricted to the Borel has those weights as its
+composition factors. So the V-part of the product is a sum of cyclic
+convolutions over Z/(q-1) of the factors' series and weights, expanded once
+through the V_n table, and only the remainders' product goes through
+``multiply``. The slow route folds the factors' slow classes through
+``multiply`` and shares no code with the fast product."""
 
 from __future__ import annotations
 
 from functools import reduce
+from math import prod
 from typing import NamedTuple
 
 from .memo import memo
 from .params import FieldParams
 from .principal import _diamond_columns, s_alpha
-from .ring import (RingElement, _element, _expand, _field_key, _glover_step,
-                   _s_to_l_columns, multiply)
+from .ring import (Label, RingElement, _element, _expand, _field_key,
+                   _glover_step, _s_to_l_columns, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -28,22 +40,30 @@ class SymmFactor(NamedTuple):
     j: int = 0
 
 
-def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
-    """[S_k] = [S_(k mod N)] + (k div N) N S-hat_k, where k mod N = v(q+1) + w
-    and [S_(k mod N)] is the sum of V_(k-2i)(i), i < v, and of S_w(v)."""
+def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None]:
+    """k = u N + v(q+1) + w with N = q^2 - 1 and w <= q, as (u, s, rest):
+    [S_k] is u N S-hat_k, the s principal series V_(k-2i)(i), i < s, and the
+    remainder [S_rest], rest = (w, v). s = v, but for w = q, where S_q(v) is
+    the series V_(k-2v)(v), as k - 2v = q (mod q-1): then s = v+1 and rest
+    is None."""
     q = params.q
-    qm1 = q - 1
-    period = q * q - 1
-    u, rem = divmod(k, period)
+    u, rem = divmod(k, q * q - 1)
     v, w = divmod(rem, q + 1)
-    # for w = q, S_q(v) is the principal series V_(k-2v)(v), as k - 2v = q
-    # (mod q-1): one more V in the sum
-    series = {((k - 2 * i) % qm1, i): 1 for i in range(v + (w == q))}
+    return (u, v + 1, None) if w == q else (u, v, (w, v))
+
+
+def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
+    """[S_k] from its ``_split``: the series through the V_n table, the
+    remainder through a base-change column, u N S-hat_k through s_alpha."""
+    q = params.q
+    u, s, rest = _split(params, k)
+    series = {((k - 2 * i) % (q - 1), i): 1 for i in range(s)}
     terms = _expand(params, {}, series, _diamond_columns(params))
-    if w < q:
-        _expand(params, terms, {(w, v): 1}, _s_to_l_columns(params))
+    if rest is not None:
+        _expand(params, terms, {rest: 1}, _s_to_l_columns(params))
     if u:
-        _expand(params, terms, {(0, 0): u * period}, [s_alpha(params, k).terms])
+        _expand(params, terms, {(0, 0): u * (q * q - 1)},
+                [s_alpha(params, k).terms])
     return _element(params, "L", terms)
 
 
@@ -102,8 +122,72 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
     return base
 
 
+def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
+    """[F_1]...[F_r] by the module docstring's projection formula, with
+    V(c1, c2) = V_(c1-c2)(c2) and the weights (p^j(k-i+m), p^j(i+m)),
+    0 <= i <= k, of S_k(m)^[j]. A factor's series and weights share its
+    central character, so each is a polynomial in x mod x^(q-1) - 1, x^c2
+    for V(c1, c2) or the weight (c1, c2), and a product convolves them.
+    With F_i = P_i + R_i from ``_split``, P_i the series, the product is
+    the sum over i of R_1...R_(i-1) P_i F_(i+1)...F_r, plus R_1...R_r by
+    ``multiply``.
+
+    A polynomial is one int with ``bits`` bits per coefficient: the
+    coefficients are nonnegative and at most the product's dimension, so
+    one int product, folded at x^(q-1), convolves two polynomials.
+    """
+    for k, _, _ in factors:
+        if k < 0:
+            raise ValueError(f"k = {k} must be >= 0")
+    p, n = params.p, params.q - 1
+    bits = prod(k + 1 for k, _, _ in factors).bit_length()
+    size = bits * n
+    ones = ((1 << size) - 1) // ((1 << bits) - 1)
+
+    def poly(exponents, constant: int = 0) -> int:
+        return constant * ones + sum(1 << bits * (e % n) for e in exponents)
+
+    def weights(k: int, m: int, pj: int) -> int:
+        full, part = divmod(k + 1, n)
+        return poly((pj * i for i in range(m, m + part)), full)
+
+    def times(a: int, b: int) -> int:
+        c = a * b
+        return (c & ((1 << size) - 1)) + (c >> size)
+
+    # after factor i: ``series`` is the V-part of F_1...F_i, all of it but
+    # R_1...R_i, whose weights are ``prefix`` (0 once a remainder is
+    # missing) and whose classes are ``rests``; alpha is the central
+    # character
+    series, prefix, alpha, rests = 0, 1, 0, []
+    for k, m, j in factors:
+        pj = pow(p, j, n)
+        alpha += pj * (k + 2 * m)
+        u, s, rest = _split(params, k)
+        own = poly((pj * (i + m) for i in range(s)), u)
+        series = times(series, weights(k, m, pj)) + times(prefix, own)
+        if rest is None:
+            prefix = 0
+        elif prefix:
+            w, v = rest
+            prefix = times(prefix, weights(w, v + m, pj))
+            rests.append(reduce_symm(params, w, m=v + m, j=j))
+    slot = (1 << bits) - 1
+    counts = {((alpha - 2 * c2) % n, c2): series >> bits * c2 & slot
+              for c2 in range(n)}
+    terms = _expand(params, {}, counts, _diamond_columns(params))
+    if prefix:
+        for lbl, c in reduce(multiply, rests).terms.items():
+            terms[lbl] = terms.get(lbl, 0) + c
+    return _element(params, "L", terms)
+
+
 def reduce_product(params: FieldParams, factors, method: str = "fast") -> RingElement:
-    """L-basis class of a tensor product of twisted symmetric powers."""
-    classes = [reduce_symm(params, SymmFactor(*f), method=method)
-               for f in factors]
+    """L-basis class of a tensor product of twisted symmetric powers: for two
+    factors or more, ``_reduce_product_fast``; else, and by the slow route,
+    the ``multiply`` fold of the factors' classes from the first one."""
+    factors = [SymmFactor(*f) for f in factors]
+    if method == "fast" and len(factors) > 1:
+        return _reduce_product_fast(params, factors)
+    classes = [reduce_symm(params, f, method=method) for f in factors]
     return reduce(multiply, classes) if classes else RingElement.L(params, 0, 0)

@@ -52,6 +52,16 @@ def _element(params: FieldParams, basis: str,
     return v
 
 
+def _exact(c) -> Coeff:
+    """A coefficient as an int or a Fraction; a float is refused, as its
+    value would arrive already rounded (0.1 is not 1/10)."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"coefficient {c!r} is a float, not exact")
+    return Fraction(c)
+
+
 def frac_str(x: Coeff) -> str:
     """The exact "num/den" wire format of a coefficient or a constant."""
     return f"{x.numerator}/{x.denominator}"
@@ -79,10 +89,8 @@ class RingElement:
                 raise TypeError(f"label ({n!r}, {m!r}) is not a pair of ints")
             if not 0 <= n <= q - 1:
                 raise ValueError(f"label n = {n} out of range [0, {q - 1}]")
-            if type(c) is not int:
-                c = Fraction(c)
             key = (n, params.residue(m))
-            clean[key] = clean.get(key, 0) + c
+            clean[key] = clean.get(key, 0) + _exact(c)
         _fill(self, params, basis, clean)
 
     def __setattr__(self, name, value):
@@ -158,8 +166,7 @@ class RingElement:
         return self + (-other)
 
     def scale(self, c) -> "RingElement":
-        if type(c) is not int:
-            c = Fraction(c)
+        c = _exact(c)
         return _element(self.params, self.basis,
                         {k: v * c for k, v in self.terms.items()})
 

@@ -1,9 +1,15 @@
+import random
+from functools import reduce
+from itertools import product
+from math import prod
+
 import pytest
 
 from modp_gl2 import (
     FieldParams,
     RingElement,
     SymmFactor,
+    diamond_decompose,
     multiply,
     reduce_product,
     reduce_symm,
@@ -142,19 +148,93 @@ def test_reduce_product(p9):
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
                                                          count):
+    # the slow route folds the factors' classes through multiply and reads
+    # nothing of the fast product: no weights, V_n table or S-hat
     calls = []
 
     def counted(v, w):
         calls.append(1)
         return multiply(v, w)
 
-    monkeypatch.setattr(reduction, "multiply", counted)
+    def forbidden(*args):
+        raise AssertionError("the slow route reached the fast route")
+
     factors = [SymmFactor(7, 1, 0), SymmFactor(11, 0, 1), SymmFactor(30)]
     expected = reduce_symm(p9, 7, m=1)
     for k, m, j in factors[1:count]:
         expected = multiply(expected, reduce_symm(p9, k, m=m, j=j))
-    assert reduce_product(p9, factors[:count]) == expected
+    monkeypatch.setattr(reduction, "multiply", counted)
+    for name in ("_reduce_product_fast", "_split", "_diamond_columns",
+                 "s_alpha"):
+        monkeypatch.setattr(reduction, name, forbidden)
+    assert reduce_product(p9, factors[:count], method="slow") == expected
     assert len(calls) == count - 1
+
+
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _principal(params, c1, c2):
+    """V(c1, c2), the series induced from the Borel character (c1, c2)."""
+    qm1 = params.q - 1
+    return diamond_decompose(params, (c1 - c2) % qm1, c2 % qm1)
+
+
+def _weights_of_l(params, b, t):
+    """The torus weights of L_b(t), one per choice of 0 <= e_i <= b_i over
+    the digits b_i of b: (sum p^i (b_i - e_i) + t, sum p^i e_i + t)."""
+    digits = params.digits(b)
+    out = []
+    for es in product(*(range(d + 1) for d in digits)):
+        low = sum(e * params.p ** i for i, e in enumerate(es))
+        out.append((b - low + t, low + t))
+    return out
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS)
+def test_principal_series_absorb_a_tensor_product(p, f):
+    # [V(c1, c2)][L_b(t)] = sum of [V(c1 + a, c2 + d)] over the weights
+    # (a, d) of L_b(t): the formula the fast product is built on
+    params = FieldParams(p, f)
+    q = params.q
+    rng = random.Random(q)
+    for b in range(q):
+        for t in (0, rng.randrange(1, 2 * q)):
+            weights = _weights_of_l(params, b, t)
+            assert len(weights) == RingElement.L(params, b).dimension()
+            lb = RingElement.L(params, b, t)
+            for c1 in range(q - 1):
+                for c2 in range(q - 1):
+                    expected = RingElement.zero(params)
+                    for a, d in weights:
+                        expected += _principal(params, c1 + a, c2 + d)
+                    got = multiply(_principal(params, c1, c2), lb)
+                    assert got == expected, (params, b, t, c1, c2)
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS + [(11, 1), (13, 1), (2, 4)])
+def test_fast_product_equals_slow_and_the_fold(p, f):
+    params = FieldParams(p, f)
+    q = params.q
+    period = q * q - 1
+    rng = random.Random(q)
+    below_q = SymmFactor(q - 2, q, f)                  # k < q, m >= q-1, j = f
+    no_rest = SymmFactor((q - 2) * (q + 1) + q, 1, 1)  # v(q+1) + q below N
+    periods = SymmFactor(2 * period + 5, q + 1, f + 1)  # k >= 2N, j > f
+    drawn = SymmFactor(rng.randrange(3 * period), rng.randrange(2 * q),
+                       rng.randrange(2 * f))
+    products = [[], [below_q], [periods], [below_q, no_rest],
+                [no_rest, below_q], [periods, drawn], [no_rest, no_rest],
+                [drawn, periods, below_q], [below_q, drawn, no_rest, periods],
+                [SymmFactor(0), drawn]]
+    for factors in products:
+        fast = reduce_product(params, factors)
+        classes = [reduce_symm(params, factor) for factor in factors]
+        fold = reduce(multiply, classes, RingElement.L(params, 0))
+        assert fast == fold, (params, factors)
+        assert reduce_product(params, factors, method="slow") == fast, \
+            (params, factors)
+        assert fast.dimension() == prod(k + 1 for k, _, _ in factors)
 
 
 def test_central_character(p9):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from modp_gl2 import (
     convert_basis,
     multiply,
     oracle_decompose,
+    reduce_product,
     reduce_symm,
 )
 from modp_gl2.brauer import PRegularClass
@@ -45,6 +47,9 @@ L1 = RingElement.L(P3, 1, 0)
     pytest.param(lambda: reduce_symm(P9, SymmFactor(5), j=1), ValueError,
                  "a SymmFactor carries its own twists",
                  id="reduce-symm-factor-and-j"),
+    pytest.param(lambda: reduce_product(P3, [(3, 0, 0), (-1, 0, 0)]),
+                 ValueError, "k = -1 must be >= 0",
+                 id="reduce-product-negative-k"),
     pytest.param(lambda: convert_basis(L1, "X"), ValueError,
                  "unknown basis tag 'X'", id="convert-basis-tag"),
     pytest.param(lambda: structure_constants(P3, 3, 0), ValueError,
@@ -91,7 +96,23 @@ L1 = RingElement.L(P3, 1, 0)
                  "label 3 out of range [0, 2]", id="digits-q"),
     pytest.param(lambda: PRegularClass("x", (0,)).eigen_exponents(3),
                  ValueError, "unknown class kind 'x'", id="class-kind"),
+    # a float arrives already rounded: 0.1 would be stored as 2^-55 times
+    # 3602879701896397, not as 1/10
+    pytest.param(lambda: RingElement(P3, "L", {(0, 0): 0.1}), TypeError,
+                 "coefficient 0.1 is a float", id="element-float-coeff"),
+    pytest.param(lambda: L1.scale(0.1), TypeError,
+                 "coefficient 0.1 is a float", id="scale-float"),
+    pytest.param(lambda: L1 * 0.1, TypeError, "coefficient 0.1 is a float",
+                 id="mul-float"),
 ])
 def test_invalid_arguments_raise(call, exc, message):
     with pytest.raises(exc, match=re.escape(message)):
         call()
+
+
+def test_exact_coefficients_are_accepted():
+    third = Fraction(1, 3)
+    for c in (3, third, "1/3", "-2"):
+        v = RingElement(P3, "L", {(0, 0): c})
+        assert v.coeff(0, 0) == Fraction(c)
+        assert L1.scale(c) == L1 * c == v.coeff(0, 0) * L1
