@@ -4,10 +4,11 @@
 under the function's qualified name, keyed by ``key(*args)``. The key decides
 what is shared: ring tables are keyed by ``(p, f)``, so fields that differ
 only in ``h`` share them. Entries never change once stored, but for one:
-``reduction._glover_checkpoint`` is a per-field holder that the slow route
-overwrites with the last k it reached, so that the next call resumes the
-Glover recursion there instead of walking again from q; it lives here so
-that ``clear()``, which empties every table, drops it too.
+``reduction._glover_checkpoint`` is a per-field holder of the slow route's
+stops, which it overwrites with the last k it reached and the fixed stops
+it passed (one every q steps), so that the next call resumes the Glover
+recursion there instead of walking again from q; it lives here so that
+``clear()``, which empties every table, drops it too.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 from .memo import memo
 from .params import FieldParams
@@ -198,16 +200,29 @@ def omega(params: FieldParams, n: int) -> int:
     return closed
 
 
+@memo(_field_key)
+def _n_s_hat(params: FieldParams) -> tuple[Mapping[Label, int], ...]:
+    """N S-hat_alpha as int label maps, N = q^2 - 1, for alpha < q-1:
+    omega(n) on each label L_n(m) with n + 2m = alpha (mod q-1). Entry alpha
+    is a read-only view; ``s_alpha`` divides it by N."""
+    q = params.q
+    qm1 = q - 1
+    table: list[dict[Label, int]] = [{} for _ in range(qm1)]
+    for n in range(q):
+        w = omega(params, n)
+        for m in range(qm1):
+            table[(n + 2 * m) % qm1][(n, m)] = w
+    return tuple(MappingProxyType(t) for t in table)
+
+
 @memo(lambda params, i: (params.p, params.f, i % (params.q - 1)))
 def s_alpha(params: FieldParams, i: int) -> RingElement:
     """The dimension-1 averaged class of central character i, as an L-basis
     ``RingElement``: the average of [V(chi)] over the q-1 Borel characters
     chi with central character i, normalized by 1/(q^2 - 1), and the limit
     of [V]/dim V. In closed form: omega(n)/(q^2 - 1) on each label L_n(m)
-    with n + 2m = i (mod q-1), and 0 elsewhere."""
-    q = params.q
-    qm1 = q - 1
-    i = i % qm1
+    with n + 2m = i (mod q-1), and 0 elsewhere, from ``_n_s_hat``."""
+    period = params.q ** 2 - 1
     return _element(params, "L", {
-        (n, m): Fraction(omega(params, n), q * q - 1)
-        for n in range(q) for m in range(qm1) if (n + 2 * m) % qm1 == i})
+        lbl: Fraction(w, period)
+        for lbl, w in _n_s_hat(params)[i % (params.q - 1)].items()})

@@ -1,11 +1,15 @@
 """Reduction of arbitrary symmetric powers to the irreducible basis.
 
-Two independent routes are exposed: the slow one keeps unrolling the Glover
-recursion past q-1, resuming from the last k it reached on the field; the
-fast one adds the full periods of k as one multiple of N S-hat_k, by
-[S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``,
-peels off the rest in principal series of dimension q+1 and finishes with a
-base-change column. They must agree exactly; the fast one is O(q) per call.
+Two independent routes are exposed. The slow one keeps unrolling the Glover
+recursion past q-1. It resumes from the nearer of the last k it reached on
+the field and the highest of its fixed stops at or below k: a walk keeps
+[S_(k-1)] and [S_k] at every k = q-1 (mod q) it passes, up to 2q+1 of them,
+so a k below 2N + q that went down costs at most q-1 steps. The fast one
+adds the full periods of k as one multiple of N S-hat_k, by
+[S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``
+(as ints, from ``_n_s_hat``), peels off the rest in principal series of
+dimension q+1 and finishes with a base-change column. They must agree
+exactly; the fast one is O(q) per call.
 
 A product of two or more factors splits each factor the fast route's way,
 into a V-part (its principal series, N S-hat_k among them, as
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 from .memo import memo
 from .params import FieldParams
-from .principal import _diamond_columns, s_alpha
+from .principal import _diamond_columns, _n_s_hat
 from .ring import (Label, RingElement, _element, _expand, _field_key,
                    _glover_step, _s_to_l_columns, multiply)
 
@@ -54,7 +58,7 @@ def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None]:
 
 def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
     """[S_k] from its ``_split``: the series through the V_n table, the
-    remainder through a base-change column, u N S-hat_k through s_alpha."""
+    remainder through a base-change column, u N S-hat_k from ``_n_s_hat``."""
     q = params.q
     u, s, rest = _split(params, k)
     series = {((k - 2 * i) % (q - 1), i): 1 for i in range(s)}
@@ -62,35 +66,44 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
     if rest is not None:
         _expand(params, terms, {rest: 1}, _s_to_l_columns(params))
     if u:
-        _expand(params, terms, {(0, 0): u * (q * q - 1)},
-                [s_alpha(params, k).terms])
+        _expand(params, terms, {(0, 0): u}, [_n_s_hat(params)[k % (q - 1)]])
     return _element(params, "L", terms)
 
 
 @memo(_field_key)
 def _glover_checkpoint(params: FieldParams) -> list:
-    """The slow route's last stop on the field: a one-slot list holding
-    (k, [S_(k-1)], [S_k]), first (q-1, [S_(q-2)], [S_(q-1)])."""
+    """The slow route's stops on the field, a two-slot list: the last stop
+    (k, [S_(k-1)], [S_k]), first (q-1, [S_(q-2)], [S_(q-1)]), and the fixed
+    stops, a list whose entry i is ([S_(k-1)], [S_k]) at k = q-1 + iq, first
+    the one at q-1. A walk records each fixed stop it passes, up to 2q+1 of
+    them, which reach past every k < 2N + q, N = q^2 - 1."""
     cols = _s_to_l_columns(params)
-    return [(params.q - 1, cols[-2], cols[-1])]
+    return [(params.q - 1, cols[-2], cols[-1]), [(cols[-2], cols[-1])]]
 
 
 def _reduce_symm_base_slow(params: FieldParams, k: int) -> RingElement:
     """[S_k] by the Glover recursion alone: the base-change column for k < q,
-    and past it ``_glover_step`` continued from the field's checkpoint when
-    k is at least the checkpoint's k, else from [S_(q-2)] and [S_(q-1)]."""
+    and past it ``_glover_step`` resumed from the nearer of the field's last
+    stop, when k is at least its k, and the highest fixed stop at or below
+    k, so at most q-1 steps for every k up to the highest fixed stop."""
+    q = params.q
     cols = _s_to_l_columns(params)
-    if k < params.q:
+    if k < q:
         return _element(params, "L", cols[k])
     checkpoint = _glover_checkpoint(params)
-    n, prev2, prev = checkpoint[0]
-    if k < n:
-        n, prev2, prev = params.q - 1, cols[-2], cols[-1]
-    for _ in range(n, k):
+    (n, prev2, prev), stops = checkpoint
+    i = min((k + 1) // q, len(stops)) - 1
+    if not (i + 1) * q - 1 <= n <= k:
+        n = (i + 1) * q - 1
+        prev2, prev = stops[i]
+    stops = list(stops)
+    for n in range(n + 1, k + 1):
         prev2, prev = prev, _glover_step(params, prev, prev2)
+        if n == (len(stops) + 1) * q - 1 and len(stops) <= 2 * q:
+            stops.append((prev2, prev))
     # one assignment once the walk is done: a walk that raises leaves the
-    # old checkpoint whole
-    checkpoint[0] = (k, prev2, prev)
+    # stops as they were
+    checkpoint[:] = (k, prev2, prev), stops
     return _element(params, "L", prev)
 
 

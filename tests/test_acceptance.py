@@ -1,7 +1,9 @@
 """Release gate: twelve exact or regression-bounded checks.
 
 Each test prints a single pass/fail line directly to the terminal
-(bypassing capture) so the gate's status is visible in any run.
+(bypassing capture) so the gate's status is visible in any run. Criteria
+10-12 also print, on one stderr line each, their worst observed value next
+to its ceiling.
 """
 
 import random
@@ -39,6 +41,13 @@ def report(number: int, label: str, ok: bool) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number:2d} ({label}): {status}", file=sys.__stdout__)
     assert ok, f"criterion {number} ({label}) failed"
+
+
+def observed(number: int, *pairs) -> None:
+    """One stderr line: each worst observed value next to its ceiling."""
+    values = ", ".join(f"{name} {worst} (ceiling {ceiling})"
+                       for name, worst, ceiling in pairs)
+    print(f"criterion {number:2d} observed: {values}", file=sys.__stderr__)
 
 
 def test_01_oracle_equivalence():
@@ -211,6 +220,8 @@ def test_10_multiplicity_convergence():
         worst_ratio = max(worst_ratio, float(err) / (k + 1))
     if worst_ratio > MAX_RATIO_Q9:
         ok = False
+    observed(10, ("MAX_ERR_Q5", worst, MAX_ERR_Q5),
+             ("MAX_RATIO_Q9", worst_ratio, MAX_RATIO_Q9))
     report(10, "multiplicity convergence", ok)
 
 
@@ -219,6 +230,7 @@ MAX_QP_GAP = Fraction(2)           # observed 5/3 (n=1) and 5/4 (n=0)
 
 def test_11_qp_reproduction():
     ok = True
+    worst = Fraction(0)
     p5 = FieldParams(5, 1, 1)
     for rho_n in (1, 0):
         rho = bm.RhoBarQp(rho_n, 0)
@@ -231,12 +243,15 @@ def test_11_qp_reproduction():
                 for b in gated:
                     mu = bm.mu_aut(p5, weights, [(a, b, 0)], type_class)
                     asym = bm.mu_aut_asymptotic_qp(p5, rho, a, b, variant)
-                    if abs(Fraction(mu) - asym) > MAX_QP_GAP:
+                    gap = abs(Fraction(mu) - asym)
+                    worst = max(worst, gap)
+                    if gap > MAX_QP_GAP:
                         ok = False
                 b = ((gated[0] if gated else 0) + 1) % 4
                 if not bm.qp_gate(p5, rho, a, b):
                     if bm.mu_aut(p5, weights, [(a, b, 0)], type_class) != 0:
                         ok = False
+    observed(11, ("MAX_QP_GAP", worst, MAX_QP_GAP))
     report(11, "Q_p multiplicity reproduction", ok)
 
 
@@ -252,6 +267,7 @@ def test_12_unramified_reproduction():
         if omega(p9, n) != 4 or (n + 2 * m) % 8 != 1:
             ok = False
     target = Fraction(16, 80)
+    worst = 0.0
     for a1 in range(0, 201, 3):
         for a2 in range(0, 201, 5):
             s = (a1 + 3 * a2) % 8
@@ -261,6 +277,9 @@ def test_12_unramified_reproduction():
             mu = bm.mu_aut(p9, weights, [(a1, b1, 0), (a2, 0, 1)], type_class)
             dim = 2 * (a1 + 1) * (a2 + 1)
             gap = abs(Fraction(mu, dim) - target)
-            if float(gap) * ((a1 + 1) * (a2 + 1)) ** 0.5 > MAX_SCALED_GAP_Q9:
+            scaled = float(gap) * ((a1 + 1) * (a2 + 1)) ** 0.5
+            worst = max(worst, scaled)
+            if scaled > MAX_SCALED_GAP_Q9:
                 ok = False
+    observed(12, ("MAX_SCALED_GAP_Q9", worst, MAX_SCALED_GAP_Q9))
     report(12, "unramified multiplicity reproduction", ok)

@@ -10,10 +10,12 @@ from modp_gl2 import (
     enumerate_closed_paths,
     lambda_of_path,
     omega,
+    s_alpha,
     symm_to_L,
     t_shift_candidates,
 )
-from modp_gl2.principal import ANTECEDENT, DECOMPOSITION, explain_decomposition
+from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, _n_s_hat,
+                                explain_decomposition)
 
 
 def _path(graph, *vertices):
@@ -187,3 +189,24 @@ def test_path_length_must_be_f(p9):
     for func, vertices, n in calls:
         with pytest.raises(ValueError, match="not f = 2"):
             func(p9, _path(DECOMPOSITION, *vertices), n)
+
+
+@pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                  (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_n_s_hat_is_n_times_s_alpha(p, f):
+    params = FieldParams(p, f)
+    q = params.q
+    table = _n_s_hat(params)
+    assert len(table) == q - 1
+    for alpha in range(q - 1):
+        got = RingElement(params, "L", table[alpha])
+        assert got == s_alpha(params, alpha).scale(q * q - 1), (q, alpha)
+        assert all(type(c) is int for c in table[alpha].values())
+        # N S-hat_alpha is the sum of the q-1 series of central character
+        # alpha, V_(alpha - 2m)(m) for m < q-1
+        series = RingElement.zero(params)
+        for m in range(q - 1):
+            series += diamond_decompose(params, (alpha - 2 * m) % (q - 1), m)
+        assert got == series, (q, alpha)
+    with pytest.raises(TypeError):
+        table[0][(0, 0)] = 1

@@ -65,7 +65,7 @@ def test_slow_checkpoint_never_goes_stale(monkeypatch):
         raise AssertionError("the slow route reached the fast route")
 
     # the slow route shares nothing with the fast route
-    for name in ("_reduce_symm_base_fast", "s_alpha", "_diamond_columns",
+    for name in ("_reduce_symm_base_fast", "_n_s_hat", "_diamond_columns",
                  "_expand"):
         monkeypatch.setattr(reduction, name, forbidden)
     p3, p16, p16h4 = FieldParams(3, 1), FieldParams(2, 4), FieldParams(2, 4, 4)
@@ -111,6 +111,78 @@ def test_slow_walk_that_raises_keeps_the_checkpoint(p9, monkeypatch):
     monkeypatch.undo()
     assert reduction._glover_checkpoint(p9)[0][0] == 20
     for k in (20, 21, 40):
+        assert reduce_symm(p9, k, method="slow") == walk[k], k
+
+
+@pytest.mark.parametrize("p, f", [(3, 2), (2, 4)])
+def test_slow_route_walks_at_most_q_minus_1_steps(p, f, monkeypatch):
+    # after one walk to top, every k in [q, top], in any order, resumes
+    # from a stop at most q-1 steps below it
+    params = FieldParams(p, f)
+    q = params.q
+    top = 2 * (q * q - 1) + q - 1
+    step = reduction._glover_step
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    walk = _walk(params, top)
+    memo.clear()
+    assert reduce_symm(params, top, method="slow") == walk[top]
+    monkeypatch.setattr(reduction, "_glover_step", counted)
+    ks = list(range(q, top + 1))
+    random.Random(q).shuffle(ks)
+    for k in ks:
+        calls.clear()
+        assert reduce_symm(params, k, method="slow") == walk[k], k
+        assert len(calls) <= q - 1, (k, len(calls))
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (2, 2)])
+def test_slow_route_keeps_at_most_2q_plus_1_stops(p, f):
+    params = FieldParams(p, f)
+    q = params.q
+    top = 4 * (q * q - 1) + q      # far past 2N + q
+    walk = _walk(params, top)
+    memo.clear()
+    assert reduce_symm(params, top, method="slow") == walk[top]
+    stops = reduction._glover_checkpoint(params)[1]
+    assert len(stops) == 2 * q + 1
+    for i, (prev2, prev) in enumerate(stops):
+        # stop i holds [S_(k-1)] and [S_k] at k = q-1 + iq
+        k = q - 1 + i * q
+        assert (prev2, prev) == (walk[k - 1].terms, walk[k].terms), k
+    # below and above the highest stop, down and then up
+    for k in list(range(top, q - 1, -1)) + list(range(q, top + 1, 7)):
+        assert reduce_symm(params, k, method="slow") == walk[k], k
+    assert len(reduction._glover_checkpoint(params)[1]) == 2 * q + 1
+
+
+def test_slow_walk_that_raises_keeps_the_stops(p9, monkeypatch):
+    step = reduction._glover_step
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 15:
+            raise RuntimeError("interrupted")
+        return step(*args)
+
+    walk = _walk(p9, 60)
+    memo.clear()
+    assert reduce_symm(p9, 20, method="slow") == walk[20]
+    checkpoint = reduction._glover_checkpoint(p9)
+    last, stops = checkpoint[0], list(checkpoint[1])
+    assert len(stops) == 2
+    monkeypatch.setattr(reduction, "_glover_step", failing)
+    with pytest.raises(RuntimeError):
+        # passes the stop at 26 before it raises at 35
+        reduce_symm(p9, 60, method="slow")
+    monkeypatch.undo()
+    assert checkpoint[0] == last and checkpoint[1] == stops
+    for k in (26, 35, 60, 21, 9):
         assert reduce_symm(p9, k, method="slow") == walk[k], k
 
 
@@ -165,7 +237,7 @@ def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
         expected = multiply(expected, reduce_symm(p9, k, m=m, j=j))
     monkeypatch.setattr(reduction, "multiply", counted)
     for name in ("_reduce_product_fast", "_split", "_diamond_columns",
-                 "s_alpha"):
+                 "_n_s_hat"):
         monkeypatch.setattr(reduction, name, forbidden)
     assert reduce_product(p9, factors[:count], method="slow") == expected
     assert len(calls) == count - 1
