@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .memo import memo
 from .params import FieldParams
 from .principal import _n_s_hat, s_alpha  # s_alpha re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (RingElement, _element, _expand, _field_key, _l1_rows,
-                   _l_to_s_columns, _products, frac_str, multiply)
+from .ring import (RingElement, _dims, _element, _expand, _field_key,
+                   _l1_rows, _l_to_s_columns, _products, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -35,28 +35,45 @@ def norm_S_1(v: RingElement) -> Fraction:
     return sum((abs(c) for c in v.terms.values()), Fraction(0))
 
 
+@memo(_field_key)
+def _norm_products(params: FieldParams) -> list[tuple]:
+    """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
+    triple (2(bq + n), y, k), read by ``operator_norm``."""
+    q = params.q
+    return [tuple((2 * (b * q + n), y, k) for b, terms in enumerate(row)
+                  for (n, y), k in terms.items()) for row in _products(params)]
+
+
 def operator_norm(v: RingElement) -> Fraction:
     """Exact induced infinity-norm of multiplication by v in the L basis.
 
     Equals the max over output labels of the absolute row sum of the
-    q(q-1)-square multiplication matrix. Twisting an input by det only
-    shifts the output twist, so the row of L_n(t) has the same sum for
-    every t: the sum over b and t of |coefficient of L_n(t)| in the q
-    products v * [L_b(0)]. These run on ints: v is first scaled by the lcm
-    D of its coefficient denominators, and the norm is the max row sum / D.
-    Each product is an ``_expand`` label dict, not a ``RingElement``; every
-    element, signed or not, takes this one path, and nothing is kept.
+    q(q-1)-square multiplication matrix. A det twist of an input only shifts
+    the output twist, so row L_n(t) sums, over b and t, |coefficient of
+    L_n(t)| in v [L_b(0)], on ints: v is scaled by the lcm D of its
+    denominators and the norm is the max row sum / D. Every L_n(t) in
+    v_alpha [L_b(0)], v_alpha the part of v of central character alpha, has
+    n + 2t = alpha + b (mod q-1). So parts share no label, and in a part
+    each (b, n) has at most two twists, one in [0, h) and one in [h, q-1)
+    for h = (q-1) // 2: each part fills one flat int list, slot
+    2(bq + n) + [t >= h], and row n sums |slot i| over i // 2 = n (mod q).
+    Every element takes this one path, and nothing is kept.
     """
     v = v.to_basis("L")
-    params = v.params
+    q, qm1, h = v.params.q, v.params.q - 1, (v.params.q - 1) // 2
     d = lcm(*(c.denominator for c in v.terms.values()))
-    scaled = {lbl: c.numerator * (d // c.denominator)
-              for lbl, c in v.terms.items()}
-    rows = [0] * params.q
-    for times_b in _products(params):
-        product = _expand(params, {}, scaled, times_b)
-        for (n, _), c in product.items():
-            rows[n] += abs(c)
+    parts: dict[int, list[tuple[int, int, int]]] = {}
+    for (a, x), c in v.terms.items():
+        parts.setdefault((a + 2 * x) % qm1, []).append(
+            (a, x, c.numerator * (d // c.denominator)))
+    table, rows = _norm_products(v.params), [0] * q
+    for part in parts.values():
+        acc = [0] * (2 * q * q)
+        for a, x, c in part:
+            for i, y, k in table[a]:
+                acc[i + ((x + y) % qm1 >= h)] += c * k
+        for j in range(2 * q):
+            rows[j >> 1] += sum(map(abs, acc[j::2 * q]))
     return Fraction(max(rows), d)
 
 
@@ -118,7 +135,7 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     for a, row in enumerate(_l1_rows(params)):
         for (n, _), k in row.items():
             M[a][n] = M[a].get(n, 0) + k
-    dims = [prod(d + 1 for d in params.digits(n)) for n in range(q)]
+    dims = _dims(params)
     heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
     prev, cur = [0] * q, [1] * q
     for r in range(period + q - 1):
@@ -143,14 +160,9 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
 @memo(_field_key)
 def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, and
-    M_upper: the constants that depend on the field alone, not on h.
-
-    The norms come from ``_class_norms``, not from ``operator_norm``: these
-    classes are nonnegative, so a norm is linear in the class, and the
-    Glover recursion runs on length-q row-sum vectors from t_0 = all ones
-    ([L_0][L_b] = [L_b]), reading only the products [L_a][L_1]. Each t_r is
-    checked exactly against the dimension.
-    """
+    M_upper: the constants that depend on the field alone, not on h. The
+    norms come from the row-sum recursion of ``_class_norms``, which reads
+    only the products [L_a][L_1], not from ``operator_norm``."""
     q = params.q
     s_norms, hat_norms = _class_norms(params)
     a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))

@@ -20,6 +20,7 @@ follows by recursion on b. The Glover recursion
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -206,17 +207,10 @@ class RingElement:
 
     def dimension(self) -> Coeff:
         """Linear extension of dim; basis independent."""
-        pr = self.params
-        total = 0
-        for (n, m), c in self.terms.items():
-            if self.basis == "S":
-                d = n + 1
-            else:
-                d = 1
-                for digit in pr.digits(n):
-                    d *= digit + 1
-            total += c * d
-        return total
+        if self.basis == "S":
+            return sum(c * (n + 1) for (n, _), c in self.terms.items())
+        dims = _dims(self.params)
+        return sum(c * dims[n] for (n, _), c in self.terms.items())
 
     def central_character(self) -> int | None:
         """Common value of n + 2m mod q-1 over all terms, or None."""
@@ -282,6 +276,13 @@ def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
 
 def _field_key(params: FieldParams) -> tuple[int, int]:
     return (params.p, params.f)
+
+
+@memo(_field_key)
+def _dims(params: FieldParams) -> tuple[int, ...]:
+    """dim L_n for n < q: the product of (digit + 1) over its base-p digits."""
+    return tuple(prod(d + 1 for d in params.digits(n))
+                 for n in range(params.q))
 
 
 @memo(_field_key)

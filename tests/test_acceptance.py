@@ -1,9 +1,11 @@
 """Release gate: twelve exact or regression-bounded checks.
 
-Each test prints a single pass/fail line directly to the terminal
-(bypassing capture) so the gate's status is visible in any run. Criteria
-10-12 also print, on one stderr line each, their worst observed value next
-to its ceiling.
+Each test prints a single pass/fail line to ``sys.__stdout__``. Criteria
+10-12 also print, on one ``sys.__stderr__`` line each, their worst observed
+value next to its ceiling. pytest's default ``--capture=fd`` redirects file
+descriptors 1 and 2, which those streams write to, so the lines show only
+with ``-s`` (or ``--capture=sys``); under the default they are captured
+with the rest of the output.
 """
 
 import random

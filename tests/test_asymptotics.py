@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,6 +19,7 @@ from modp_gl2 import (
     norm_L_inf,
     norm_S_1,
     operator_norm,
+    reduce_product,
     reduce_symm,
     residual,
     s_alpha,
@@ -26,12 +28,14 @@ from modp_gl2 import (
     t_shift_candidates,
 )
 from modp_gl2.asymptotics import _class_norms
+from modp_gl2.ring import _expand, _products
 
 # every field with q <= 16
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
                 (7, 1), (11, 1), (13, 1)]
-# every field with q <= 9
-TINY_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+# every field with q <= 32
+MID_FIELDS = SMALL_FIELDS + [(2, 5), (3, 3), (5, 2), (17, 1), (19, 1),
+                             (23, 1), (29, 1), (31, 1)]
 
 
 def diamond_sum(params, i):
@@ -58,6 +62,21 @@ def brute_force_norm(v):
             for lbl, c in multiply(v, RingElement.L(params, b, y)).terms.items():
                 rows[lbl] += abs(c)
     return max(rows.values())
+
+
+def per_b_norm(v):
+    """operator_norm as the q products v * [L_b(0)], one ``_expand`` label
+    dict each, with |c| summed per n: the reference for the flat
+    accumulator split by central character."""
+    params = v.params
+    d = lcm(*(c.denominator for c in v.terms.values()))
+    scaled = {lbl: c.numerator * (d // c.denominator)
+              for lbl, c in v.terms.items()}
+    rows = [0] * params.q
+    for times_b in _products(params):
+        for (n, _), c in _expand(params, {}, scaled, times_b).items():
+            rows[n] += abs(c)
+    return Fraction(max(rows), d)
 
 
 def test_s_alpha_small(p3):
@@ -112,7 +131,7 @@ def test_norms(p3, p9):
     assert operator_norm(v.frobenius_twist(1)) == operator_norm(v)
 
 
-@pytest.mark.parametrize("p,f", TINY_FIELDS)
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
 def test_operator_norm_matches_brute_force(p, f):
     params = FieldParams(p, f)
     q, qm1 = params.q, max(params.q - 1, 1)
@@ -133,6 +152,41 @@ def test_operator_norm_matches_brute_force(p, f):
                                - RingElement.S(params, 1, 0).scale(Fraction(2, 3))])
     for v in elements:
         assert operator_norm(v) == brute_force_norm(v.to_basis("L"))
+
+
+@pytest.mark.parametrize("p,f", MID_FIELDS)
+def test_operator_norm_matches_per_b_products(p, f):
+    params = FieldParams(p, f)
+    q, qm1 = params.q, max(params.q - 1, 1)
+    h = qm1 // 2
+    rng = random.Random(f"norm:{q}")
+    residuals = [residual(multiply(
+        RingElement.L(params, rng.randrange(q), rng.randrange(qm1)),
+        reduce_product(params, [SymmFactor(rng.randrange(10 ** 6),
+                                           rng.randrange(qm1),
+                                           rng.randrange(f))
+                                for _ in range(rng.randint(1, 3))])))
+        for _ in range(5)]
+    mixes = [RingElement(params, "L", {
+        (rng.randrange(q), rng.randrange(qm1)):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for _ in range(8)}) for _ in range(5)]
+    if q > 2:
+        assert all(len(split_by_central_character(v)) > 1 for v in mixes)
+    # for odd q, L_a(0) - L_a(h) puts k and -k on the two twists t and t + h
+    # of one (b, n); L_a(0) - L_a(1) puts them in two central characters. A
+    # slot shared by either pair would cancel them
+    pairs = [RingElement.L(params, a, 0) - RingElement.L(params, a, shift)
+             for a in range(q) for shift in (1, h)]
+    if q in (5, 9, 13):
+        product = multiply(pairs[1], RingElement.L(params, 1, 0))
+        assert product.coeff(1, 0) == 1 and product.coeff(1, h) == -1
+    elements = (residuals + mixes + pairs
+                + [RingElement.zero(params),
+                   RingElement.S(params, q - 1, 1)
+                   - RingElement.S(params, 1, 0).scale(Fraction(2, 3))])
+    for v in elements:
+        assert operator_norm(v) == per_b_norm(v.to_basis("L"))
 
 
 @pytest.mark.parametrize("p,f", SMALL_FIELDS)
