@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Check pairs of independent routes against each other on every field q <= 64.
+
+For each of the 27 fields, three checks run on the field's shared memoized
+tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
+
+- products: ``reduce_product`` (principal series absorbing the product)
+  against the ``multiply`` fold of the factors' ``reduce_symm`` classes, on
+  10 seeded products for each r = 2, 3 twisted S_k(m)^[j] and each bound
+  on k, 4,000 and 10^9;
+- norms: ``operator_norm`` against a per-b reference written here, the q
+  products v * [L_b(0)], each expanded into a label dict from the rows of
+  the product table, with |c| summed per n, on 5 seeded residuals r_V of
+  V = W * prod S_k and 5 seeded signed Fraction mixes of several central
+  characters;
+- slow route: ``reduce_symm`` by the slow Glover route against the fast
+  route at every k < 2N + q, N = q^2 - 1, in ascending order, then at 50
+  seeded k in descending order, which the slow route must resume from its
+  fixed stops.
+
+Prints one line per field and exits 1 on any mismatch.
+
+Usage: python3 scripts/check_fields.py [--seed 0]
+"""
+
+import argparse
+import random
+import sys
+import time
+from fractions import Fraction
+from functools import reduce
+from math import lcm
+
+from modp_gl2 import (FieldParams, RingElement, SymmFactor, multiply,
+                      operator_norm, reduce_product, reduce_symm, residual)
+from modp_gl2.params import Q_CAP, is_prime
+from modp_gl2.ring import _expand, _products
+
+PRODUCTS = 10     # per factor count r and bound on k
+ELEMENTS = 5      # residuals and mixes, each
+DESCENDING = 50   # seeded k after the ascending walk
+
+
+def fields():
+    """Every supported field, by q."""
+    return sorted((FieldParams(p, f) for p in range(2, Q_CAP + 1)
+                   if is_prime(p) for f in range(1, Q_CAP.bit_length())
+                   if p ** f <= Q_CAP), key=lambda params: params.q)
+
+
+def products(params, rng):
+    """Yield (factors, agree) for the fast product against the fold."""
+    for r in (2, 3):
+        for k_limit in (4000, 10 ** 9):
+            for _ in range(PRODUCTS):
+                factors = [SymmFactor(rng.randrange(k_limit),
+                                      rng.randrange(params.q - 1),
+                                      rng.randrange(params.f))
+                           for _ in range(r)]
+                fold = reduce(multiply, [reduce_symm(params, factor)
+                                         for factor in factors])
+                yield factors, reduce_product(params, factors) == fold
+
+
+def per_b_norm(v):
+    """The max over n of the sum over b and t of |coefficient of L_n(t)|
+    in v * [L_b(0)], on v scaled to ints by its denominators' lcm D, over D."""
+    v = v.to_basis("L")
+    params = v.params
+    d = lcm(*(c.denominator for c in v.terms.values()))
+    scaled = {lbl: c.numerator * (d // c.denominator)
+              for lbl, c in v.terms.items()}
+    rows = [0] * params.q
+    for times_b in _products(params):
+        for (n, _), c in _expand(params, {}, scaled, times_b).items():
+            rows[n] += abs(c)
+    return Fraction(max(rows), d)
+
+
+def norms(params, rng):
+    """Yield (element, agree) for ``operator_norm`` against the per-b
+    reference: residuals of W * S_k1 (* S_k2), then signed mixes of eight
+    random labels."""
+    q, qm1 = params.q, params.q - 1
+    batch = []
+    for _ in range(ELEMENTS):
+        w = RingElement.L(params, rng.randrange(q), rng.randrange(qm1))
+        factors = [SymmFactor(rng.randrange(10 ** 6), rng.randrange(qm1),
+                              rng.randrange(params.f))
+                   for _ in range(rng.randint(1, 2))]
+        batch.append(residual(multiply(w, reduce_product(params, factors))))
+    for _ in range(ELEMENTS):
+        batch.append(RingElement(params, "L", {
+            (rng.randrange(q), rng.randrange(qm1)):
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                         rng.randint(1, 99))
+            for _ in range(8)}))
+    for v in batch:
+        yield v, operator_norm(v) == per_b_norm(v)
+
+
+def slow_route(params, rng):
+    """Yield (k, agree) for the slow route against the fast route."""
+    top = 2 * (params.q ** 2 - 1) + params.q
+    down = sorted((rng.randrange(params.q, top) for _ in range(DESCENDING)),
+                  reverse=True)
+    for k in list(range(top)) + down:
+        yield (f"k = {k}", reduce_symm(params, k)
+               == reduce_symm(params, k, method="slow"))
+
+
+CHECKS = (("products", products), ("elements", norms), ("k", slow_route))
+
+
+def tally(counts):
+    return ", ".join(f"{n} {noun}" for noun, n in counts.items())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=0)
+    seed = parser.parse_args(argv).seed
+
+    all_fields = fields()
+    totals = dict.fromkeys([noun for noun, _ in CHECKS] + ["mismatches"], 0)
+    start = time.perf_counter()
+    for params in all_fields:
+        t0 = time.perf_counter()
+        counts = dict.fromkeys(totals, 0)
+        for noun, check in CHECKS:
+            for case, agree in check(params, random.Random(f"{seed}:{params.q}")):
+                counts[noun] += 1
+                if not agree:
+                    counts["mismatches"] += 1
+                    print(f"  {check.__name__} mismatch at q = {params.q}: "
+                          f"{case}")
+        for noun, n in counts.items():
+            totals[noun] += n
+        print(f"q = {params.q:2d} (p = {params.p}, f = {params.f}): "
+              f"{tally(counts)}, {time.perf_counter() - t0:.2f} s")
+    print(f"{len(all_fields)} fields, {tally(totals)}, "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if totals["mismatches"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

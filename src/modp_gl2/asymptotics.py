@@ -179,13 +179,15 @@ def compute_constants(params: FieldParams) -> ConstantsReport:
 # Residuals and bound checks
 
 def split_by_central_character(v: RingElement) -> dict[int, RingElement]:
-    """Decompose v into character-homogeneous parts (L basis)."""
+    """Decompose v into character-homogeneous parts (L basis). The labels
+    and coefficients come canonical from v, so each part is built by the
+    trusted ``_element``."""
     v = v.to_basis("L")
     qm1 = v.params.q - 1
     parts: dict[int, dict] = {}
     for (n, m), c in v.terms.items():
         parts.setdefault((n + 2 * m) % qm1, {})[(n, m)] = c
-    return {a: RingElement(v.params, "L", t) for a, t in sorted(parts.items())}
+    return {a: _element(v.params, "L", t) for a, t in sorted(parts.items())}
 
 
 def residual(v: RingElement) -> RingElement:

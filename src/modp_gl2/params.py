@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Everything is exact and desk-scale; larger q would make the bases
-# (q(q-1) labels) and the constant computations impractical.
+# Everything is exact. The Brauer oracle sets the cap: ``brauer.build_table``
+# inverts q - 1 blocks, about 0.3 s at q = 64 but about 110 s at q = 256,
+# where no layer of the ring itself takes more than about 11 s.
 Q_CAP = 64
 
 

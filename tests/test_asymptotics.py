@@ -53,15 +53,19 @@ def diamond_sum(params, i):
 def brute_force_norm(v):
     """Largest absolute row sum of the full q(q-1)-square matrix of
     multiplication by v, whose column (b, y) is v * [L_b(y)]: the reference
-    for operator_norm, with no twist shortcut."""
+    for operator_norm, with no twist shortcut. The columns are taken of v
+    scaled to ints by its denominators' lcm D, and the max row is over D."""
     params = v.params
     q, qm1 = params.q, max(params.q - 1, 1)
+    d = lcm(*(c.denominator for c in v.terms.values()))
+    scaled = v.scale(d)
     rows = {(n, t): 0 for n in range(q) for t in range(qm1)}
     for b in range(q):
         for y in range(qm1):
-            for lbl, c in multiply(v, RingElement.L(params, b, y)).terms.items():
+            column = multiply(scaled, RingElement.L(params, b, y))
+            for lbl, c in column.terms.items():
                 rows[lbl] += abs(c)
-    return max(rows.values())
+    return Fraction(max(rows.values()), d)
 
 
 def per_b_norm(v):
@@ -300,6 +304,34 @@ def test_residual_rejects_mixed(p3):
     parts = split_by_central_character(mixed)
     assert set(parts) == {0, 1}
     assert sum(parts.values(), RingElement.zero(p3)) == mixed
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 2), (5, 1), (13, 1)])
+def test_split_by_central_character(p, f):
+    params = FieldParams(p, f)
+    q, qm1 = params.q, max(params.q - 1, 1)
+    rng = random.Random(f"split:{q}")
+    mixes = [RingElement(params, "L", {
+        (rng.randrange(q), rng.randrange(qm1)):
+            rng.choice((1, -2, Fraction(3, 7), Fraction(-5, 2)))
+        for _ in range(8)}) for _ in range(5)]
+    elements = mixes + [
+        RingElement.zero(params),
+        RingElement.S(params, q - 1, 1) - RingElement.S(params, 1, 0),
+        residual(reduce_symm(params, 5 * q + 1))]
+    for v in elements:
+        parts = split_by_central_character(v)
+        assert sum(parts.values(), RingElement.zero(params)) == v
+        terms = v.to_basis("L").terms
+        for a, part in parts.items():
+            assert part.basis == "L" and part.central_character() == a
+            public = RingElement(params, "L", {
+                (n, m): c for (n, m), c in terms.items()
+                if (n + 2 * m) % qm1 == a})
+            assert part == public and hash(part) == hash(public)
+            assert ([type(c) for c in part.terms.values()]
+                    == [type(c) for c in public.terms.values()])
+        assert sum(len(part.terms) for part in parts.values()) == len(terms)
 
 
 def test_theorem_bound_small(p3, p9):

@@ -1,0 +1,42 @@
+"""``scripts/check_fields.py`` on the fields q <= 5: every check agrees,
+and a wrong ``operator_norm`` makes the script exit 1."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_fields.py"
+
+
+@pytest.fixture
+def check_fields(monkeypatch):
+    spec = importlib.util.spec_from_file_location("check_fields", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    small = [params for params in module.fields() if params.q <= 5]
+    monkeypatch.setattr(module, "fields", lambda: small)
+    return module
+
+
+def test_check_fields_agrees_on_small_fields(check_fields, capsys):
+    assert check_fields.main([]) == 0
+    *per_field, total = capsys.readouterr().out.splitlines()
+    # each line ends in its time; 2N + q ascending k and 50 descending
+    assert [line.rsplit(", ", 1)[0] for line in per_field] == [
+        f"q = {q:2d} (p = {p}, f = {f}): 40 products, 10 elements, "
+        f"{2 * (q * q - 1) + q + 50} k, 0 mismatches"
+        for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
+    assert total.startswith(
+        "4 fields, 160 products, 40 elements, 314 k, 0 mismatches, ")
+
+
+def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
+                                              monkeypatch):
+    norm = check_fields.operator_norm
+    monkeypatch.setattr(check_fields, "operator_norm", lambda v: norm(v) + 1)
+    assert check_fields.main([]) == 1
+    out = capsys.readouterr().out
+    assert out.count("norms mismatch at q = ") == 40
+    assert out.splitlines()[-1].startswith(
+        "4 fields, 160 products, 40 elements, 314 k, 40 mismatches, ")
