@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pairs of independent routes against each other on every field q <= 64.
 
-For each of the 27 fields, three checks run on the field's shared memoized
+For each of the 27 fields, four checks run on the field's shared memoized
 tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 
 - products: ``reduce_product`` (principal series absorbing the product)
@@ -16,7 +16,11 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 - slow route: ``reduce_symm`` by the slow Glover route against the fast
   route at every k < 2N + q, N = q^2 - 1, in ascending order, then at 50
   seeded k in descending order, which the slow route must resume from its
-  fixed stops.
+  fixed stops;
+- gather tables: at every central character alpha, the fast route's
+  gather table of the q-1 principal series against those series expanded
+  term by term through the V_n table, for seeded counts, and the length of
+  each label's entry against its omega count in N S-hat_alpha.
 
 Prints one line per field and exits 1 on any mismatch.
 
@@ -34,6 +38,7 @@ from math import lcm
 from modp_gl2 import (FieldParams, RingElement, SymmFactor, multiply,
                       operator_norm, reduce_product, reduce_symm, residual)
 from modp_gl2.params import Q_CAP, is_prime
+from modp_gl2.principal import _diamond_columns, _n_s_hat, _series_gather
 from modp_gl2.ring import _expand, _products
 
 PRODUCTS = 10     # per factor count r and bound on k
@@ -109,7 +114,26 @@ def slow_route(params, rng):
                == reduce_symm(params, k, method="slow"))
 
 
-CHECKS = (("products", products), ("elements", norms), ("k", slow_route))
+def gather(params, rng):
+    """Yield (alpha, agree) for the gather table of each central character
+    against the series expanded through the V_n table."""
+    qm1 = params.q - 1
+    for alpha in range(qm1):
+        table = _series_gather(params, alpha)
+        counts = [rng.randrange(10 ** 6) for _ in range(qm1)]
+        expected = _expand(params, {}, {
+            ((alpha - 2 * c2) % qm1, c2): c for c2, c in enumerate(counts)},
+            _diamond_columns(params))
+        got = {lbl: sum(counts[c2] for c2 in c2s)
+               for lbl, c2s in table.items()}
+        lengths = {lbl: len(c2s) for lbl, c2s in table.items()}
+        yield (f"alpha = {alpha}",
+               RingElement(params, "L", got) == RingElement(params, "L", expected)
+               and lengths == _n_s_hat(params)[alpha])
+
+
+CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
+          ("alphas", gather))
 
 
 def tally(counts):

@@ -215,6 +215,25 @@ def _n_s_hat(params: FieldParams) -> tuple[Mapping[Label, int], ...]:
     return tuple(MappingProxyType(t) for t in table)
 
 
+@memo(lambda params, alpha: (params.p, params.f, alpha))
+def _series_gather(params: FieldParams,
+                   alpha: int) -> Mapping[Label, tuple[int, ...]]:
+    """The q-1 principal series V(c2) = V_((alpha-2c2) mod (q-1))(c2),
+    c2 < q-1, of central character alpha, gathered by constituent: each
+    label L_n(m) of central character alpha maps to the c2 whose V(c2)
+    contains it, ascending, each repeated by its multiplicity. A sum of
+    the series with counts c[c2] holds the label sum(c[c2] for c2 in its
+    entry) times, and the entry's length is omega(n), the label's value in
+    N S-hat_alpha. A read-only view, built from the V_n table."""
+    qm1 = params.q - 1
+    columns = _diamond_columns(params)
+    table: dict[Label, list[int]] = {}
+    for c2 in range(qm1):
+        for (lam, ell), k in columns[(alpha - 2 * c2) % qm1].items():
+            table.setdefault((lam, (ell + c2) % qm1), []).extend([c2] * k)
+    return MappingProxyType({lbl: tuple(c2s) for lbl, c2s in table.items()})
+
+
 @memo(lambda params, i: (params.p, params.f, i % (params.q - 1)))
 def s_alpha(params: FieldParams, i: int) -> RingElement:
     """The dimension-1 averaged class of central character i, as an L-basis

@@ -6,10 +6,13 @@ the field and the highest of its fixed stops at or below k: a walk keeps
 [S_(k-1)] and [S_k] at every k = q-1 (mod q) it passes, up to 2q+1 of them,
 so a k below 2N + q that went down costs at most q-1 steps. The fast one
 adds the full periods of k as one multiple of N S-hat_k, by
-[S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``
-(as ints, from ``_n_s_hat``), peels off the rest in principal series of
-dimension q+1 and finishes with a base-change column. They must agree
-exactly; the fast one is O(q) per call.
+[S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``,
+peels off the rest in principal series of dimension q+1 and finishes with a
+base-change column. Both parts come from one gather table per central
+character, ``principal._series_gather``: N S-hat_alpha is the sum of the
+q-1 series V_((alpha-2c2) mod (q-1))(c2), and the table lists for each
+label the c2 whose series hold it. They must agree exactly; the fast one is
+O(q) per call.
 
 A product of two or more factors splits each factor the fast route's way,
 into a V-part (its principal series, N S-hat_k among them, as
@@ -18,20 +21,22 @@ alpha) and a remainder S_w(v) with w < q. A principal series absorbs a
 tensor product: [V_chi][X] is the sum of [V_(chi psi)] over the torus
 weights psi of X, since X restricted to the Borel has those weights as its
 composition factors. So the V-part of the product is a sum of cyclic
-convolutions over Z/(q-1) of the factors' series and weights, expanded once
-through the V_n table, and only the remainders' product goes through
-``multiply``. The slow route folds the factors' slow classes through
+convolutions over Z/(q-1) of the factors' series and weights, a count per
+c2 read into each label through the gather table, and only the remainders'
+product goes through ``multiply``, each remainder twisted straight from its
+base-change column. The slow route folds the factors' slow classes through
 ``multiply`` and shares no code with the fast product."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
 from math import prod
 from typing import NamedTuple
 
 from .memo import memo
 from .params import FieldParams
-from .principal import _diamond_columns, _n_s_hat
+from .principal import _series_gather
 from .ring import (Label, RingElement, _element, _expand, _field_key,
                    _glover_step, _s_to_l_columns, multiply)
 
@@ -57,16 +62,18 @@ def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None]:
 
 
 def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
-    """[S_k] from its ``_split``: the series through the V_n table, the
-    remainder through a base-change column, u N S-hat_k from ``_n_s_hat``."""
-    q = params.q
+    """[S_k] from its ``_split``: the series and u N S-hat_k from the gather
+    table of central character k, the remainder through a base-change
+    column. Series i < s sit at c2 = i, so a label holds the entries of its
+    gather list below s; u N S-hat_k, the sum of all q-1 series u times,
+    adds u to each."""
     u, s, rest = _split(params, k)
-    series = {((k - 2 * i) % (q - 1), i): 1 for i in range(s)}
-    terms = _expand(params, {}, series, _diamond_columns(params))
+    terms = {}
+    if u or s:
+        terms = {lbl: u * len(c2s) + bisect_left(c2s, s) for lbl, c2s
+                 in _series_gather(params, k % (params.q - 1)).items()}
     if rest is not None:
         _expand(params, terms, {rest: 1}, _s_to_l_columns(params))
-    if u:
-        _expand(params, terms, {(0, 0): u}, [_n_s_hat(params)[k % (q - 1)]])
     return _element(params, "L", terms)
 
 
@@ -143,7 +150,11 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     for V(c1, c2) or the weight (c1, c2), and a product convolves them.
     With F_i = P_i + R_i from ``_split``, P_i the series, the product is
     the sum over i of R_1...R_(i-1) P_i F_(i+1)...F_r, plus R_1...R_r by
-    ``multiply``.
+    ``multiply``. The V-part's count of V(alpha - c2, c2) is the coefficient
+    of x^c2, and a label sums the counts of the c2 in its gather list. A
+    remainder S_w(v+m)^[j] is the base-change column of S_w with each label
+    (a, x) sent to (theta^j a, p^j (x+v+m)), theta^j being a times p^j mod
+    q-1 but on a = q-1, which it fixes.
 
     A polynomial is one int with ``bits`` bits per coefficient: the
     coefficients are nonnegative and at most the product's dimension, so
@@ -184,11 +195,14 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
         elif prefix:
             w, v = rest
             prefix = times(prefix, weights(w, v + m, pj))
-            rests.append(reduce_symm(params, w, m=v + m, j=j))
+            # S_w(v+m)^[j] from the base-change column of S_w
+            rests.append(_element(params, "L", {
+                (a if a == n else a * pj % n, (x + v + m) * pj % n): c
+                for (a, x), c in _s_to_l_columns(params)[w].items()}))
     slot = (1 << bits) - 1
-    counts = {((alpha - 2 * c2) % n, c2): series >> bits * c2 & slot
-              for c2 in range(n)}
-    terms = _expand(params, {}, counts, _diamond_columns(params))
+    counts = [series >> bits * c2 & slot for c2 in range(n)]
+    terms = {lbl: sum(map(counts.__getitem__, c2s)) for lbl, c2s
+             in _series_gather(params, alpha % n).items()}
     if prefix:
         for lbl, c in reduce(multiply, rests).terms.items():
             terms[lbl] = terms.get(lbl, 0) + c

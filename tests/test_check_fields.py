@@ -22,13 +22,15 @@ def check_fields(monkeypatch):
 def test_check_fields_agrees_on_small_fields(check_fields, capsys):
     assert check_fields.main([]) == 0
     *per_field, total = capsys.readouterr().out.splitlines()
-    # each line ends in its time; 2N + q ascending k and 50 descending
+    # each line ends in its time; 2N + q ascending k and 50 descending,
+    # and one gather table per central character
     assert [line.rsplit(", ", 1)[0] for line in per_field] == [
         f"q = {q:2d} (p = {p}, f = {f}): 40 products, 10 elements, "
-        f"{2 * (q * q - 1) + q + 50} k, 0 mismatches"
+        f"{2 * (q * q - 1) + q + 50} k, {q - 1} alphas, 0 mismatches"
         for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
     assert total.startswith(
-        "4 fields, 160 products, 40 elements, 314 k, 0 mismatches, ")
+        "4 fields, 160 products, 40 elements, 314 k, 10 alphas, "
+        "0 mismatches, ")
 
 
 def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
@@ -39,4 +41,5 @@ def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
     out = capsys.readouterr().out
     assert out.count("norms mismatch at q = ") == 40
     assert out.splitlines()[-1].startswith(
-        "4 fields, 160 products, 40 elements, 314 k, 40 mismatches, ")
+        "4 fields, 160 products, 40 elements, 314 k, 10 alphas, "
+        "40 mismatches, ")

@@ -1,6 +1,7 @@
 import pytest
 
 from modp_gl2 import FieldParams
+from modp_gl2.params import Q_CAP, is_prime
 
 
 def test_q_and_degree():
@@ -44,6 +45,25 @@ def test_theta_label():
     # theta has order f on labels
     for n in range(9):
         assert p9.theta_label(n, 2) == n
+
+
+def test_theta_label_rotates_digits_on_every_field():
+    # reference: rotate the f base-p digits up by j mod f places
+    fields = [FieldParams(p, f) for p in range(2, Q_CAP + 1) if is_prime(p)
+              for f in range(1, Q_CAP.bit_length()) if p ** f <= Q_CAP]
+    assert len(fields) == 27
+    for params in fields:
+        p, f, q = params.p, params.f, params.q
+        for j in range(-f, 2 * f):
+            for n in range(q):
+                digits = [n // p ** i % p for i in range(f)]
+                r = j % f
+                rotated = digits[f - r:] + digits[:f - r]
+                expected = sum(d * p ** i for i, d in enumerate(rotated))
+                assert params.theta_label(n, j) == expected, (q, j, n)
+        for n in (-1, q):
+            with pytest.raises(ValueError):
+                params.theta_label(n, 1)
 
 
 def test_theta_residue():

@@ -1,5 +1,6 @@
-import pytest
+import random
 
+import pytest
 
 from modp_gl2 import (
     FieldParams,
@@ -14,8 +15,11 @@ from modp_gl2 import (
     symm_to_L,
     t_shift_candidates,
 )
-from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, _n_s_hat,
+from modp_gl2.params import is_prime
+from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, _diamond_columns,
+                                _n_s_hat, _series_gather,
                                 explain_decomposition)
+from modp_gl2.ring import _expand
 
 
 def _path(graph, *vertices):
@@ -210,3 +214,29 @@ def test_n_s_hat_is_n_times_s_alpha(p, f):
         assert got == series, (q, alpha)
     with pytest.raises(TypeError):
         table[0][(0, 0)] = 1
+
+
+@pytest.mark.parametrize("p, f", [(p, f) for p in range(2, 32) if is_prime(p)
+                                  for f in range(1, 6) if p ** f <= 32])
+def test_series_gather_sums_the_series(p, f):
+    # the gather table against the series expanded term by term through
+    # the V_n table, for seeded counts (zeros among them) at every alpha
+    params = FieldParams(p, f)
+    qm1 = params.q - 1
+    rng = random.Random(params.q)
+    for alpha in range(qm1):
+        table = _series_gather(params, alpha)
+        # each entry ascends, and its length is the label's omega count
+        assert all(list(c2s) == sorted(c2s) for c2s in table.values())
+        assert {lbl: len(c2s) for lbl, c2s in table.items()} \
+            == _n_s_hat(params)[alpha], (params.q, alpha)
+        counts = [rng.randrange(4) for _ in range(qm1)]
+        series = {((alpha - 2 * c2) % qm1, c2): c
+                  for c2, c in enumerate(counts)}
+        expected = _expand(params, {}, series, _diamond_columns(params))
+        got = {lbl: sum(counts[c2] for c2 in c2s)
+               for lbl, c2s in table.items()}
+        assert RingElement(params, "L", got) \
+            == RingElement(params, "L", expected), (params.q, alpha, counts)
+    with pytest.raises(TypeError):
+        _series_gather(params, 0)[(0, 0)] = ()

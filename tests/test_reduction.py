@@ -65,8 +65,7 @@ def test_slow_checkpoint_never_goes_stale(monkeypatch):
         raise AssertionError("the slow route reached the fast route")
 
     # the slow route shares nothing with the fast route
-    for name in ("_reduce_symm_base_fast", "_n_s_hat", "_diamond_columns",
-                 "_expand"):
+    for name in ("_reduce_symm_base_fast", "_series_gather", "_expand"):
         monkeypatch.setattr(reduction, name, forbidden)
     p3, p16, p16h4 = FieldParams(3, 1), FieldParams(2, 4), FieldParams(2, 4, 4)
     # up, repeat, down (also into the base range), then up past the checkpoint
@@ -221,7 +220,7 @@ def test_reduce_product(p9):
 def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
                                                          count):
     # the slow route folds the factors' classes through multiply and reads
-    # nothing of the fast product: no weights, V_n table or S-hat
+    # nothing of the fast product: no weights or gather table
     calls = []
 
     def counted(v, w):
@@ -236,8 +235,7 @@ def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
     for k, m, j in factors[1:count]:
         expected = multiply(expected, reduce_symm(p9, k, m=m, j=j))
     monkeypatch.setattr(reduction, "multiply", counted)
-    for name in ("_reduce_product_fast", "_split", "_diamond_columns",
-                 "_n_s_hat"):
+    for name in ("_reduce_product_fast", "_split", "_series_gather"):
         monkeypatch.setattr(reduction, name, forbidden)
     assert reduce_product(p9, factors[:count], method="slow") == expected
     assert len(calls) == count - 1
@@ -307,6 +305,22 @@ def test_fast_product_equals_slow_and_the_fold(p, f):
         assert reduce_product(params, factors, method="slow") == fast, \
             (params, factors)
         assert fast.dimension() == prod(k + 1 for k, _, _ in factors)
+
+
+@pytest.mark.parametrize("p, f", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_fast_product_twists_a_remainder_s_q_minus_1(p, f):
+    # remainders S_(q-1)(v+m)^[j], j != 0 mod f, hold L_(q-1), which theta
+    # fixes: the fast product against the multiply fold
+    params = FieldParams(p, f)
+    q = params.q
+    tops = [SymmFactor(q - 1, 2, 1),
+            SymmFactor(3 * (q + 1) + q - 1, q, f - 1),
+            SymmFactor(q * q - 1 + 5 * (q + 1) + q - 1, 1, -1)]
+    for factors in ([tops[0], tops[1]], [tops[2], SymmFactor(4, 1, 1)],
+                    tops):
+        fold = reduce(multiply, [reduce_symm(params, factor)
+                                 for factor in factors])
+        assert reduce_product(params, factors) == fold, (q, factors)
 
 
 def test_central_character(p9):
