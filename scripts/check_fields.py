@@ -17,12 +17,14 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
   route at every k < 2N + q, N = q^2 - 1, in ascending order, then at 50
   seeded k in descending order, which the slow route must resume from its
   fixed stops;
-- gather tables: at every central character alpha, the fast route's
-  gather table of the q-1 principal series against those series expanded
-  term by term through the V_n table, for seeded counts, and the length of
-  each label's entry against its omega count in N S-hat_alpha.
+- gather tables: at every central character alpha, the gather table of
+  the q-1 principal series against those series expanded term by term
+  through the V_n table, for seeded counts, and both the length of each
+  label's entry and N ``s_alpha(alpha)``, N = q^2 - 1, against the map
+  omega(n) on each label L_n(m) with n + 2m = alpha (mod q-1).
 
-Prints one line per field and exits 1 on any mismatch.
+Prints one line per field and exits 1 on any mismatch. A check that raises
+counts as one mismatch on its field, and the sweep goes on.
 
 Usage: python3 scripts/check_fields.py [--seed 0]
 """
@@ -31,14 +33,16 @@ import argparse
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from modp_gl2 import (FieldParams, RingElement, SymmFactor, multiply,
-                      operator_norm, reduce_product, reduce_symm, residual)
+from modp_gl2 import (FieldParams, RingElement, SymmFactor, multiply, omega,
+                      operator_norm, reduce_product, reduce_symm, residual,
+                      s_alpha)
 from modp_gl2.params import Q_CAP, is_prime
-from modp_gl2.principal import _diamond_columns, _n_s_hat, _series_gather
+from modp_gl2.principal import _diamond_columns, _series_gather
 from modp_gl2.ring import _expand, _products
 
 PRODUCTS = 10     # per factor count r and bound on k
@@ -116,9 +120,12 @@ def slow_route(params, rng):
 
 def gather(params, rng):
     """Yield (alpha, agree) for the gather table of each central character
-    against the series expanded through the V_n table."""
-    qm1 = params.q - 1
+    against the series expanded through the V_n table, and its entries'
+    lengths and N s_alpha against the omega counts."""
+    q, qm1 = params.q, params.q - 1
     for alpha in range(qm1):
+        omegas = {(n, m): omega(params, n) for n in range(q)
+                  for m in range(qm1) if (n + 2 * m) % qm1 == alpha}
         table = _series_gather(params, alpha)
         counts = [rng.randrange(10 ** 6) for _ in range(qm1)]
         expected = _expand(params, {}, {
@@ -129,7 +136,9 @@ def gather(params, rng):
         lengths = {lbl: len(c2s) for lbl, c2s in table.items()}
         yield (f"alpha = {alpha}",
                RingElement(params, "L", got) == RingElement(params, "L", expected)
-               and lengths == _n_s_hat(params)[alpha])
+               and lengths == omegas
+               and s_alpha(params, alpha).scale(q * q - 1)
+               == RingElement(params, "L", omegas))
 
 
 CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
@@ -152,12 +161,21 @@ def main(argv=None):
         t0 = time.perf_counter()
         counts = dict.fromkeys(totals, 0)
         for noun, check in CHECKS:
-            for case, agree in check(params, random.Random(f"{seed}:{params.q}")):
-                counts[noun] += 1
-                if not agree:
-                    counts["mismatches"] += 1
-                    print(f"  {check.__name__} mismatch at q = {params.q}: "
-                          f"{case}")
+            try:
+                for case, agree in check(params,
+                                         random.Random(f"{seed}:{params.q}")):
+                    counts[noun] += 1
+                    if not agree:
+                        counts["mismatches"] += 1
+                        print(f"  {check.__name__} mismatch at q = {params.q}:"
+                              f" {case}")
+            except Exception as exc:
+                # a check that raises fails its field; the traceback goes
+                # to stderr and the other checks and fields still run
+                counts["mismatches"] += 1
+                print(f"  {check.__name__} raised at q = {params.q}: "
+                      f"{type(exc).__name__}: {exc}")
+                traceback.print_exc()
         for noun, n in counts.items():
             totals[noun] += n
         print(f"q = {params.q:2d} (p = {params.p}, f = {params.f}): "

@@ -14,10 +14,10 @@ from math import lcm
 
 from .memo import memo
 from .params import FieldParams
-from .principal import _n_s_hat, s_alpha  # s_alpha re-exported
+from .principal import _series_gather, s_alpha  # s_alpha re-exported
 from .reduction import SymmFactor, reduce_product, reduce_symm
-from .ring import (RingElement, _dims, _element, _expand, _field_key,
-                   _l1_rows, _l_to_s_columns, _products, frac_str, multiply)
+from .ring import (RingElement, _dims, _element, _field_key, _l1_rows,
+                   _l_to_s_columns, _products, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +192,19 @@ def split_by_central_character(v: RingElement) -> dict[int, RingElement]:
 
 def residual(v: RingElement) -> RingElement:
     """r_V = [V] - (dim V) * S_alpha(V); requires a central character.
-    N r_V = N [V] - (dim V) N S-hat_alpha, N = q^2 - 1, is summed on the
-    ints of ``_n_s_hat`` and divided by N once."""
+    N r_V = N [V] - (dim V) N S-hat_alpha, N = q^2 - 1, is summed with
+    N S-hat_alpha read off the gather table of alpha, omega(n) on each label
+    as its entry's length, and divided by N once."""
     alpha = v.central_character()
     if alpha is None:
         raise ValueError("element has no central character; split it first")
     v = v.to_basis("L")
     params = v.params
     period = params.q ** 2 - 1
+    dim = v.dimension()
     scaled = {lbl: period * c for lbl, c in v.terms.items()}
-    _expand(params, scaled, {(0, 0): -v.dimension()},
-            [_n_s_hat(params)[alpha]])
+    for lbl, c2s in _series_gather(params, alpha).items():
+        scaled[lbl] = scaled.get(lbl, 0) - dim * len(c2s)
     return _element(params, "L", {lbl: Fraction(c, period)
                                   for lbl, c in scaled.items()})
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .params import FieldParams
 from .reduction import reduce_product
@@ -173,10 +174,8 @@ def mu_aut_asymptotic_unramified(h: int, p: int, dim_type: int,
         raise ValueError(f"expected {h} weights, got {len(a_list)}")
     if not gate:
         return Fraction(0)
-    prod = 1
-    for a in a_list:
-        prod *= a + 1
-    return Fraction(4 ** h * dim_type * prod, p ** (2 * h) - 1)
+    return Fraction(4 ** h * dim_type * prod(a + 1 for a in a_list),
+                    p ** (2 * h) - 1)
 
 
 def unramified_gate(params: FieldParams, r_list, a_list, b_list,

@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
 from . import asymptotics, bm, principal
 from .params import FieldParams
@@ -215,9 +216,7 @@ def cmd_bm(params, args):
         intrinsics = bm.intrinsics_from_json(json.load(fh))
     factors = parse_factors(args.factors)
     mu = bm.mu_aut(params, intrinsics, factors, type_class)
-    dim_v = type_class.dim_type
-    for f in factors:
-        dim_v *= f.k + 1
+    dim_v = prod((f.k + 1 for f in factors), start=type_class.dim_type)
     emit_mapping({"mu_aut": mu, "dim": dim_v,
                   "ratio": frac_str(Fraction(mu, dim_v))}, args.format)
     return EXIT_OK

@@ -200,21 +200,6 @@ def omega(params: FieldParams, n: int) -> int:
     return closed
 
 
-@memo(_field_key)
-def _n_s_hat(params: FieldParams) -> tuple[Mapping[Label, int], ...]:
-    """N S-hat_alpha as int label maps, N = q^2 - 1, for alpha < q-1:
-    omega(n) on each label L_n(m) with n + 2m = alpha (mod q-1). Entry alpha
-    is a read-only view; ``s_alpha`` divides it by N."""
-    q = params.q
-    qm1 = q - 1
-    table: list[dict[Label, int]] = [{} for _ in range(qm1)]
-    for n in range(q):
-        w = omega(params, n)
-        for m in range(qm1):
-            table[(n + 2 * m) % qm1][(n, m)] = w
-    return tuple(MappingProxyType(t) for t in table)
-
-
 @memo(lambda params, alpha: (params.p, params.f, alpha))
 def _series_gather(params: FieldParams,
                    alpha: int) -> Mapping[Label, tuple[int, ...]]:
@@ -224,7 +209,9 @@ def _series_gather(params: FieldParams,
     contains it, ascending, each repeated by its multiplicity. A sum of
     the series with counts c[c2] holds the label sum(c[c2] for c2 in its
     entry) times, and the entry's length is omega(n), the label's value in
-    N S-hat_alpha. A read-only view, built from the V_n table."""
+    N S-hat_alpha: the one table of N S-hat_alpha, read by the fast route,
+    ``s_alpha`` and ``asymptotics.residual``. A read-only view, built from
+    the V_n table."""
     qm1 = params.q - 1
     columns = _diamond_columns(params)
     table: dict[Label, list[int]] = {}
@@ -234,14 +221,14 @@ def _series_gather(params: FieldParams,
     return MappingProxyType({lbl: tuple(c2s) for lbl, c2s in table.items()})
 
 
-@memo(lambda params, i: (params.p, params.f, i % (params.q - 1)))
 def s_alpha(params: FieldParams, i: int) -> RingElement:
     """The dimension-1 averaged class of central character i, as an L-basis
     ``RingElement``: the average of [V(chi)] over the q-1 Borel characters
     chi with central character i, normalized by 1/(q^2 - 1), and the limit
     of [V]/dim V. In closed form: omega(n)/(q^2 - 1) on each label L_n(m)
-    with n + 2m = i (mod q-1), and 0 elsewhere, from ``_n_s_hat``."""
+    with n + 2m = i (mod q-1), and 0 elsewhere, omega(n) being the length
+    of the label's entry in the gather table of i."""
     period = params.q ** 2 - 1
     return _element(params, "L", {
-        lbl: Fraction(w, period)
-        for lbl, w in _n_s_hat(params)[i % (params.q - 1)].items()})
+        lbl: Fraction(len(c2s), period)
+        for lbl, c2s in _series_gather(params, i % (params.q - 1)).items()})

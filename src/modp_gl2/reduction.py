@@ -213,6 +213,8 @@ def reduce_product(params: FieldParams, factors, method: str = "fast") -> RingEl
     """L-basis class of a tensor product of twisted symmetric powers: for two
     factors or more, ``_reduce_product_fast``; else, and by the slow route,
     the ``multiply`` fold of the factors' classes from the first one."""
+    if method not in ("fast", "slow"):
+        raise ValueError(f"unknown method {method!r}")
     factors = [SymmFactor(*f) for f in factors]
     if method == "fast" and len(factors) > 1:
         return _reduce_product_fast(params, factors)

@@ -1,5 +1,6 @@
 """``scripts/check_fields.py`` on the fields q <= 5: every check agrees,
-and a wrong ``operator_norm`` makes the script exit 1."""
+and a wrong ``operator_norm`` or a check that raises makes the script
+exit 1."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +44,23 @@ def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
     assert out.splitlines()[-1].startswith(
         "4 fields, 160 products, 40 elements, 314 k, 10 alphas, "
         "40 mismatches, ")
+
+
+def test_check_fields_counts_a_raising_check(check_fields, capsys,
+                                             monkeypatch):
+    def raising(v):
+        raise ValueError("element has no central character")
+    monkeypatch.setattr(check_fields, "residual", raising)
+    assert check_fields.main([]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # one mismatch per field, and every field and the totals still print
+    assert sum(line.startswith("  norms raised at q = ")
+               for line in lines) == 4
+    assert [line.rsplit(", ", 1)[0] for line in lines
+            if line.startswith("q = ")] == [
+        f"q = {q:2d} (p = {p}, f = {f}): 40 products, 0 elements, "
+        f"{2 * (q * q - 1) + q + 50} k, {q - 1} alphas, 1 mismatches"
+        for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
+    assert lines[-1].startswith(
+        "4 fields, 160 products, 0 elements, 314 k, 10 alphas, "
+        "4 mismatches, ")

@@ -17,8 +17,7 @@ from modp_gl2 import (
 )
 from modp_gl2.params import is_prime
 from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, _diamond_columns,
-                                _n_s_hat, _series_gather,
-                                explain_decomposition)
+                                _series_gather, explain_decomposition)
 from modp_gl2.ring import _expand
 
 
@@ -197,23 +196,23 @@ def test_path_length_must_be_f(p9):
 
 @pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                   (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
-def test_n_s_hat_is_n_times_s_alpha(p, f):
+def test_s_alpha_is_omega_over_n(p, f):
     params = FieldParams(p, f)
-    q = params.q
-    table = _n_s_hat(params)
-    assert len(table) == q - 1
-    for alpha in range(q - 1):
-        got = RingElement(params, "L", table[alpha])
-        assert got == s_alpha(params, alpha).scale(q * q - 1), (q, alpha)
-        assert all(type(c) is int for c in table[alpha].values())
+    q, qm1 = params.q, params.q - 1
+    for alpha in range(qm1):
+        got = s_alpha(params, alpha).scale(q * q - 1)
+        assert all(type(c) is int for c in got.terms.values())
+        # omega(n) on each label L_n(m) of central character alpha, and
+        # nothing elsewhere
+        assert got.terms == {(n, m): omega(params, n) for n in range(q)
+                             for m in range(qm1)
+                             if (n + 2 * m) % qm1 == alpha}, (q, alpha)
         # N S-hat_alpha is the sum of the q-1 series of central character
         # alpha, V_(alpha - 2m)(m) for m < q-1
         series = RingElement.zero(params)
-        for m in range(q - 1):
-            series += diamond_decompose(params, (alpha - 2 * m) % (q - 1), m)
+        for m in range(qm1):
+            series += diamond_decompose(params, (alpha - 2 * m) % qm1, m)
         assert got == series, (q, alpha)
-    with pytest.raises(TypeError):
-        table[0][(0, 0)] = 1
 
 
 @pytest.mark.parametrize("p, f", [(p, f) for p in range(2, 32) if is_prime(p)
@@ -229,7 +228,9 @@ def test_series_gather_sums_the_series(p, f):
         # each entry ascends, and its length is the label's omega count
         assert all(list(c2s) == sorted(c2s) for c2s in table.values())
         assert {lbl: len(c2s) for lbl, c2s in table.items()} \
-            == _n_s_hat(params)[alpha], (params.q, alpha)
+            == {(n, m): omega(params, n) for n in range(params.q)
+                for m in range(qm1) if (n + 2 * m) % qm1 == alpha}, \
+            (params.q, alpha)
         counts = [rng.randrange(4) for _ in range(qm1)]
         series = {((alpha - 2 * c2) % qm1, c2): c
                   for c2, c in enumerate(counts)}

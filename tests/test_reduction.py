@@ -332,3 +332,7 @@ def test_central_character(p9):
 def test_validation(p3):
     with pytest.raises(ValueError):
         reduce_symm(p3, -1)
+    # an unknown method is refused whatever the number of factors
+    for factors in ([], [(4, 0, 0)], [(4, 0, 0), (7, 1, 0)]):
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            reduce_product(p3, factors, method="nope")
