@@ -3,12 +3,14 @@
 
 For a grid of W = L_n(m) and symmetric-power factors, report the largest
 observed ratio lhs/rhs for both bound shapes. Ratios far below 1 mean the
-constants are very conservative (they are).
+constants are very conservative (they are). Exits 1 if any check violates
+a bound.
 
 Usage: python3 scripts/run_bound_sweep.py --p 3 --f 2 --k-max 2000
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from modp_gl2 import (
@@ -19,13 +21,13 @@ from modp_gl2 import (
 )
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=3)
     parser.add_argument("--f", type=int, default=2)
     parser.add_argument("--k-max", type=int, default=2000)
     parser.add_argument("--step", type=int, default=97)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     params = FieldParams(args.p, args.f, args.f)
     q = params.q
@@ -52,7 +54,8 @@ def main():
     print(f"q = {q}, {checked} checks, {violations} violations")
     print(f"largest lhs/rhs, linear bound:       {float(worst_theorem):.3e}")
     print(f"largest lhs/rhs, power-saving bound: {worst_coro:.3e}")
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -113,11 +113,14 @@ def emit_mapping(data: dict, fmt: str) -> None:
 # Subcommands
 
 def cmd_decompose(params, args):
+    if args.factors is not None and {args.symm, args.det, args.frob} != {None}:
+        raise ValueError("decompose takes --symm (with --det and --frob) "
+                         "or --factors, not both")
     if args.factors:
         factors = parse_factors(args.factors)
         elem = reduce_product(params, factors)
     elif args.symm is not None:
-        elem = reduce_symm(params, args.symm, m=args.det, j=args.frob)
+        elem = reduce_symm(params, args.symm, args.det or 0, args.frob or 0)
     else:
         raise ValueError("decompose needs --symm or --factors")
     emit_element(elem, args.format)
@@ -142,6 +145,8 @@ def cmd_principal_series(params, args):
 
 
 def cmd_omega(params, args):
+    if args.all and args.n is not None:
+        raise ValueError("omega takes --all or --n, not both")
     if args.all:
         ns = range(params.q)
     elif args.n is not None:
@@ -244,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="reduce symmetric powers or products")
     sp.add_argument("--symm", type=int, default=None, help="k of S_k")
-    sp.add_argument("--det", type=int, default=0, help="determinant twist")
-    sp.add_argument("--frob", type=int, default=0, help="Frobenius twist")
+    sp.add_argument("--det", type=int, default=None, help="determinant twist")
+    sp.add_argument("--frob", type=int, default=None, help="Frobenius twist")
     sp.add_argument("--factors", default=None, help="k:m:j,... product")
     sp.set_defaults(func=cmd_decompose)
 

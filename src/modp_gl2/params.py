@@ -1,4 +1,4 @@
-"""Field parameters (p, f, q = p^f) and the digit-rotation operator theta."""
+"""Field parameters (p, f, q = p^f) and theta on Z/(q-1)Z."""
 
 from __future__ import annotations
 
@@ -72,17 +72,6 @@ class FieldParams:
         for i, d in enumerate(digits):
             n += d * self.p ** i
         return n
-
-    def theta_label(self, n: int, j: int = 1) -> int:
-        """Rotate the base-p digits of a label in [0, q-1] by j positions.
-
-        One rotation sends sum(a_i p^i) to a_{f-1} + a_0 p + ... + a_{f-2} p^{f-1},
-        which is n p mod p^f - 1 as p^f = 1 there: so theta^j is
-        ``theta_residue`` on n < q-1, and it fixes q-1, whose digits are all p-1.
-        """
-        if not 0 <= n <= self.q - 1:
-            raise ValueError(f"label {n} out of range [0, {self.q - 1}]")
-        return n if n == self.q - 1 else self.theta_residue(n, j)
 
     def theta_residue(self, m: int, j: int = 1) -> int:
         """Multiply a residue mod q-1 by p^j (theta on Z/(q-1)Z)."""

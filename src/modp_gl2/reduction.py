@@ -12,7 +12,7 @@ base-change column. Both parts come from one gather table per central
 character, ``principal._series_gather``: N S-hat_alpha is the sum of the
 q-1 series V_((alpha-2c2) mod (q-1))(c2), and the table lists for each
 label the c2 whose series hold it. They must agree exactly; the fast one is
-O(q) per call.
+O(q) per call. Both give [S_k]; ``_twist`` relabels it once into S_k(m)^[j].
 
 A product of two or more factors splits each factor the fast route's way,
 into a V-part (its principal series, N S-hat_k among them, as
@@ -23,9 +23,10 @@ weights psi of X, since X restricted to the Borel has those weights as its
 composition factors. So the V-part of the product is a sum of cyclic
 convolutions over Z/(q-1) of the factors' series and weights, a count per
 c2 read into each label through the gather table, and only the remainders'
-product goes through ``multiply``, each remainder twisted straight from its
-base-change column. The slow route folds the factors' slow classes through
-``multiply`` and shares no code with the fast product."""
+product goes through ``multiply``, each remainder twisted by ``_twist``
+straight from its base-change column. The slow route folds the factors'
+slow classes through ``multiply``; it shares only ``_twist`` with the fast
+product, so the Brauer oracle checks twisted factors independently."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .memo import memo
 from .params import FieldParams
 from .principal import _series_gather
 from .ring import (Label, RingElement, _element, _expand, _field_key,
-                   _glover_step, _s_to_l_columns, multiply)
+                   _glover_step, _s_to_l_columns, _twist, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -61,12 +62,12 @@ def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None]:
     return (u, v + 1, None) if w == q else (u, v, (w, v))
 
 
-def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
-    """[S_k] from its ``_split``: the series and u N S-hat_k from the gather
-    table of central character k, the remainder through a base-change
-    column. Series i < s sit at c2 = i, so a label holds the entries of its
-    gather list below s; u N S-hat_k, the sum of all q-1 series u times,
-    adds u to each."""
+def _reduce_symm_base_fast(params: FieldParams, k: int) -> dict[Label, int]:
+    """[S_k] as an L-basis label dict from its ``_split``: the series and
+    u N S-hat_k from the gather table of central character k, the remainder
+    through a base-change column. Series i < s sit at c2 = i, so a label
+    holds the entries of its gather list below s; u N S-hat_k, the sum of
+    all q-1 series u times, adds u to each."""
     u, s, rest = _split(params, k)
     terms = {}
     if u or s:
@@ -74,7 +75,7 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> RingElement:
                  in _series_gather(params, k % (params.q - 1)).items()}
     if rest is not None:
         _expand(params, terms, {rest: 1}, _s_to_l_columns(params))
-    return _element(params, "L", terms)
+    return terms
 
 
 @memo(_field_key)
@@ -88,15 +89,16 @@ def _glover_checkpoint(params: FieldParams) -> list:
     return [(params.q - 1, cols[-2], cols[-1]), [(cols[-2], cols[-1])]]
 
 
-def _reduce_symm_base_slow(params: FieldParams, k: int) -> RingElement:
-    """[S_k] by the Glover recursion alone: the base-change column for k < q,
-    and past it ``_glover_step`` resumed from the nearer of the field's last
-    stop, when k is at least its k, and the highest fixed stop at or below
-    k, so at most q-1 steps for every k up to the highest fixed stop."""
+def _reduce_symm_base_slow(params: FieldParams, k: int) -> dict[Label, int]:
+    """[S_k] as a label dict (a table's, not to be changed) by the Glover
+    recursion alone: the base-change column for k < q, and past it
+    ``_glover_step`` resumed from the nearer of the field's last stop, when
+    k is at least its k, and the highest fixed stop at or below k, so at
+    most q-1 steps for every k up to the highest fixed stop."""
     q = params.q
     cols = _s_to_l_columns(params)
     if k < q:
-        return _element(params, "L", cols[k])
+        return cols[k]
     checkpoint = _glover_checkpoint(params)
     (n, prev2, prev), stops = checkpoint
     i = min((k + 1) // q, len(stops)) - 1
@@ -111,7 +113,7 @@ def _reduce_symm_base_slow(params: FieldParams, k: int) -> RingElement:
     # one assignment once the walk is done: a walk that raises leaves the
     # stops as they were
     checkpoint[:] = (k, prev2, prev), stops
-    return _element(params, "L", prev)
+    return prev
 
 
 def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
@@ -130,16 +132,14 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
     if k < 0:
         raise ValueError(f"k = {k} must be >= 0")
     if method == "fast":
-        base = _reduce_symm_base_fast(params, k)
+        terms = _reduce_symm_base_fast(params, k)
     elif method == "slow":
-        base = _reduce_symm_base_slow(params, k)
+        terms = _reduce_symm_base_slow(params, k)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if m:
-        base = base.det_twist(m)
-    if j % params.f:
-        base = base.frobenius_twist(j)
-    return base
+    if m or j % params.f:
+        terms = _twist(params, terms, m, j)
+    return _element(params, "L", terms)
 
 
 def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
@@ -152,9 +152,8 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     the sum over i of R_1...R_(i-1) P_i F_(i+1)...F_r, plus R_1...R_r by
     ``multiply``. The V-part's count of V(alpha - c2, c2) is the coefficient
     of x^c2, and a label sums the counts of the c2 in its gather list. A
-    remainder S_w(v+m)^[j] is the base-change column of S_w with each label
-    (a, x) sent to (theta^j a, p^j (x+v+m)), theta^j being a times p^j mod
-    q-1 but on a = q-1, which it fixes.
+    remainder S_w(v+m)^[j] is the base-change column of S_w relabelled by
+    ``_twist``.
 
     A polynomial is one int with ``bits`` bits per coefficient: the
     coefficients are nonnegative and at most the product's dimension, so
@@ -195,10 +194,8 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
         elif prefix:
             w, v = rest
             prefix = times(prefix, weights(w, v + m, pj))
-            # S_w(v+m)^[j] from the base-change column of S_w
-            rests.append(_element(params, "L", {
-                (a if a == n else a * pj % n, (x + v + m) * pj % n): c
-                for (a, x), c in _s_to_l_columns(params)[w].items()}))
+            rests.append(_element(params, "L", _twist(
+                params, _s_to_l_columns(params)[w], v + m, j)))
     slot = (1 << bits) - 1
     counts = [series >> bits * c2 & slot for c2 in range(n)]
     terms = {lbl: sum(map(counts.__getitem__, c2s)) for lbl, c2s

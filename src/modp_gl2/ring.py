@@ -183,19 +183,13 @@ class RingElement:
 
     def det_twist(self, i: int) -> "RingElement":
         """Shift every label (n, m) to (n, m + i); works in either basis."""
-        qm1 = self.params.q - 1
         return _element(self.params, self.basis,
-                        {(n, (m + i) % qm1): c
-                         for (n, m), c in self.terms.items()})
+                        _twist(self.params, self.terms, i))
 
     def frobenius_twist(self, j: int = 1) -> "RingElement":
         """Apply the j-th power of Frobenius: (n, m) -> (theta^j n, theta^j m)."""
         v = self.to_basis("L")
-        pr = self.params
-        out: dict[Label, Coeff] = {}
-        for (n, m), c in v.terms.items():
-            out[(pr.theta_label(n, j), pr.theta_residue(m, j))] = c
-        res = _element(pr, "L", out)
+        res = _element(v.params, "L", _twist(v.params, v.terms, 0, j))
         return res if self.basis == "L" else res.to_basis(self.basis)
 
     # -- basis change ------------------------------------------------------
@@ -251,6 +245,18 @@ class RingElement:
             return cls(params, data["basis"], terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed element JSON: {exc!r}") from None
+
+
+def _twist(params: FieldParams, terms: Mapping[Label, Coeff], m: int = 0,
+           j: int = 0) -> dict[Label, Coeff]:
+    """Twist a label dict by det^m, then Frobenius^j: (a, x) -> (theta^j a,
+    p^j (x + m)) mod q-1, theta^j rotating the base-p digits of a, which is
+    a p^j mod q-1 but on a = q-1, all digits p-1, which it fixes. A bijection
+    on labels, so no terms merge; valid in the S basis for j = 0 only."""
+    qm1 = params.q - 1
+    pj = pow(params.p, j % params.f, qm1)
+    return {(a if a == qm1 else a * pj % qm1, (x + m) * pj % qm1): c
+            for (a, x), c in terms.items()}
 
 
 def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],

@@ -299,6 +299,11 @@ def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
     "--factors 5:0",
     "--p 3 --f 2 principal-series --n 8",
     "--p 5 bm qp --rho-n 9 --a-max 3",
+    # flags that exclude each other
+    "--p 3 decompose --symm 4 --factors 7:1",
+    "--p 3 decompose --det 1 --factors 7:1",
+    "--p 3 decompose --det 1 --frob 1 --factors 7:1",
+    "--p 3 omega --all --n 1",
 ])
 def test_invalid_input_is_a_validation_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -1,6 +1,6 @@
 import pytest
 
-from modp_gl2 import FieldParams
+from modp_gl2 import FieldParams, RingElement
 from modp_gl2.params import Q_CAP, is_prime
 
 
@@ -39,31 +39,36 @@ def test_digits_roundtrip():
 
 
 def test_theta_label():
+    # theta on labels, through the Frobenius twist of L_n(m)
     p9 = FieldParams(3, 2)
-    assert p9.theta_label(5, 1) == 7
-    assert FieldParams(3, 1).theta_label(2, 1) == 2
+    assert RingElement.L(p9, 5, 1).frobenius_twist(1) == RingElement.L(p9, 7, 3)
+    p3 = FieldParams(3, 1)
+    assert RingElement.L(p3, 2, 1).frobenius_twist(1) == RingElement.L(p3, 2, 1)
     # theta has order f on labels
     for n in range(9):
-        assert p9.theta_label(n, 2) == n
+        for m in range(8):
+            v = RingElement.L(p9, n, m)
+            assert v.frobenius_twist(2) == v
 
 
 def test_theta_label_rotates_digits_on_every_field():
-    # reference: rotate the f base-p digits up by j mod f places
+    # reference: Frobenius^j sends L_n(m) to L_n'(m p^j), n' the f base-p
+    # digits of n rotated up by j mod f places; q-1, all digits p-1, is fixed
     fields = [FieldParams(p, f) for p in range(2, Q_CAP + 1) if is_prime(p)
               for f in range(1, Q_CAP.bit_length()) if p ** f <= Q_CAP]
     assert len(fields) == 27
     for params in fields:
         p, f, q = params.p, params.f, params.q
         for j in range(-f, 2 * f):
+            r = j % f
             for n in range(q):
                 digits = [n // p ** i % p for i in range(f)]
-                r = j % f
                 rotated = digits[f - r:] + digits[:f - r]
                 expected = sum(d * p ** i for i, d in enumerate(rotated))
-                assert params.theta_label(n, j) == expected, (q, j, n)
-        for n in (-1, q):
-            with pytest.raises(ValueError):
-                params.theta_label(n, 1)
+                for m in (0, 1, q - 2, 5 * q):
+                    got = RingElement.L(params, n, m).frobenius_twist(j)
+                    assert got.terms == {
+                        (expected, m * p ** r % (q - 1)): 1}, (q, j, n, m)
 
 
 def test_theta_residue():

@@ -11,6 +11,7 @@ from modp_gl2 import (
     SymmFactor,
     diamond_decompose,
     multiply,
+    oracle_decompose,
     reduce_product,
     reduce_symm,
     symm_to_L,
@@ -310,17 +311,26 @@ def test_fast_product_equals_slow_and_the_fold(p, f):
 @pytest.mark.parametrize("p, f", [(2, 3), (3, 2), (2, 4), (3, 3)])
 def test_fast_product_twists_a_remainder_s_q_minus_1(p, f):
     # remainders S_(q-1)(v+m)^[j], j != 0 mod f, hold L_(q-1), which theta
-    # fixes: the fast product against the multiply fold
+    # fixes: the fast product against the multiply fold and, as both twist
+    # through ring._twist, against the Brauer oracle, which shares no code
+    # with either
     params = FieldParams(p, f)
     q = params.q
     tops = [SymmFactor(q - 1, 2, 1),
             SymmFactor(3 * (q + 1) + q - 1, q, f - 1),
             SymmFactor(q * q - 1 + 5 * (q + 1) + q - 1, 1, -1)]
+    for factor in tops:
+        oracle = oracle_decompose(params, [factor])
+        for method in ("fast", "slow"):
+            assert reduce_symm(params, factor, method=method) == oracle, \
+                (q, factor, method)
     for factors in ([tops[0], tops[1]], [tops[2], SymmFactor(4, 1, 1)],
                     tops):
+        fast = reduce_product(params, factors)
         fold = reduce(multiply, [reduce_symm(params, factor)
                                  for factor in factors])
-        assert reduce_product(params, factors) == fold, (q, factors)
+        assert fast == fold, (q, factors)
+        assert fast == oracle_decompose(params, factors), (q, factors)
 
 
 def test_central_character(p9):
