@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pairs of independent routes against each other on every field q <= 64.
 
-For each of the 27 fields, four checks run on the field's shared memoized
+For each of the 27 fields, five checks run on the field's shared memoized
 tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 
 - products: ``reduce_product`` (principal series absorbing the product)
@@ -21,7 +21,11 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
   the q-1 principal series against those series expanded term by term
   through the V_n table, for seeded counts, and both the length of each
   label's entry and N ``s_alpha(alpha)``, N = q^2 - 1, against the map
-  omega(n) on each label L_n(m) with n + 2m = alpha (mod q-1).
+  omega(n) on each label L_n(m) with n + 2m = alpha (mod q-1);
+- reflection: [S_w(v)] + [S_(q-1-w)(v+w)] from the base-change columns
+  against the principal series [V_(w mod (q-1))(v)] from the V_n table,
+  at every w < q and v in {0, 1, q-2}: the identity by which the fast
+  route trades a remainder S_w with 2w >= q for one more series.
 
 Prints one line per field and exits 1 on any mismatch. A check that raises
 counts as one mismatch on its field, and the sweep goes on.
@@ -38,9 +42,9 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from modp_gl2 import (FieldParams, RingElement, SymmFactor, multiply, omega,
-                      operator_norm, reduce_product, reduce_symm, residual,
-                      s_alpha)
+from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
+                      multiply, omega, operator_norm, reduce_product,
+                      reduce_symm, residual, s_alpha, symm_to_L)
 from modp_gl2.params import Q_CAP, is_prime
 from modp_gl2.principal import _diamond_columns, _series_gather
 from modp_gl2.ring import _expand, _products
@@ -141,8 +145,19 @@ def gather(params, rng):
                == RingElement(params, "L", omegas))
 
 
+def reflection(params, rng):
+    """Yield ((w, v), agree) for [S_w(v)] + [S_(q-1-w)(v+w)] against
+    [V_(w mod (q-1))(v)]."""
+    q = params.q
+    for w in range(q):
+        for v in sorted({0, 1, q - 2}):
+            yield (f"w = {w}, v = {v}", symm_to_L(params, w, v)
+                   + symm_to_L(params, q - 1 - w, v + w)
+                   == diamond_decompose(params, w % (q - 1), v % (q - 1)))
+
+
 CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
-          ("alphas", gather))
+          ("alphas", gather), ("identities", reflection))
 
 
 def tally(counts):

@@ -14,19 +14,26 @@ q-1 series V_((alpha-2c2) mod (q-1))(c2), and the table lists for each
 label the c2 whose series hold it. They must agree exactly; the fast one is
 O(q) per call. Both give [S_k]; ``_twist`` relabels it once into S_k(m)^[j].
 
+The fast route keeps a remainder S_w(v) only when 2w < q. The principal
+series give [S_w(v)] + [S_(q-1-w)(v+w)] = [V_(w mod (q-1))(v)] for every
+w < q (Diamond's two constituents of a principal series), so a longer
+remainder becomes one more series minus S_(q-1-w)(v+w), and S_q(v), where
+S_(-1) is 0, is that series alone.
+
 A product of two or more factors splits each factor the fast route's way,
 into a V-part (its principal series, N S-hat_k among them, as
 N S-hat_alpha is the sum of the q-1 series [V_chi] of central character
-alpha) and a remainder S_w(v) with w < q. A principal series absorbs a
-tensor product: [V_chi][X] is the sum of [V_(chi psi)] over the torus
-weights psi of X, since X restricted to the Borel has those weights as its
-composition factors. So the V-part of the product is a sum of cyclic
-convolutions over Z/(q-1) of the factors' series and weights, a count per
-c2 read into each label through the gather table, and only the remainders'
-product goes through ``multiply``, each remainder twisted by ``_twist``
-straight from its base-change column. The slow route folds the factors'
-slow classes through ``multiply``; it shares only ``_twist`` with the fast
-product, so the Brauer oracle checks twisted factors independently."""
+alpha) and a signed remainder S_w(v) with 2w < q. A principal series
+absorbs a tensor product: [V_chi][X] is the sum of [V_(chi psi)] over the
+torus weights psi of X, since X restricted to the Borel has those weights
+as its composition factors. So the V-part of the product is a sum of
+cyclic convolutions over Z/(q-1) of the factors' series and weights, a
+count per c2 read into each label through the gather table, and only the
+remainders' product goes through ``multiply``, so every remainder it sees
+has 2w < q, each twisted by ``_twist`` straight from its base-change
+column. The slow route folds the factors' slow classes through
+``multiply``; it shares only ``_twist`` with the fast product, so the
+Brauer oracle checks twisted factors independently."""
 
 from __future__ import annotations
 
@@ -50,31 +57,35 @@ class SymmFactor(NamedTuple):
     j: int = 0
 
 
-def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None]:
-    """k = u N + v(q+1) + w with N = q^2 - 1 and w <= q, as (u, s, rest):
-    [S_k] is u N S-hat_k, the s principal series V_(k-2i)(i), i < s, and the
-    remainder [S_rest], rest = (w, v). s = v, but for w = q, where S_q(v) is
-    the series V_(k-2v)(v), as k - 2v = q (mod q-1): then s = v+1 and rest
-    is None."""
+def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None, int]:
+    """k = u N + v(q+1) + w with N = q^2 - 1 and w <= q, as (u, s, rest,
+    sign): [S_k] is u N S-hat_k, the s principal series V_(k-2i)(i), i < s,
+    and sign [S_rest]. For 2w < q that is s = v, rest = (w, v), sign = +1.
+    Otherwise [S_w(v)] = [V_w(v)] - [S_(q-1-w)(v+w)], V_w(v) being series
+    v, as k - 2v = w (mod q-1): s = v+1, rest = (q-1-w, v+w), sign = -1,
+    and at w = q, where S_(-1) is 0, rest is None. So 2w' < q for every
+    remainder S_w'."""
     q = params.q
     u, rem = divmod(k, q * q - 1)
     v, w = divmod(rem, q + 1)
-    return (u, v + 1, None) if w == q else (u, v, (w, v))
+    if 2 * w < q:
+        return u, v, (w, v), 1
+    return u, v + 1, (q - 1 - w, v + w) if w < q else None, -1
 
 
 def _reduce_symm_base_fast(params: FieldParams, k: int) -> dict[Label, int]:
     """[S_k] as an L-basis label dict from its ``_split``: the series and
     u N S-hat_k from the gather table of central character k, the remainder
-    through a base-change column. Series i < s sit at c2 = i, so a label
-    holds the entries of its gather list below s; u N S-hat_k, the sum of
-    all q-1 series u times, adds u to each."""
-    u, s, rest = _split(params, k)
+    through a base-change column, scaled by its sign. Series i < s sit at
+    c2 = i, so a label holds the entries of its gather list below s;
+    u N S-hat_k, the sum of all q-1 series u times, adds u to each."""
+    u, s, rest, sign = _split(params, k)
     terms = {}
     if u or s:
         terms = {lbl: u * len(c2s) + bisect_left(c2s, s) for lbl, c2s
                  in _series_gather(params, k % (params.q - 1)).items()}
     if rest is not None:
-        _expand(params, terms, {rest: 1}, _s_to_l_columns(params))
+        _expand(params, terms, {rest: 1}, _s_to_l_columns(params), sign)
     return terms
 
 
@@ -148,16 +159,22 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     0 <= i <= k, of S_k(m)^[j]. A factor's series and weights share its
     central character, so each is a polynomial in x mod x^(q-1) - 1, x^c2
     for V(c1, c2) or the weight (c1, c2), and a product convolves them.
-    With F_i = P_i + R_i from ``_split``, P_i the series, the product is
-    the sum over i of R_1...R_(i-1) P_i F_(i+1)...F_r, plus R_1...R_r by
-    ``multiply``. The V-part's count of V(alpha - c2, c2) is the coefficient
-    of x^c2, and a label sums the counts of the c2 in its gather list. A
-    remainder S_w(v+m)^[j] is the base-change column of S_w relabelled by
-    ``_twist``.
+    With F_i = P_i + e_i R_i from ``_split``, P_i the series and e_i the
+    sign, the product is the sum over i of e_1...e_(i-1) R_1...R_(i-1) P_i
+    F_(i+1)...F_r, plus e_1...e_r R_1...R_r by ``multiply``. The V-part's
+    count of V(alpha - c2, c2) is the coefficient of x^c2, and a label sums
+    the counts of the c2 in its gather list. A remainder S_w(v+m)^[j] is
+    the base-change column of S_w relabelled by ``_twist``.
 
-    A polynomial is one int with ``bits`` bits per coefficient: the
-    coefficients are nonnegative and at most the product's dimension, so
-    one int product, folded at x^(q-1), convolves two polynomials.
+    A polynomial is one int with ``bits`` bits per coefficient, and the
+    V-part is ``plus`` - ``minus``, the terms of each sign kept apart, so
+    every coefficient is nonnegative and one int product, folded at
+    x^(q-1), convolves two polynomials. Each factor has k + 1 weights, and
+    its c series (u N S-hat_k counting u(q-1)) and the d weights of its
+    remainder add up to at most k + 1: (q+1) c is k + 1 - d for a kept
+    remainder and k + 1 + d for a reflected one, where 2d <= q <= qc. So,
+    term by term, the coefficients of ``plus`` + ``minus`` sum to at most
+    the product of the k + 1, which ``bits`` holds.
     """
     for k, _, _ in factors:
         if k < 0:
@@ -178,31 +195,37 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
         c = a * b
         return (c & ((1 << size) - 1)) + (c >> size)
 
-    # after factor i: ``series`` is the V-part of F_1...F_i, all of it but
-    # R_1...R_i, whose weights are ``prefix`` (0 once a remainder is
-    # missing) and whose classes are ``rests``; alpha is the central
-    # character
-    series, prefix, alpha, rests = 0, 1, 0, []
+    # after factor i: ``plus`` - ``minus`` is the V-part of F_1...F_i, all
+    # of it but sign R_1...R_i, whose weights are ``prefix`` (0 once a
+    # remainder is missing) and whose classes are ``rests``; alpha is the
+    # central character
+    plus, minus, prefix, sign, alpha, rests = 0, 0, 1, 1, 0, []
     for k, m, j in factors:
         pj = pow(p, j, n)
         alpha += pj * (k + 2 * m)
-        u, s, rest = _split(params, k)
-        own = poly((pj * (i + m) for i in range(s)), u)
-        series = times(series, weights(k, m, pj)) + times(prefix, own)
+        u, s, rest, e = _split(params, k)
+        own = times(prefix, poly((pj * (i + m) for i in range(s)), u))
+        full = weights(k, m, pj)
+        plus, minus = times(plus, full), times(minus, full)
+        if sign > 0:
+            plus += own
+        else:
+            minus += own
         if rest is None:
             prefix = 0
         elif prefix:
             w, v = rest
-            prefix = times(prefix, weights(w, v + m, pj))
+            prefix, sign = times(prefix, weights(w, v + m, pj)), sign * e
             rests.append(_element(params, "L", _twist(
                 params, _s_to_l_columns(params)[w], v + m, j)))
     slot = (1 << bits) - 1
-    counts = [series >> bits * c2 & slot for c2 in range(n)]
+    counts = [(plus >> bits * c2 & slot) - (minus >> bits * c2 & slot)
+              for c2 in range(n)]
     terms = {lbl: sum(map(counts.__getitem__, c2s)) for lbl, c2s
              in _series_gather(params, alpha % n).items()}
     if prefix:
         for lbl, c in reduce(multiply, rests).terms.items():
-            terms[lbl] = terms.get(lbl, 0) + c
+            terms[lbl] = terms.get(lbl, 0) + sign * c
     return _element(params, "L", terms)
 
 

@@ -243,6 +243,7 @@ def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+FIELDS_TO_16 = SMALL_FIELDS + [(11, 1), (13, 1), (2, 4)]
 
 
 def _principal(params, c1, c2):
@@ -283,7 +284,7 @@ def test_principal_series_absorb_a_tensor_product(p, f):
                     assert got == expected, (params, b, t, c1, c2)
 
 
-@pytest.mark.parametrize("p, f", SMALL_FIELDS + [(11, 1), (13, 1), (2, 4)])
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
 def test_fast_product_equals_slow_and_the_fold(p, f):
     params = FieldParams(p, f)
     q = params.q
@@ -310,10 +311,13 @@ def test_fast_product_equals_slow_and_the_fold(p, f):
 
 @pytest.mark.parametrize("p, f", [(2, 3), (3, 2), (2, 4), (3, 3)])
 def test_fast_product_twists_a_remainder_s_q_minus_1(p, f):
-    # remainders S_(q-1)(v+m)^[j], j != 0 mod f, hold L_(q-1), which theta
-    # fixes: the fast product against the multiply fold and, as both twist
-    # through ring._twist, against the Brauer oracle, which shares no code
-    # with either
+    # S_(q-1)(v+m)^[j], j != 0 mod f, holds L_(q-1), which theta fixes:
+    # fast and slow reduce_symm of each factor, both twisting through
+    # ring._twist's fixed label q-1, and the fast product against the
+    # multiply fold and, as both twist through ring._twist, against the
+    # Brauer oracle, which shares no code with either. The fast product
+    # reflects these remainders into -S_0(v+m+q-1)^[j] and never multiplies
+    # an S_(q-1)
     params = FieldParams(p, f)
     q = params.q
     tops = [SymmFactor(q - 1, 2, 1),
@@ -331,6 +335,80 @@ def test_fast_product_twists_a_remainder_s_q_minus_1(p, f):
                                  for factor in factors])
         assert fast == fold, (q, factors)
         assert fast == oracle_decompose(params, factors), (q, factors)
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_remainder_reflection_identity(p, f):
+    # [S_w(v)] + [S_(q-1-w)(v+w)] = [V_(w mod (q-1))(v)] for every w < q,
+    # by the base-change columns and the V_n table alone
+    params = FieldParams(p, f)
+    q = params.q
+    for w in range(q):
+        for v in {0, 1, q - 2}:
+            assert symm_to_L(params, w, v) + symm_to_L(params, q - 1 - w,
+                                                       v + w) \
+                == diamond_decompose(params, w % (q - 1), v % (q - 1)), \
+                (q, w, v)
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_split_reflects_every_long_remainder(p, f):
+    # every remainder the fast route keeps has 2w < q, and the series and
+    # the signed remainder add up to dim S_k
+    params = FieldParams(p, f)
+    q = params.q
+    period = q * q - 1
+    for k in range(2 * period + q):
+        u, s, rest, sign = reduction._split(params, k)
+        assert sign in (1, -1), (q, k)
+        w = -1 if rest is None else rest[0]
+        assert 2 * w < q, (q, k, rest)
+        assert k + 1 == u * period + s * (q + 1) + sign * (w + 1), (q, k)
+
+
+def _boundary_factors(params):
+    """Factors k = u N + v(q+1) + w, u in {0, 2}, at the edges of the
+    reflection, by what ``_split`` does with S_w(v): w in {0, (q-1) div 2}
+    keep it, w in {ceil(q/2), q-1} reflect it, and w = q leaves none."""
+    q, f = params.q, params.f
+    kinds = {"keep": {0, (q - 1) // 2}, "reflect": {(q + 1) // 2, q - 1},
+             "none": {q}}
+    return {kind: [SymmFactor(u * (q * q - 1) + v * (q + 1) + w, v + u,
+                              w % (f + 1) - 1)
+                   for u in (0, 2) for w in sorted(ws)
+                   for v in [(3 * w + u) % (q - 1)]]
+            for kind, ws in kinds.items()}
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS + [(2, 4)])
+def test_fast_product_across_the_reflection(p, f):
+    # every sign pattern of two and three factors: none reflected, mixed
+    # and all reflected, where the signed V-part counts go negative, and
+    # with a factor that leaves no remainder
+    params = FieldParams(p, f)
+    kinds = _boundary_factors(params)
+    classes = {}
+    for kind, factors in kinds.items():
+        for factor in factors:
+            _, _, rest, sign = reduction._split(params, factor.k)
+            assert (rest is None, sign) == {"keep": (False, 1),
+                                            "reflect": (False, -1),
+                                            "none": (True, -1)}[kind]
+            classes[factor] = reduce_symm(params, factor)
+            assert classes[factor] == reduce_symm(params, factor,
+                                                  method="slow"), \
+                (params, factor)
+    for r in (2, 3):
+        for t, pattern in enumerate(product(kinds, repeat=r)):
+            for offset in range(4):
+                factors = [kinds[kind][(t + offset + i) % len(kinds[kind])]
+                           for i, kind in enumerate(pattern)]
+                fast = reduce_product(params, factors)
+                assert fast == reduce(multiply, map(classes.get, factors)), \
+                    (params, factors)
+                if params.q <= 9:
+                    assert fast == oracle_decompose(params, factors), \
+                        (params, factors)
 
 
 def test_central_character(p9):
