@@ -47,7 +47,7 @@ from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
                       reduce_symm, residual, s_alpha, symm_to_L)
 from modp_gl2.params import Q_CAP, is_prime
 from modp_gl2.principal import _diamond_columns, _series_gather
-from modp_gl2.ring import _expand, _products
+from modp_gl2.ring import _expand, structure_constants
 
 PRODUCTS = 10     # per factor count r and bound on k
 ELEMENTS = 5      # residuals and mixes, each
@@ -84,7 +84,8 @@ def per_b_norm(v):
     scaled = {lbl: c.numerator * (d // c.denominator)
               for lbl, c in v.terms.items()}
     rows = [0] * params.q
-    for times_b in _products(params):
+    for b in range(params.q):
+        times_b = [structure_constants(params, a, b) for a in range(params.q)]
         for (n, _), c in _expand(params, {}, scaled, times_b).items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)

@@ -38,10 +38,12 @@ def norm_S_1(v: RingElement) -> Fraction:
 @memo(_field_key)
 def _norm_products(params: FieldParams) -> list[tuple]:
     """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
-    triple (2(bq + n), y, k), read by ``operator_norm``."""
-    q = params.q
-    return [tuple((2 * (b * q + n), y, k) for b, terms in enumerate(row)
-                  for (n, y), k in terms.items()) for row in _products(params)]
+    triple (2(bq + n), y, k), read by ``operator_norm``; n is read off the
+    flat row's key n(q-1)."""
+    q, qm1 = params.q, params.q - 1
+    return [tuple((2 * (b * q + nb // qm1), y, k)
+                  for b, terms in enumerate(row) for nb, y, k in terms)
+            for row in _products(params)]
 
 
 def operator_norm(v: RingElement) -> Fraction:
@@ -129,12 +131,12 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     the row sums of S-hat_i are (t_(i+N) - t_i) / N. Each t_r is checked
     exactly against the dimension: sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b.
     """
-    q = params.q
+    q, qm1 = params.q, params.q - 1
     period = q * q - 1
     M: list[dict[int, int]] = [{} for _ in range(q)]   # sparse rows
     for a, row in enumerate(_l1_rows(params)):
-        for (n, _), k in row.items():
-            M[a][n] = M[a].get(n, 0) + k
+        for nb, _, k in row:
+            M[a][nb // qm1] = M[a].get(nb // qm1, 0) + k
     dims = _dims(params)
     heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
     prev, cur = [0] * q, [1] * q

@@ -15,6 +15,13 @@ is S_1 in slot 0, so [L_a][L_1] takes one carry along the slots. As
 [L_(b-1)][L_1] is [L_b] plus classes of lower labels, every [L_a][L_b]
 follows by recursion on b. The Glover recursion
 [S_n] = [S_(n-1)][L_1] - [S_(n-2)](1) gives the S <-> L base change.
+
+The rows [L_a][L_1] and [L_a][L_b] are flat: tuples of triples
+(n(q-1), x, k) for the term k L_n(x), so that n(q-1) + x is the label's
+int key. ``multiply``, ``_glover_step`` and the product-table build add
+into dicts on these keys through ``_convolve`` and turn a key back into
+its label (n, x) = divmod(key, q-1) only for the result they return;
+``structure_constants`` returns a row with its labels.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .params import FieldParams
 
 Label = tuple[int, int]
 Coeff = int | Fraction
+Row = tuple[tuple[int, int, int], ...]
 
 
 def _fill(v: "RingElement", params: FieldParams, basis: str,
@@ -263,9 +271,9 @@ def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
             columns, scale: Coeff = 1, shift: int = 0) -> dict:
     """Add scale * c * columns[n], twisted by m + shift, to ``out`` for each
     term (n, m) -> c; return ``out``, zeros kept. The maps applied to classes
-    here (products, S <-> L base change, V_n to its constituents) commute
-    with the determinant twist, so their columns on the untwisted labels
-    (n, 0), one per-field table each, give them: one loop."""
+    here (S <-> L base change, V_n to its constituents) commute with the
+    determinant twist, so their columns on the untwisted labels (n, 0), one
+    per-field table each, give them: one loop."""
     qm1 = params.q - 1
     get = out.get
     for (n, m), c in terms.items():
@@ -291,56 +299,89 @@ def _dims(params: FieldParams) -> tuple[int, ...]:
                  for n in range(params.q))
 
 
+def _convolve(qm1: int, acc: dict[int, Coeff], terms, rows, scale: Coeff = 1,
+              shift: int = 0) -> dict[int, Coeff]:
+    """Add scale * c * rows[i], twisted by t + shift, to ``acc`` for each
+    term (i, t, c); return ``acc``, zeros kept. A row entry (n(q-1), x, k)
+    adds at the int key n(q-1) + (x + t + shift) mod q-1. The products
+    commute with the determinant twist, so the flat rows on the untwisted
+    labels give them all: the one loop of ``multiply``, ``_glover_step``
+    and the product-table build."""
+    get = acc.get
+    for i, t, c in terms:
+        c *= scale
+        t += shift
+        for nb, x, k in rows[i]:
+            key = nb + (t + x) % qm1
+            acc[key] = get(key, 0) + c * k
+    return acc
+
+
+def _flat(qm1: int, acc: dict[int, int]) -> Row:
+    """The nonzero entries of an int-keyed accumulator as a flat row."""
+    return tuple((key - key % qm1, key % qm1, c)
+                 for key, c in acc.items() if c)
+
+
 @memo(_field_key)
-def _l1_rows(params: FieldParams) -> list[dict[Label, int]]:
-    """[L_a][L_1] in the L basis for a < q. L_1 is S_1 in slot 0; tensoring
-    S_1 into slot i sends S_d to S_(d+1) + S_(d-1)(p^i), and at d = p-1 the
-    S_p made is S_(p-2)(p^i) plus S_0 with S_1 carried into slot i+1 mod f,
-    a carry that stops at the first slot below p-1 (at worst one it zeroed)."""
+def _l1_rows(params: FieldParams) -> list[Row]:
+    """[L_a][L_1] in the L basis for a < q, as flat rows. L_1 is S_1 in slot
+    0; tensoring S_1 into slot i sends S_d to S_(d+1) + S_(d-1)(p^i), and at
+    d = p-1 the S_p made is S_(p-2)(p^i) plus S_0 with S_1 carried into slot
+    i+1 mod f, a carry that stops at the first slot below p-1 (at worst one
+    it zeroed)."""
     p, f, qm1 = params.p, params.f, params.q - 1
     rows = []
     for a in range(params.q):
-        row: dict[Label, int] = {}
+        row: dict[int, int] = {}
         digits, i = params.digits(a), 0
         while digits[i] == p - 1:
             # S_(p-2)(p^i) twice: once from S_(d-1)(p^i), once from S_p
-            lbl = (params.from_digits(digits) - p ** i, p ** i % qm1)
-            row[lbl] = row.get(lbl, 0) + 2
+            key = (params.from_digits(digits) - p ** i) * qm1 + p ** i % qm1
+            row[key] = row.get(key, 0) + 2
             digits[i] = 0
             i = (i + 1) % f
         n, pi = params.from_digits(digits), p ** i
-        for lbl in [(n + pi, 0)] + [(n - pi, pi % qm1)] * (digits[i] > 0):
-            row[lbl] = row.get(lbl, 0) + 1
-        rows.append(row)
+        keys = [(n + pi) * qm1] + [(n - pi) * qm1 + pi % qm1] * (digits[i] > 0)
+        for key in keys:
+            row[key] = row.get(key, 0) + 1
+        rows.append(_flat(qm1, row))
     return rows
 
 
 @memo(_field_key)
-def _products(params: FieldParams) -> list[list[dict[Label, int]]]:
-    """[L_a][L_b] (twists shifted out) for a, b < q. [L_(b-1)][L_1] is [L_b]
-    plus classes of labels below b, so [L_a][L_b] is [L_a][L_(b-1)][L_1] less
-    [L_a] times those, all earlier in the table. Entries [a][b] and [b][a]
-    are one dict."""
-    q = params.q
+def _products(params: FieldParams) -> list[list[Row]]:
+    """[L_a][L_b] (twists shifted out) for a, b < q, as flat rows.
+    [L_(b-1)][L_1] is [L_b] plus classes of labels below b, so [L_a][L_b] is
+    [L_a][L_(b-1)][L_1] less [L_a] times those, all earlier in the table.
+    Entries [a][b] and [b][a] are one row. The build reads a flat row as
+    terms, whose first entries are keys n(q-1): the rows it convolves with
+    are looked up by key."""
+    q, qm1 = params.q, params.q - 1
     rows = _l1_rows(params)
-    rests = [{lbl: -c for lbl, c in row.items() if lbl != (b + 1, 0)}
+    by_key = {n * qm1: row for n, row in enumerate(rows)}
+    rests = [tuple((nb, x, -k) for nb, x, k in row
+                   if (nb, x) != ((b + 1) * qm1, 0))
              for b, row in enumerate(rows)]
     table: list[list] = [[None] * q for _ in range(q)]
-    table[0][0] = {(0, 0): 1}
+    table[0][0] = ((0, 0, 1),)
     for a in range(q):
+        known = {m * qm1: table[a][m] for m in range(max(a, 1))}
         for b in range(max(a, 1), q):
-            acc = _expand(params, {}, table[a][b - 1], rows)
-            _expand(params, acc, rests[b - 1], table[a])
-            table[a][b] = table[b][a] = {k: c for k, c in acc.items() if c}
+            acc = _convolve(qm1, {}, table[a][b - 1], by_key)
+            _convolve(qm1, acc, rests[b - 1], known)
+            table[a][b] = table[b][a] = known[b * qm1] = _flat(qm1, acc)
     return table
 
 
 def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, int]:
     """L-basis expansion of [L_a][L_b] (twists shifted out): label -> coeff,
-    a read-only view of the memoized table."""
+    a fresh read-only map built from the memoized flat row."""
     if not (0 <= a < params.q and 0 <= b < params.q):
         raise ValueError(f"labels {a}, {b} out of range [0, {params.q - 1}]")
-    return MappingProxyType(_products(params)[a][b])
+    qm1 = params.q - 1
+    return MappingProxyType({(nb // qm1, x): k
+                             for nb, x, k in _products(params)[a][b]})
 
 
 def multiply(v: RingElement, w: RingElement) -> RingElement:
@@ -348,13 +389,16 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     if (v.params.p, v.params.f) != (w.params.p, w.params.f):
         raise ValueError("field parameter mismatch")
     params = v.params
+    qm1 = params.q - 1
     v = v.to_basis("L")
     w = w.to_basis("L")
     products = _products(params)
-    out: dict[Label, Coeff] = {}
+    flat_w = [(b, y, c) for (b, y), c in w.terms.items()]
+    acc: dict[int, Coeff] = {}
     for (a, x), cv in v.terms.items():
-        _expand(params, out, w.terms, products[a], cv, x)
-    return _element(params, "L", out)
+        _convolve(qm1, acc, flat_w, products[a], cv, x)
+    return _element(params, "L", {divmod(key, qm1): c
+                                  for key, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +407,16 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
 def _glover_step(params: FieldParams, prev: Mapping[Label, int],
                  prev2: Mapping[Label, int]) -> dict[Label, int]:
     """[S_n] from [S_{n-1}] and [S_{n-2}], all as L-basis label dicts, by the
-    Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1); zeros dropped."""
+    Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1); zeros dropped.
+    The sum is taken on int keys against the flat rows [L_a][L_1]."""
     qm1 = params.q - 1
-    rows = _l1_rows(params)
-    acc: dict[Label, int] = {}
-    for (a, x), c in prev.items():
-        for (b, t), k in rows[a].items():
-            lbl = (b, (t + x) % qm1)
-            acc[lbl] = acc.get(lbl, 0) + c * k
+    acc = _convolve(qm1, {}, [(a, x, c) for (a, x), c in prev.items()],
+                    _l1_rows(params))
+    get = acc.get
     for (a, x), c in prev2.items():
-        lbl = (a, (x + 1) % qm1)
-        acc[lbl] = acc.get(lbl, 0) - c
-    return {k: c for k, c in acc.items() if c != 0}
+        key = a * qm1 + (x + 1) % qm1
+        acc[key] = get(key, 0) - c
+    return {divmod(key, qm1): c for key, c in acc.items() if c}
 
 
 @memo(_field_key)

@@ -28,7 +28,7 @@ from modp_gl2 import (
     t_shift_candidates,
 )
 from modp_gl2.asymptotics import _class_norms
-from modp_gl2.ring import _expand, _products
+from modp_gl2.ring import _expand, structure_constants
 
 # every field with q <= 16
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
@@ -77,7 +77,8 @@ def per_b_norm(v):
     scaled = {lbl: c.numerator * (d // c.denominator)
               for lbl, c in v.terms.items()}
     rows = [0] * params.q
-    for times_b in _products(params):
+    for b in range(params.q):
+        times_b = [structure_constants(params, a, b) for a in range(params.q)]
         for (n, _), c in _expand(params, {}, scaled, times_b).items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)
