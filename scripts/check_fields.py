@@ -7,7 +7,10 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 - products: ``reduce_product`` (principal series absorbing the product)
   against the ``multiply`` fold of the factors' ``reduce_symm`` classes, on
   10 seeded products for each r = 2, 3 twisted S_k(m)^[j] and each bound
-  on k, 4,000 and 10^9;
+  on k, 4,000 and 10^9, then on the 13 edge products of the fast
+  product's run tables: k + 1 = -1, 0, 1 (mod q-1), k in {N-1, N, 2N+q},
+  k = v(q+1) + q, the product of the k + 1 at 2^8 - 1, 2^8 and 2^16, and
+  twists j in {-1, f, 2f+1} with m < 0;
 - norms: ``operator_norm`` against a per-b reference written here, the q
   products v * [L_b(0)], each expanded into a label dict from the rows of
   the product table, with |c| summed per n, on 5 seeded residuals r_V of
@@ -61,18 +64,35 @@ def fields():
                    if p ** f <= Q_CAP), key=lambda params: params.q)
 
 
+def edge_products(params):
+    """Products at the edges of the fast product's run tables: k + 1 = -1,
+    0, 1 (mod q-1), k in {N-1, N, 2N+q}, k = v(q+1) + q (no remainder),
+    the product of the k + 1 at 2^8 - 1, 2^8 and 2^16, and twists j in
+    {-1, f, 2f+1} with m < 0 among them."""
+    q, f = params.q, params.f
+    n, period = q - 1, q * q - 1
+    twists = [(-1, -1), (q - 2, f), (-q, 2 * f + 1)]
+    ks = [3 * n - 2, 3 * n - 1, 3 * n, period - 1, period, 2 * period + q,
+          2 * (q + 1) + q, period + q + 1 + q]
+    singles = [SymmFactor(k, *twists[i % 3]) for i, k in enumerate(ks)]
+    edges = [[a, b] for a, b in zip(singles, singles[1:] + singles[:1])]
+    edges.append(singles[:3])
+    for ks in ([14, 16], [15, 15], [255, 255], [15, 15, 255]):
+        edges.append([SymmFactor(k, *twists[i]) for i, k in enumerate(ks)])
+    return edges
+
+
 def products(params, rng):
-    """Yield (factors, agree) for the fast product against the fold."""
-    for r in (2, 3):
-        for k_limit in (4000, 10 ** 9):
-            for _ in range(PRODUCTS):
-                factors = [SymmFactor(rng.randrange(k_limit),
-                                      rng.randrange(params.q - 1),
-                                      rng.randrange(params.f))
-                           for _ in range(r)]
-                fold = reduce(multiply, [reduce_symm(params, factor)
-                                         for factor in factors])
-                yield factors, reduce_product(params, factors) == fold
+    """Yield (factors, agree) for the fast product against the fold: the
+    seeded products, then the edge products."""
+    drawn = [[SymmFactor(rng.randrange(k_limit), rng.randrange(params.q - 1),
+                         rng.randrange(params.f)) for _ in range(r)]
+             for r in (2, 3) for k_limit in (4000, 10 ** 9)
+             for _ in range(PRODUCTS)]
+    for factors in drawn + edge_products(params):
+        fold = reduce(multiply, [reduce_symm(params, factor)
+                                 for factor in factors])
+        yield factors, reduce_product(params, factors) == fold
 
 
 def per_b_norm(v):

@@ -153,6 +153,20 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
     return _element(params, "L", terms)
 
 
+@memo(lambda params, j, bits: (params.p, params.f, j % params.f, bits))
+def _runs(params: FieldParams, j: int, bits: int) -> list[int]:
+    """The run table of Frobenius twist j at ``bits`` bits per coefficient,
+    memoized on (p, f, j mod f, bits): entry L < q is x^0 + x^(p^j) + ... +
+    x^((L-1)p^j) mod x^(q-1) - 1, so entry q-1, as p^j is prime to q-1, is
+    the all-ones polynomial."""
+    n = params.q - 1
+    pj = pow(params.p, j % params.f, n)
+    runs = [0]
+    for i in range(n):
+        runs.append(runs[-1] + (1 << bits * (pj * i % n)))
+    return runs
+
+
 def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     """[F_1]...[F_r] by the module docstring's projection formula, with
     V(c1, c2) = V_(c1-c2)(c2) and the weights (p^j(k-i+m), p^j(i+m)),
@@ -166,34 +180,37 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     the counts of the c2 in its gather list. A remainder S_w(v+m)^[j] is
     the base-change column of S_w relabelled by ``_twist``.
 
-    A polynomial is one int with ``bits`` bits per coefficient, and the
+    A polynomial is one int with ``bits`` bits per coefficient, ``bits``
+    rounded up to whole bytes so that few run tables serve every product,
+    and each one is a run: the exponents p^j i, i in [start, start +
+    length), which is ``length div (q-1)`` times the all-ones polynomial
+    plus entry ``length mod (q-1)`` of ``_runs``, rotated by p^j start. A
+    factor's weights are the run of length k + 1 from m, its series the
+    run of length u(q-1) + s from m (u N S-hat_k counting u(q-1) series),
+    and a kept remainder's weights the run of length w + 1 from v + m. The
     V-part is ``plus`` - ``minus``, the terms of each sign kept apart, so
     every coefficient is nonnegative and one int product, folded at
     x^(q-1), convolves two polynomials. Each factor has k + 1 weights, and
-    its c series (u N S-hat_k counting u(q-1)) and the d weights of its
-    remainder add up to at most k + 1: (q+1) c is k + 1 - d for a kept
-    remainder and k + 1 + d for a reflected one, where 2d <= q <= qc. So,
-    term by term, the coefficients of ``plus`` + ``minus`` sum to at most
-    the product of the k + 1, which ``bits`` holds.
+    its c series and the d weights of its remainder add up to at most
+    k + 1: (q+1) c is k + 1 - d for a kept remainder and k + 1 + d for a
+    reflected one, where 2d <= q <= qc. So, term by term, the coefficients
+    of ``plus`` + ``minus`` sum to at most the product of the k + 1, which
+    ``bits`` holds.
     """
     for k, _, _ in factors:
         if k < 0:
             raise ValueError(f"k = {k} must be >= 0")
     p, n = params.p, params.q - 1
-    bits = prod(k + 1 for k, _, _ in factors).bit_length()
+    bits = -(-prod(k + 1 for k, _, _ in factors).bit_length() // 8) * 8
     size = bits * n
-    ones = ((1 << size) - 1) // ((1 << bits) - 1)
+    mask = (1 << size) - 1
 
-    def poly(exponents, constant: int = 0) -> int:
-        return constant * ones + sum(1 << bits * (e % n) for e in exponents)
+    def fold(c: int) -> int:
+        return (c & mask) + (c >> size)
 
-    def weights(k: int, m: int, pj: int) -> int:
-        full, part = divmod(k + 1, n)
-        return poly((pj * i for i in range(m, m + part)), full)
-
-    def times(a: int, b: int) -> int:
-        c = a * b
-        return (c & ((1 << size) - 1)) + (c >> size)
+    def run(runs: list[int], pj: int, start: int, length: int) -> int:
+        full, part = divmod(length, n)
+        return fold((full * runs[n] + runs[part]) << bits * (pj * start % n))
 
     # after factor i: ``plus`` - ``minus`` is the V-part of F_1...F_i, all
     # of it but sign R_1...R_i, whose weights are ``prefix`` (0 once a
@@ -201,12 +218,12 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     # central character
     plus, minus, prefix, sign, alpha, rests = 0, 0, 1, 1, 0, []
     for k, m, j in factors:
-        pj = pow(p, j, n)
+        pj, runs = pow(p, j, n), _runs(params, j, bits)
         alpha += pj * (k + 2 * m)
         u, s, rest, e = _split(params, k)
-        own = times(prefix, poly((pj * (i + m) for i in range(s)), u))
-        full = weights(k, m, pj)
-        plus, minus = times(plus, full), times(minus, full)
+        own = fold(prefix * run(runs, pj, m, u * n + s))
+        full = run(runs, pj, m, k + 1)
+        plus, minus = fold(plus * full), fold(minus * full)
         if sign > 0:
             plus += own
         else:
@@ -215,7 +232,7 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
             prefix = 0
         elif prefix:
             w, v = rest
-            prefix, sign = times(prefix, weights(w, v + m, pj)), sign * e
+            prefix, sign = fold(prefix * run(runs, pj, v + m, w + 1)), sign * e
             rests.append(_element(params, "L", _twist(
                 params, _s_to_l_columns(params)[w], v + m, j)))
     slot = (1 << bits) - 1

@@ -23,16 +23,16 @@ def check_fields(monkeypatch):
 def test_check_fields_agrees_on_small_fields(check_fields, capsys):
     assert check_fields.main([]) == 0
     *per_field, total = capsys.readouterr().out.splitlines()
-    # each line ends in its time; 2N + q ascending k and 50 descending,
-    # one gather table per central character, and one identity per w < q
-    # and v in {0, 1, q-2}
+    # each line ends in its time; 40 seeded products and 13 edge products,
+    # 2N + q ascending k and 50 descending, one gather table per central
+    # character, and one identity per w < q and v in {0, 1, q-2}
     assert [line.rsplit(", ", 1)[0] for line in per_field] == [
-        f"q = {q:2d} (p = {p}, f = {f}): 40 products, 10 elements, "
+        f"q = {q:2d} (p = {p}, f = {f}): 53 products, 10 elements, "
         f"{2 * (q * q - 1) + q + 50} k, {q - 1} alphas, "
         f"{q * len({0, 1, q - 2})} identities, 0 mismatches"
         for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
     assert total.startswith(
-        "4 fields, 160 products, 40 elements, 314 k, 10 alphas, "
+        "4 fields, 212 products, 40 elements, 314 k, 10 alphas, "
         "37 identities, "
         "0 mismatches, ")
 
@@ -45,7 +45,7 @@ def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
     out = capsys.readouterr().out
     assert out.count("norms mismatch at q = ") == 40
     assert out.splitlines()[-1].startswith(
-        "4 fields, 160 products, 40 elements, 314 k, 10 alphas, "
+        "4 fields, 212 products, 40 elements, 314 k, 10 alphas, "
         "37 identities, "
         "40 mismatches, ")
 
@@ -62,11 +62,11 @@ def test_check_fields_counts_a_raising_check(check_fields, capsys,
                for line in lines) == 4
     assert [line.rsplit(", ", 1)[0] for line in lines
             if line.startswith("q = ")] == [
-        f"q = {q:2d} (p = {p}, f = {f}): 40 products, 0 elements, "
+        f"q = {q:2d} (p = {p}, f = {f}): 53 products, 0 elements, "
         f"{2 * (q * q - 1) + q + 50} k, {q - 1} alphas, "
         f"{q * len({0, 1, q - 2})} identities, 1 mismatches"
         for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
     assert lines[-1].startswith(
-        "4 fields, 160 products, 0 elements, 314 k, 10 alphas, "
+        "4 fields, 212 products, 0 elements, 314 k, 10 alphas, "
         "37 identities, "
         "4 mismatches, ")

@@ -236,7 +236,7 @@ def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
     for k, m, j in factors[1:count]:
         expected = multiply(expected, reduce_symm(p9, k, m=m, j=j))
     monkeypatch.setattr(reduction, "multiply", counted)
-    for name in ("_reduce_product_fast", "_split", "_series_gather"):
+    for name in ("_reduce_product_fast", "_split", "_series_gather", "_runs"):
         monkeypatch.setattr(reduction, name, forbidden)
     assert reduce_product(p9, factors[:count], method="slow") == expected
     assert len(calls) == count - 1
@@ -409,6 +409,57 @@ def test_fast_product_across_the_reflection(p, f):
                 if params.q <= 9:
                     assert fast == oracle_decompose(params, factors), \
                         (params, factors)
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_runs_are_the_direct_sums(p, f):
+    # entry L of the run table of j is the sum of x^(p^j i mod (q-1)),
+    # i < L, at every width and for j below 0 and past f too
+    params = FieldParams(p, f)
+    n = params.q - 1
+    memo.clear()
+    for bits in (8, 16):
+        for j in list(range(f)) + [-1, f, 2 * f + 1]:
+            pj = p ** (j % f)
+            runs = reduction._runs(params, j, bits)
+            assert len(runs) == params.q, (params, j, bits)
+            for length, entry in enumerate(runs):
+                assert entry == sum(1 << bits * (pj * i % n)
+                                    for i in range(length)), \
+                    (params, j, bits, length)
+
+
+def _edge_products(params):
+    """Products at the run tables' edges: k + 1 = -1, 0, 1 (mod q-1), k in
+    {N-1, N, 2N+q}, k = v(q+1) + q (w = q, no remainder), the product of
+    the k + 1 at 2^8 - 1, 2^8 and 2^16, and j in {-1, f, 2f+1} with m < 0
+    among the twists."""
+    q, f = params.q, params.f
+    n, period = q - 1, q * q - 1
+    twists = [(-1, -1), (q - 2, f), (-q, 2 * f + 1)]
+    ks = [3 * n - 2, 3 * n - 1, 3 * n, period - 1, period, 2 * period + q,
+          2 * (q + 1) + q, period + q + 1 + q]
+    singles = [SymmFactor(k, *twists[i % 3]) for i, k in enumerate(ks)]
+    products = [[a, b] for a, b in zip(singles, singles[1:] + singles[:1])]
+    products.append(singles[:3])
+    for ks in ([14, 16], [15, 15], [255, 255], [15, 15, 255]):
+        products.append([SymmFactor(k, *twists[i]) for i, k in enumerate(ks)])
+    return products
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_fast_product_at_the_run_edges(p, f):
+    params = FieldParams(p, f)
+    for factors in _edge_products(params):
+        fast = reduce_product(params, factors)
+        fold = reduce(multiply, [reduce_symm(params, factor)
+                                 for factor in factors])
+        assert fast == fold, (params, factors)
+        assert reduce_product(params, factors, method="slow") == fast, \
+            (params, factors)
+        if params.q <= 9:
+            assert fast == oracle_decompose(params, factors), \
+                (params, factors)
 
 
 def test_central_character(p9):
