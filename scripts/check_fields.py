@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pairs of independent routes against each other on every field q <= 64.
 
-For each of the 27 fields, five checks run on the field's shared memoized
+For each of the 27 fields, six checks run on the field's shared memoized
 tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 
 - products: ``reduce_product`` (principal series absorbing the product)
@@ -28,7 +28,10 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 - reflection: [S_w(v)] + [S_(q-1-w)(v+w)] from the base-change columns
   against the principal series [V_(w mod (q-1))(v)] from the V_n table,
   at every w < q and v in {0, 1, q-2}: the identity by which the fast
-  route trades a remainder S_w with 2w >= q for one more series.
+  route trades a remainder S_w with 2w >= q for one more series;
+- oracle: ``reduce_product`` against ``oracle_decompose``, the Brauer
+  characters solved mod a prime, on 5 seeded products for each r = 2, 3
+  twisted S_k(m)^[j] with k < 300.
 
 Prints one line per field and exits 1 on any mismatch. A check that raises
 counts as one mismatch on its field, and the sweep goes on.
@@ -46,8 +49,9 @@ from functools import reduce
 from math import lcm
 
 from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
-                      multiply, omega, operator_norm, reduce_product,
-                      reduce_symm, residual, s_alpha, symm_to_L)
+                      multiply, omega, operator_norm, oracle_decompose,
+                      reduce_product, reduce_symm, residual, s_alpha,
+                      symm_to_L)
 from modp_gl2.params import Q_CAP, is_prime
 from modp_gl2.principal import _diamond_columns, _series_gather
 from modp_gl2.ring import _expand, structure_constants
@@ -55,6 +59,7 @@ from modp_gl2.ring import _expand, structure_constants
 PRODUCTS = 10     # per factor count r and bound on k
 ELEMENTS = 5      # residuals and mixes, each
 DESCENDING = 50   # seeded k after the ascending walk
+ORACLE = 5        # per factor count r
 
 
 def fields():
@@ -177,8 +182,20 @@ def reflection(params, rng):
                    == diamond_decompose(params, w % (q - 1), v % (q - 1)))
 
 
+def oracle(params, rng):
+    """Yield (factors, agree) for the fast product against the oracle."""
+    for r in (2, 3):
+        for _ in range(ORACLE):
+            factors = [SymmFactor(rng.randrange(300),
+                                  rng.randrange(params.q - 1),
+                                  rng.randrange(params.f)) for _ in range(r)]
+            yield factors, (reduce_product(params, factors)
+                            == oracle_decompose(params, factors))
+
+
 CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
-          ("alphas", gather), ("identities", reflection))
+          ("alphas", gather), ("identities", reflection),
+          ("oracle products", oracle))
 
 
 def tally(counts):

@@ -9,7 +9,7 @@ identities hold in Z[zeta], so they also hold modulo a prime above any prime
 ell = 1 (mod q^2 - 1), where zeta becomes an element of F_ell of exact order
 q^2 - 1: the oracle computes in F_ell, with no floating point. The primes
 are taken below 2^26, counting down, so q (ell - 1)^2 < 2^63 for q <= 64
-and every int64 product sum below is exact.
+and every int64 product sum below is exact; ``build_table`` checks this.
 
 The character of L_n(m) at a class c factors as chi_n(c) * omega^(d(c) m):
 chi_n is the product of the untwisted digit characters, omega = zeta^(q+1)
@@ -20,6 +20,14 @@ irreducibles falls into q - 1 blocks by d: for the q classes of one d, the
 values of a class sum_{n,m} x_{n,m} [L_n(m)] are sum_n chi_n(c) y_n(d) with
 y_n(d) = sum_m x_{n,m} omega^(d m). The inverse of each q x q block gives y,
 and an inverse discrete Fourier transform over d gives x mod ell.
+
+Only one or two blocks are inverted. Multiplying a class by the scalar g^s
+maps the classes of determinant exponent d onto those of d + 2s and
+multiplies chi_n by zeta^(s(q+1)n). Listing the classes of d + 2s as the
+images of those of a base d, the block of d + 2s is the base block times
+diag(zeta^(s(q+1)n)), and its inverse is diag(zeta^(-s(q+1)n)) times the
+base inverse. 2 is a unit mod q - 1 when q is even, so d = 0 is the one
+base; when q is odd the bases are d = 0 and 1.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .memo import memo
-from .params import FieldParams, is_prime
+from .params import FieldParams
 from .reduction import SymmFactor
 from .ring import RingElement, _element
 
@@ -85,13 +93,57 @@ def enumerate_p_regular_classes(params: FieldParams) -> list[PRegularClass]:
     return classes
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the witnesses 2, 3, 5 and 7, which is
+    exact for n < 3,215,031,751, far above PRIME_BOUND."""
+    witnesses = (2, 3, 5, 7)
+    if n < 11 or math.gcd(n, 2 * 3 * 5 * 7) > 1:
+        return n in witnesses
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in witnesses:
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def _prime(n2: int, index: int) -> int:
     """The index-th prime ell = 1 (mod n2) below PRIME_BOUND, counting down."""
     candidates = range((PRIME_BOUND - 2) // n2 * n2 + 1, n2, -n2)
-    ell = next(itertools.islice(filter(is_prime, candidates), index, None), 0)
+    ell = next(itertools.islice(filter(_is_prime, candidates), index, None), 0)
     if not ell:
         raise OracleError(f"fewer than {index + 1} primes = 1 mod {n2}")
     return ell
+
+
+def _powers(base: int, count: int, ell: int) -> np.ndarray:
+    """base^e mod ell for every e < count, by doubling the filled prefix."""
+    powers = np.ones(count, dtype=np.int64)
+    size = 1
+    while size < count:
+        step = int(powers[size - 1]) * base % ell  # base^size
+        powers[size:2 * size] = powers[:min(size, count - size)] * step % ell
+        size *= 2
+    return powers
+
+
+def _unit_inverses(units: np.ndarray, ell: int) -> np.ndarray:
+    """units^(ell - 2) mod the prime ell elementwise: the inverse of each
+    unit, and 0 for 0."""
+    out, square, e = np.ones_like(units), units % ell, ell - 2
+    while e:
+        if e & 1:
+            out = out * square % ell
+        square, e = square * square % ell, e >> 1
+    return out
 
 
 def _inverse_mod(blocks: np.ndarray, ell: int) -> np.ndarray:
@@ -122,9 +174,14 @@ class BrauerTable:
     class, one column per irreducible label (n, m) in sorted order.
 
     ``powers[e]`` is zeta^e, ``gaps[e > 0]`` is 1 / (1 - zeta^e),
-    ``untwisted[c, n]`` is chi_n at class c, row d of ``blocks`` lists the q
-    classes of determinant exponent d, ``inverses[d]`` inverts
-    ``untwisted[blocks[d]]`` and ``twist`` is the inverse DFT over d.
+    ``untwisted[c, n]`` is chi_n at class c and row d of ``blocks`` lists
+    the q classes of determinant exponent d. ``inverses`` has shape
+    (bases, q, q), one base for even q and two for odd q: with d = b + 2s,
+    b = d mod bases, row d of ``blocks`` holds the images under g^s of the
+    classes in row b, ``inverses[b]`` inverts ``untwisted[blocks[b]]``, and
+    ``scales[d, n]`` = zeta^(-s(q+1)n), so ``scales[d, :, None] *
+    inverses[b]`` inverts ``untwisted[blocks[d]]``. ``twist`` is the inverse
+    DFT over d.
     """
 
     params: FieldParams
@@ -137,6 +194,7 @@ class BrauerTable:
     untwisted: np.ndarray | None = None
     blocks: np.ndarray | None = None
     inverses: np.ndarray | None = None
+    scales: np.ndarray | None = None
     twist: np.ndarray | None = None
 
     def values(self, factor: SymmFactor) -> np.ndarray:
@@ -169,10 +227,16 @@ class BrauerTable:
     def solve(self, rhs) -> np.ndarray:
         """Multiplicities mod ell, in ``labels`` order, of the class whose
         Brauer character mod ell is ``rhs``, in ``classes`` order."""
-        values = (np.asarray(rhs, dtype=np.int64) % self.ell)[self.blocks]
-        y = (self.inverses @ values[:, :, None])[:, :, 0] % self.ell
+        ell, (bases, q, _) = self.ell, self.inverses.shape
+        values = (np.asarray(rhs, dtype=np.int64) % ell)[self.blocks]
+        # row d = b + 2s times the inverse of base b, then scaled
+        y = (self.inverses @ values.reshape(-1, bases, q, 1)).reshape(
+            values.shape)
+        y %= ell
+        y *= self.scales
+        y %= ell
         # x[m, n] = sum_d y[d, n] omega^(-d m) / (q - 1)
-        return (self.twist @ y % self.ell).T.reshape(-1)
+        return (self.twist @ y % ell).T.reshape(-1)
 
 
 @memo(lambda params, index=0: (params.p, params.f, index))
@@ -182,31 +246,49 @@ def build_table(params: FieldParams, index: int = 0) -> BrauerTable:
     qm1 = q - 1
     n2 = q * q - 1
     ell = _prime(n2, index)
+    if q * (ell - 1) ** 2 >= 2 ** 63:
+        raise OracleError(f"q (ell - 1)^2 >= 2^63 at q = {q}, ell = {ell}: "
+                          f"int64 sums would overflow")
     # zeta has exact order n2: zeta^(n2 / r) != 1 for each prime r | n2
-    primes = [r for r in range(2, n2 + 1) if n2 % r == 0 and is_prime(r)]
+    primes = [r for r in range(2, n2 + 1) if n2 % r == 0 and _is_prime(r)]
     zeta = next(z for z in (pow(g, (ell - 1) // n2, ell) for g in range(2, ell))
                 if all(pow(z, n2 // r, ell) != 1 for r in primes))
-    powers = [pow(zeta, e, ell) for e in range(n2)]
-    gaps = [0] + [pow(1 - z, -1, ell) for z in powers[1:]]
+    powers = _powers(zeta, n2, ell)
     classes = enumerate_p_regular_classes(params)
     table = BrauerTable(
         params, classes, [(n, m) for n in range(q) for m in range(qm1)], ell,
-        np.array(powers, dtype=np.int64), np.array(gaps, dtype=np.int64),
+        powers, _unit_inverses(1 - powers, ell),
         np.array([cls.eigen_exponents(q) for cls in classes], dtype=np.int64).T)
-    untwisted = np.ones((q, len(classes)), dtype=np.int64)
+    # chi_n for n < p^(i+1) from chi_n for n < p^i: n = a p^i + (n mod p^i)
+    untwisted = np.ones((1, len(classes)), dtype=np.int64)
     for i in range(params.f):
         digit_values = np.array([table.values(SymmFactor(a, 0, i))
                                  for a in range(params.p)])
-        untwisted = untwisted \
-            * digit_values[np.arange(q) // params.p ** i % params.p] % ell
+        untwisted = (digit_values[:, None] * untwisted % ell).reshape(
+            -1, len(classes))
+    table.untwisted = untwisted.T
     dets = table.exponents.sum(axis=0) // (q + 1) % qm1
     sizes = np.bincount(dets, minlength=qm1)
     if (sizes != q).any():
         raise AssertionError(f"determinant blocks of sizes {sizes.tolist()}, "
                              f"expected {qm1} of {q} (internal bug)")
-    table.untwisted = untwisted.T
-    table.blocks = np.argsort(dets, kind="stable").reshape(qm1, q)
-    table.inverses = _inverse_mod(table.untwisted[table.blocks], ell)
+    # d = b + 2s with b = d mod bases: s = d q / 2 mod q - 1 when q is
+    # even, as 2 (q / 2) = 1 there, and s = d // 2 when q is odd
+    bases = 1 if q % 2 == 0 else 2
+    d = np.arange(qm1)
+    shift = d * (q // 2) % qm1 if bases == 1 else d // 2
+    base_rows = np.argsort(dets, kind="stable").reshape(qm1, q)[:bases]
+    # a class is its unordered pair of eigenvalue exponents; g^s adds
+    # s (q + 1) to both
+    lo, hi = np.sort(table.exponents, axis=0)
+    keys = lo * n2 + hi
+    order = np.argsort(keys)
+    moved = (table.exponents[:, base_rows[d % bases]]
+             + (q + 1) * shift[:, None]) % n2
+    lo, hi = np.sort(moved, axis=0)
+    table.blocks = order[np.searchsorted(keys, lo * n2 + hi, sorter=order)]
+    table.inverses = _inverse_mod(table.untwisted[base_rows], ell)
+    table.scales = table.powers[-np.outer(shift * (q + 1), range(q)) % n2]
     m_d = np.outer(range(qm1), range(qm1))
     table.twist = table.powers[-(q + 1) * m_d % n2] * pow(qm1, -1, ell) % ell
     return table
@@ -236,7 +318,9 @@ def oracle_decompose(params: FieldParams, factors,
         for f in factors:
             rhs = rhs * table.values(f) % ell
         residues = table.solve(rhs).astype(object)
-        x = x + modulus * ((residues - x) * pow(modulus, -1, ell) % ell)
+        # with one prime so far, the lift is the residues themselves
+        x = residues if modulus == 1 else \
+            x + modulus * ((residues - x) * pow(modulus, -1, ell) % ell)
         modulus, index = modulus * ell, index + 1
     elem = _element(params, "L", dict(zip(table.labels, x)))
     if elem.dimension() != dim_v:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Everything is exact. The Brauer oracle sets the cap: ``brauer.build_table``
-# inverts q - 1 blocks, about 0.3 s at q = 64 but about 110 s at q = 256,
-# where no layer of the ring itself takes more than about 11 s.
+# Everything is exact, and the tests cover q <= 64. A cold
+# ``brauer.build_table`` inverts one or two q x q blocks: about 0.03 s at
+# q = 64, 0.15 s at q = 128 and 0.8-1.0 s at q = 256 (375 MB peak RSS,
+# mostly the q^2 (q - 1) table of untwisted characters), measured with the
+# cap raised on a shared 2-core host. At q = 256 no layer of the ring itself
+# takes more than about 11 s.
 Q_CAP = 64
 
 

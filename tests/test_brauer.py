@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from modp_gl2 import (
 )
 from modp_gl2 import brauer, memo
 from modp_gl2.brauer import PRegularClass
-from modp_gl2.params import is_prime
+from modp_gl2.params import Q_CAP, is_prime
 from modp_gl2.ring import structure_constants
+
+FIELDS = [FieldParams(p, f) for p in range(2, Q_CAP + 1) if is_prime(p)
+          for f in range(1, Q_CAP.bit_length()) if p ** f <= Q_CAP]
 
 
 # A floating-point reference, independent of the oracle's arithmetic mod
@@ -261,3 +265,55 @@ def test_ring_matches_oracle_on_every_field():
                        for _ in range(rng.choice((2, 3)))]
             assert oracle_decompose(params, factors) \
                 == reduce_product(params, factors), (params, factors)
+
+
+def test_derived_inverses_invert_every_block():
+    # block d = b + 2s is the base block b times diag(zeta^(s(q+1)n)):
+    # scales[d] times the inverse of base b inverts it, at every field
+    assert len(FIELDS) == 27
+    for params in FIELDS:
+        q = params.q
+        table = build_table(params)
+        bases = 1 if q % 2 == 0 else 2
+        assert table.inverses.shape == (bases, q, q)
+        assert table.scales.shape == (q - 1, q)
+        derived = table.scales[:, :, None] \
+            * table.inverses[np.arange(q - 1) % bases] % table.ell
+        assert (derived @ table.untwisted[table.blocks] % table.ell
+                == np.eye(q, dtype=np.int64)).all(), params
+
+
+def test_powers_and_gaps_match_pow():
+    for params in FIELDS:
+        table = build_table(params)
+        ell, zeta = table.ell, int(table.powers[1])
+        n2 = params.q ** 2 - 1
+        assert table.powers.tolist() == [pow(zeta, e, ell) for e in range(n2)]
+        assert table.gaps.tolist() \
+            == [0] + [pow(1 - pow(zeta, e, ell), -1, ell) for e in range(1, n2)]
+
+
+def test_int64_premise_is_checked(p3, monkeypatch, fresh_tables):
+    # primes near 2^31 make q (ell - 1)^2 exceed 2^63 at q = 3
+    monkeypatch.setattr(brauer, "PRIME_BOUND", 2 ** 31)
+    with pytest.raises(OracleError, match="2\\^63"):
+        build_table(p3)
+
+
+def test_miller_rabin_matches_trial_division():
+    bound = 2 * 10 ** 5
+    assert [n for n in range(bound) if brauer._is_prime(n)] \
+        == [n for n in range(bound) if is_prime(n)]
+
+
+def test_prime_matches_trial_division():
+    def reference(n2, index):
+        candidates = range((brauer.PRIME_BOUND - 2) // n2 * n2 + 1, n2, -n2)
+        return next(itertools.islice(filter(is_prime, candidates), index,
+                                     None))
+
+    cases = [(params.q, index) for params in FIELDS if params.q <= 16
+             for index in range(3)] + [(64, 0)]
+    for q, index in cases:
+        assert brauer._prime(q * q - 1, index) \
+            == reference(q * q - 1, index), (q, index)
