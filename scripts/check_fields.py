@@ -102,16 +102,21 @@ def products(params, rng):
 
 def per_b_norm(v):
     """The max over n of the sum over b and t of |coefficient of L_n(t)|
-    in v * [L_b(0)], on v scaled to ints by its denominators' lcm D, over D."""
+    in v * [L_b(0)], summed label by label from the ``structure_constants``
+    maps on v scaled to ints by its denominators' lcm D, over D."""
     v = v.to_basis("L")
     params = v.params
+    qm1 = params.q - 1
     d = lcm(*(c.denominator for c in v.terms.values()))
-    scaled = {lbl: c.numerator * (d // c.denominator)
-              for lbl, c in v.terms.items()}
     rows = [0] * params.q
     for b in range(params.q):
-        times_b = [structure_constants(params, a, b) for a in range(params.q)]
-        for (n, _), c in _expand(params, {}, scaled, times_b).items():
+        column = {}
+        for (a, x), c in v.terms.items():
+            c = c.numerator * (d // c.denominator)
+            for (n, t), k in structure_constants(params, a, b).items():
+                lbl = (n, (t + x) % qm1)
+                column[lbl] = column.get(lbl, 0) + c * k
+        for (n, _), c in column.items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)
 
@@ -158,7 +163,7 @@ def gather(params, rng):
                   for m in range(qm1) if (n + 2 * m) % qm1 == alpha}
         table = _series_gather(params, alpha)
         counts = [rng.randrange(10 ** 6) for _ in range(qm1)]
-        expected = _expand(params, {}, {
+        expected = _expand(params, {
             ((alpha - 2 * c2) % qm1, c2): c for c2, c in enumerate(counts)},
             _diamond_columns(params))
         got = {lbl: sum(counts[c2] for c2 in c2s)

@@ -36,14 +36,14 @@ def norm_S_1(v: RingElement) -> Fraction:
 
 
 @memo(_field_key)
-def _norm_products(params: FieldParams) -> list[tuple]:
+def _norm_products(params: FieldParams) -> tuple[tuple, ...]:
     """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
     triple (2(bq + n), y, k), read by ``operator_norm``; n is read off the
     flat row's key n(q-1)."""
     q, qm1 = params.q, params.q - 1
-    return [tuple((2 * (b * q + nb // qm1), y, k)
-                  for b, terms in enumerate(row) for nb, y, k in terms)
-            for row in _products(params)]
+    return tuple(tuple((2 * (b * q + nb // qm1), y, k)
+                       for b, terms in enumerate(row) for nb, y, k in terms)
+                 for row in _products(params))
 
 
 def operator_norm(v: RingElement) -> Fraction:
@@ -168,7 +168,7 @@ def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
     q = params.q
     s_norms, hat_norms = _class_norms(params)
     a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))
-    mass = sum(abs(c) for col in _l_to_s_columns(params) for c in col.values())
+    mass = sum(abs(k) for col in _l_to_s_columns(params) for _, _, k in col)
     return a_const, (q - 1) * Fraction(mass)
 
 

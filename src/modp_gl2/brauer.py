@@ -173,7 +173,7 @@ class BrauerTable:
     """Character table of the irreducibles mod ell: one row per p-regular
     class, one column per irreducible label (n, m) in sorted order.
 
-    ``powers[e]`` is zeta^e, ``gaps[e > 0]`` is 1 / (1 - zeta^e),
+    ``powers[e]`` is zeta^e, ``gaps[e]`` is 1 / (1 - zeta^e) and 0 at 0,
     ``untwisted[c, n]`` is chi_n at class c and row d of ``blocks`` lists
     the q classes of determinant exponent d. ``inverses`` has shape
     (bases, q, q), one base for even q and two for odd q: with d = b + 2s,
@@ -201,15 +201,14 @@ class BrauerTable:
         """The character of S_k(m)^[j] mod ell at every class at once: with
         alpha, beta the p^j-th powers of the eigenvalue lifts, delta = alpha
         beta and t = alpha / beta, the value is delta^m beta^k (1 - t^(k+1))
-        / (1 - t), read as delta^m beta^k (k + 1) when t = 1."""
+        / (1 - t), read as delta^m beta^k (k + 1) when t = 1. As gaps[0] is
+        0, one expression gives both at every class."""
         k, m, j = SymmFactor(*factor)
         n2, ell = len(self.powers), self.ell
         ea, eb = self.exponents * pow(self.params.p, j % self.params.f, n2) % n2
         gap = (ea - eb) % n2
-        split = gap != 0
-        value = np.full(ea.shape, (k + 1) % ell, dtype=np.int64)
-        value[split] = (1 - self.powers[gap[split] * ((k + 1) % n2) % n2]) \
-            * self.gaps[gap[split]] % ell
+        value = ((1 - self.powers[gap * ((k + 1) % n2) % n2]) * self.gaps[gap]
+                 + (k + 1) % ell * (gap == 0)) % ell
         value = value * self.powers[eb * (k % n2) % n2] % ell
         return value * self.powers[(ea + eb) * (m % n2) % n2] % ell
 
@@ -314,7 +313,9 @@ def oracle_decompose(params: FieldParams, factors,
     while modulus <= dim_v:
         table = build_table(params, index)
         ell = table.ell
-        rhs = table.values(SymmFactor(0, det, 0))
+        # det^det at a class is the lifted determinant zeta^(ea + eb) to det
+        n2 = len(table.powers)
+        rhs = table.powers[table.exponents.sum(axis=0) * (det % n2) % n2]
         for f in factors:
             rhs = rhs * table.values(f) % ell
         residues = table.solve(rhs).astype(object)

@@ -18,7 +18,8 @@ from typing import Mapping
 
 from .memo import memo
 from .params import FieldParams
-from .ring import Label, RingElement, _element, _expand, _field_key
+from .ring import (Label, RingElement, Row, _element, _expand, _field_key,
+                   _flat)
 
 DECOMPOSITION = "decomposition"
 ANTECEDENT = "antecedent"
@@ -142,13 +143,14 @@ def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
 
 
 @memo(_field_key)
-def _diamond_columns(params: FieldParams) -> list[dict[Label, int]]:
-    """The untwisted V_n in the L basis for n < q-1: one L_lambda(ell) per
-    compatible decomposition path, as a label dict."""
-    return [Counter((row["lambda"], row["ell"])
-                    for row in explain_decomposition(params, n)
-                    if row["compatible"])
-            for n in range(params.q - 1)]
+def _diamond_columns(params: FieldParams) -> tuple[Row, ...]:
+    """The untwisted V_n in the L basis for n < q-1, as flat rows: one
+    L_lambda(ell) per compatible decomposition path."""
+    qm1 = params.q - 1
+    return tuple(_flat(qm1, Counter(row["lambda"] * qm1 + row["ell"]
+                                    for row in explain_decomposition(params, n)
+                                    if row["compatible"]))
+                 for n in range(qm1))
 
 
 def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
@@ -159,7 +161,7 @@ def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """
     if not 0 <= n <= params.q - 2:
         raise ValueError(f"n = {n} out of range [0, {params.q - 2}]")
-    return _element(params, "L", _expand(params, {}, {(n, m): 1},
+    return _element(params, "L", _expand(params, {(n, m): 1},
                                          _diamond_columns(params)))
 
 
@@ -216,8 +218,8 @@ def _series_gather(params: FieldParams,
     columns = _diamond_columns(params)
     table: dict[Label, list[int]] = {}
     for c2 in range(qm1):
-        for (lam, ell), k in columns[(alpha - 2 * c2) % qm1].items():
-            table.setdefault((lam, (ell + c2) % qm1), []).extend([c2] * k)
+        for nb, x, k in columns[(alpha - 2 * c2) % qm1]:
+            table.setdefault((nb // qm1, (x + c2) % qm1), []).extend([c2] * k)
     return MappingProxyType({lbl: tuple(c2s) for lbl, c2s in table.items()})
 
 

@@ -1,10 +1,11 @@
 """Reduction of arbitrary symmetric powers to the irreducible basis.
 
-Two independent routes are exposed. The slow one keeps unrolling the Glover
-recursion past q-1. It resumes from the nearer of the last k it reached on
-the field and the highest of its fixed stops at or below k: a walk keeps
-[S_(k-1)] and [S_k] at every k = q-1 (mod q) it passes, up to 2q+1 of them,
-so a k below 2N + q that went down costs at most q-1 steps. The fast one
+Two routes are exposed. The slow one keeps unrolling the Glover recursion
+past q-1 on flat rows and reads the labels of [S_k] once per call. It
+resumes from the nearer of the last k it reached on the field and the
+highest of its fixed stops at or below k: a walk keeps [S_(k-1)] and [S_k]
+at every k = q-1 (mod q) it passes, up to 2q+1 of them, so a k below
+2N + q that went down costs at most q-1 steps. The fast one
 adds the full periods of k as one multiple of N S-hat_k, by
 [S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``,
 peels off the rest in principal series of dimension q+1 and finishes with a
@@ -32,8 +33,9 @@ count per c2 read into each label through the gather table, and only the
 remainders' product goes through ``multiply``, so every remainder it sees
 has 2w < q, each twisted by ``_twist`` straight from its base-change
 column. The slow route folds the factors' slow classes through
-``multiply``; it shares only ``_twist`` with the fast product, so the
-Brauer oracle checks twisted factors independently."""
+``multiply``. Both product routes call ``multiply``, read the base-change
+table and add rows through ``ring._convolve``, so the Brauer oracle is the
+one route independent of them."""
 
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ from typing import NamedTuple
 from .memo import memo
 from .params import FieldParams
 from .principal import _series_gather
-from .ring import (Label, RingElement, _element, _expand, _field_key,
-                   _glover_step, _s_to_l_columns, _twist, multiply)
+from .ring import (Label, RingElement, _element, _field_key, _glover_step,
+                   _labels, _s_to_l_columns, _twist, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -79,37 +81,41 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> dict[Label, int]:
     through a base-change column, scaled by its sign. Series i < s sit at
     c2 = i, so a label holds the entries of its gather list below s;
     u N S-hat_k, the sum of all q-1 series u times, adds u to each."""
+    qm1 = params.q - 1
     u, s, rest, sign = _split(params, k)
     terms = {}
     if u or s:
         terms = {lbl: u * len(c2s) + bisect_left(c2s, s) for lbl, c2s
-                 in _series_gather(params, k % (params.q - 1)).items()}
+                 in _series_gather(params, k % qm1).items()}
     if rest is not None:
-        _expand(params, terms, {rest: 1}, _s_to_l_columns(params), sign)
+        w, v = rest
+        for nb, x, c in _s_to_l_columns(params)[w]:
+            lbl = (nb // qm1, (x + v) % qm1)
+            terms[lbl] = terms.get(lbl, 0) + sign * c
     return terms
 
 
 @memo(_field_key)
 def _glover_checkpoint(params: FieldParams) -> list:
-    """The slow route's stops on the field, a two-slot list: the last stop
-    (k, [S_(k-1)], [S_k]), first (q-1, [S_(q-2)], [S_(q-1)]), and the fixed
-    stops, a list whose entry i is ([S_(k-1)], [S_k]) at k = q-1 + iq, first
-    the one at q-1. A walk records each fixed stop it passes, up to 2q+1 of
-    them, which reach past every k < 2N + q, N = q^2 - 1."""
+    """The slow route's stops on the field as flat rows, a two-slot list:
+    the last stop (k, [S_(k-1)], [S_k]), first (q-1, [S_(q-2)], [S_(q-1)]),
+    and the fixed stops, a list whose entry i is ([S_(k-1)], [S_k]) at
+    k = q-1 + iq, first the one at q-1. A walk records each fixed stop it
+    passes, up to 2q+1 of them, which reach past every k < 2N + q."""
     cols = _s_to_l_columns(params)
     return [(params.q - 1, cols[-2], cols[-1]), [(cols[-2], cols[-1])]]
 
 
 def _reduce_symm_base_slow(params: FieldParams, k: int) -> dict[Label, int]:
-    """[S_k] as a label dict (a table's, not to be changed) by the Glover
-    recursion alone: the base-change column for k < q, and past it
-    ``_glover_step`` resumed from the nearer of the field's last stop, when
-    k is at least its k, and the highest fixed stop at or below k, so at
-    most q-1 steps for every k up to the highest fixed stop."""
+    """[S_k] as a label dict by the Glover recursion alone: the base-change
+    column for k < q, and past it ``_glover_step`` on flat rows resumed
+    from the nearer of the field's last stop, when k is at least its k, and
+    the highest fixed stop at or below k, so at most q-1 steps for every k
+    up to the highest fixed stop."""
     q = params.q
     cols = _s_to_l_columns(params)
     if k < q:
-        return cols[k]
+        return _labels(q - 1, cols[k])
     checkpoint = _glover_checkpoint(params)
     (n, prev2, prev), stops = checkpoint
     i = min((k + 1) // q, len(stops)) - 1
@@ -124,7 +130,7 @@ def _reduce_symm_base_slow(params: FieldParams, k: int) -> dict[Label, int]:
     # one assignment once the walk is done: a walk that raises leaves the
     # stops as they were
     checkpoint[:] = (k, prev2, prev), stops
-    return prev
+    return _labels(q - 1, prev)
 
 
 def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
@@ -154,7 +160,7 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
 
 
 @memo(lambda params, j, bits: (params.p, params.f, j % params.f, bits))
-def _runs(params: FieldParams, j: int, bits: int) -> list[int]:
+def _runs(params: FieldParams, j: int, bits: int) -> tuple[int, ...]:
     """The run table of Frobenius twist j at ``bits`` bits per coefficient,
     memoized on (p, f, j mod f, bits): entry L < q is x^0 + x^(p^j) + ... +
     x^((L-1)p^j) mod x^(q-1) - 1, so entry q-1, as p^j is prime to q-1, is
@@ -164,7 +170,7 @@ def _runs(params: FieldParams, j: int, bits: int) -> list[int]:
     runs = [0]
     for i in range(n):
         runs.append(runs[-1] + (1 << bits * (pj * i % n)))
-    return runs
+    return tuple(runs)
 
 
 def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
@@ -208,7 +214,7 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     def fold(c: int) -> int:
         return (c & mask) + (c >> size)
 
-    def run(runs: list[int], pj: int, start: int, length: int) -> int:
+    def run(runs: tuple[int, ...], pj: int, start: int, length: int) -> int:
         full, part = divmod(length, n)
         return fold((full * runs[n] + runs[part]) << bits * (pj * start % n))
 
@@ -234,7 +240,7 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
             w, v = rest
             prefix, sign = fold(prefix * run(runs, pj, v + m, w + 1)), sign * e
             rests.append(_element(params, "L", _twist(
-                params, _s_to_l_columns(params)[w], v + m, j)))
+                params, _labels(n, _s_to_l_columns(params)[w]), v + m, j)))
     slot = (1 << bits) - 1
     counts = [(plus >> bits * c2 & slot) - (minus >> bits * c2 & slot)
               for c2 in range(n)]

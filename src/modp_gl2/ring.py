@@ -16,12 +16,12 @@ is S_1 in slot 0, so [L_a][L_1] takes one carry along the slots. As
 follows by recursion on b. The Glover recursion
 [S_n] = [S_(n-1)][L_1] - [S_(n-2)](1) gives the S <-> L base change.
 
-The rows [L_a][L_1] and [L_a][L_b] are flat: tuples of triples
-(n(q-1), x, k) for the term k L_n(x), so that n(q-1) + x is the label's
-int key. ``multiply``, ``_glover_step`` and the product-table build add
-into dicts on these keys through ``_convolve`` and turn a key back into
-its label (n, x) = divmod(key, q-1) only for the result they return;
-``structure_constants`` returns a row with its labels.
+Every per-field table is a tuple of flat rows, one per untwisted label: a
+row is a tuple of triples (n(q-1), x, k) for the term k L_n(x), so that
+n(q-1) + x is the label's int key. Products, the S <-> L base change and
+(in ``principal``) V_n commute with the determinant twist, so one loop,
+``_convolve``, applies the tables on int keys; keys and rows turn back
+into labels (n, x) = divmod(key, q-1) only for results handed out.
 """
 
 from __future__ import annotations
@@ -267,22 +267,43 @@ def _twist(params: FieldParams, terms: Mapping[Label, Coeff], m: int = 0,
             for (a, x), c in terms.items()}
 
 
-def _expand(params: FieldParams, out: dict, terms: Mapping[Label, Coeff],
-            columns, scale: Coeff = 1, shift: int = 0) -> dict:
-    """Add scale * c * columns[n], twisted by m + shift, to ``out`` for each
-    term (n, m) -> c; return ``out``, zeros kept. The maps applied to classes
-    here (S <-> L base change, V_n to its constituents) commute with the
-    determinant twist, so their columns on the untwisted labels (n, 0), one
-    per-field table each, give them: one loop."""
-    qm1 = params.q - 1
-    get = out.get
-    for (n, m), c in terms.items():
+def _convolve(qm1: int, acc: dict[int, Coeff], terms, rows, scale: Coeff = 1,
+              shift: int = 0) -> dict[int, Coeff]:
+    """Add scale * c * rows[n], twisted by t + shift, to ``acc`` for each
+    term (n(q-1), t, c), so that a flat row is itself a list of terms;
+    return ``acc``, zeros kept. A row entry (n'(q-1), x, k) adds at the
+    int key n'(q-1) + (x + t + shift) mod q-1: the kernel of every
+    product, base change and Glover step."""
+    get = acc.get
+    for i, t, c in terms:
         c *= scale
-        m += shift
-        for (a, x), k in columns[n].items():
-            key = (a, (x + m) % qm1)
-            out[key] = get(key, 0) + c * k
-    return out
+        t += shift
+        for nb, x, k in rows[i // qm1]:
+            key = nb + (t + x) % qm1
+            acc[key] = get(key, 0) + c * k
+    return acc
+
+
+def _flat(qm1: int, acc: dict[int, Coeff]) -> Row:
+    """The nonzero entries of an int-keyed accumulator as a flat row, made
+    from a list: a tuple grown from a generator is resized, and once freed
+    it fills the interpreter's free list of its new size, which is kept."""
+    return tuple([(key - key % qm1, key % qm1, c)
+                  for key, c in acc.items() if c])
+
+
+def _labels(qm1: int, row: Row) -> dict[Label, Coeff]:
+    """A flat row as a fresh label dict."""
+    return {(nb // qm1, x): k for nb, x, k in row}
+
+
+def _expand(params: FieldParams, terms: Mapping[Label, Coeff], rows) -> dict:
+    """The label dict ``terms`` through a table of rows, as a label dict,
+    zeros kept: ``_convolve`` between labels and int keys."""
+    qm1 = params.q - 1
+    flat = [(n * qm1, m, c) for (n, m), c in terms.items()]
+    return {divmod(key, qm1): c
+            for key, c in _convolve(qm1, {}, flat, rows).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +320,8 @@ def _dims(params: FieldParams) -> tuple[int, ...]:
                  for n in range(params.q))
 
 
-def _convolve(qm1: int, acc: dict[int, Coeff], terms, rows, scale: Coeff = 1,
-              shift: int = 0) -> dict[int, Coeff]:
-    """Add scale * c * rows[i], twisted by t + shift, to ``acc`` for each
-    term (i, t, c); return ``acc``, zeros kept. A row entry (n(q-1), x, k)
-    adds at the int key n(q-1) + (x + t + shift) mod q-1. The products
-    commute with the determinant twist, so the flat rows on the untwisted
-    labels give them all: the one loop of ``multiply``, ``_glover_step``
-    and the product-table build."""
-    get = acc.get
-    for i, t, c in terms:
-        c *= scale
-        t += shift
-        for nb, x, k in rows[i]:
-            key = nb + (t + x) % qm1
-            acc[key] = get(key, 0) + c * k
-    return acc
-
-
-def _flat(qm1: int, acc: dict[int, int]) -> Row:
-    """The nonzero entries of an int-keyed accumulator as a flat row."""
-    return tuple((key - key % qm1, key % qm1, c)
-                 for key, c in acc.items() if c)
-
-
 @memo(_field_key)
-def _l1_rows(params: FieldParams) -> list[Row]:
+def _l1_rows(params: FieldParams) -> tuple[Row, ...]:
     """[L_a][L_1] in the L basis for a < q, as flat rows. L_1 is S_1 in slot
     0; tensoring S_1 into slot i sends S_d to S_(d+1) + S_(d-1)(p^i), and at
     d = p-1 the S_p made is S_(p-2)(p^i) plus S_0 with S_1 carried into slot
@@ -346,32 +343,28 @@ def _l1_rows(params: FieldParams) -> list[Row]:
         for key in keys:
             row[key] = row.get(key, 0) + 1
         rows.append(_flat(qm1, row))
-    return rows
+    return tuple(rows)
 
 
 @memo(_field_key)
-def _products(params: FieldParams) -> list[list[Row]]:
+def _products(params: FieldParams) -> tuple[tuple[Row, ...], ...]:
     """[L_a][L_b] (twists shifted out) for a, b < q, as flat rows.
     [L_(b-1)][L_1] is [L_b] plus classes of labels below b, so [L_a][L_b] is
     [L_a][L_(b-1)][L_1] less [L_a] times those, all earlier in the table.
-    Entries [a][b] and [b][a] are one row. The build reads a flat row as
-    terms, whose first entries are keys n(q-1): the rows it convolves with
-    are looked up by key."""
+    Entries [a][b] and [b][a] are one row."""
     q, qm1 = params.q, params.q - 1
     rows = _l1_rows(params)
-    by_key = {n * qm1: row for n, row in enumerate(rows)}
     rests = [tuple((nb, x, -k) for nb, x, k in row
                    if (nb, x) != ((b + 1) * qm1, 0))
              for b, row in enumerate(rows)]
     table: list[list] = [[None] * q for _ in range(q)]
     table[0][0] = ((0, 0, 1),)
     for a in range(q):
-        known = {m * qm1: table[a][m] for m in range(max(a, 1))}
         for b in range(max(a, 1), q):
-            acc = _convolve(qm1, {}, table[a][b - 1], by_key)
-            _convolve(qm1, acc, rests[b - 1], known)
-            table[a][b] = table[b][a] = known[b * qm1] = _flat(qm1, acc)
-    return table
+            acc = _convolve(qm1, {}, table[a][b - 1], rows)
+            _convolve(qm1, acc, rests[b - 1], table[a])
+            table[a][b] = table[b][a] = _flat(qm1, acc)
+    return tuple(map(tuple, table))
 
 
 def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, int]:
@@ -379,9 +372,7 @@ def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, i
     a fresh read-only map built from the memoized flat row."""
     if not (0 <= a < params.q and 0 <= b < params.q):
         raise ValueError(f"labels {a}, {b} out of range [0, {params.q - 1}]")
-    qm1 = params.q - 1
-    return MappingProxyType({(nb // qm1, x): k
-                             for nb, x, k in _products(params)[a][b]})
+    return MappingProxyType(_labels(params.q - 1, _products(params)[a][b]))
 
 
 def multiply(v: RingElement, w: RingElement) -> RingElement:
@@ -393,7 +384,7 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
     v = v.to_basis("L")
     w = w.to_basis("L")
     products = _products(params)
-    flat_w = [(b, y, c) for (b, y), c in w.terms.items()]
+    flat_w = [(b * qm1, y, c) for (b, y), c in w.terms.items()]
     acc: dict[int, Coeff] = {}
     for (a, x), cv in v.terms.items():
         _convolve(qm1, acc, flat_w, products[a], cv, x)
@@ -404,48 +395,45 @@ def multiply(v: RingElement, w: RingElement) -> RingElement:
 # ---------------------------------------------------------------------------
 # Base change between the S and L bases
 
-def _glover_step(params: FieldParams, prev: Mapping[Label, int],
-                 prev2: Mapping[Label, int]) -> dict[Label, int]:
-    """[S_n] from [S_{n-1}] and [S_{n-2}], all as L-basis label dicts, by the
-    Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1); zeros dropped.
-    The sum is taken on int keys against the flat rows [L_a][L_1]."""
+def _glover_step(params: FieldParams, prev: Row, prev2: Row) -> Row:
+    """[S_n] from [S_{n-1}] and [S_{n-2}], all as L-basis flat rows, by the
+    Glover recursion [S_n] = [S_{n-1}][L_1] - [S_{n-2}](1)."""
     qm1 = params.q - 1
-    acc = _convolve(qm1, {}, [(a, x, c) for (a, x), c in prev.items()],
-                    _l1_rows(params))
+    acc = _convolve(qm1, {}, prev, _l1_rows(params))
     get = acc.get
-    for (a, x), c in prev2.items():
-        key = a * qm1 + (x + 1) % qm1
+    for nb, x, c in prev2:
+        key = nb + (x + 1) % qm1
         acc[key] = get(key, 0) - c
-    return {divmod(key, qm1): c for key, c in acc.items() if c}
+    return _flat(qm1, acc)
 
 
 @memo(_field_key)
-def _s_to_l_columns(params: FieldParams) -> list[dict[Label, int]]:
-    """[S_n(0)] in the L basis for 0 <= n <= q-1: [S_0] = [L_0], [S_1] = [L_1]
-    and ``_glover_step`` from there on."""
-    cols: list[dict[Label, int]] = [{(0, 0): 1}, {(1, 0): 1}]
+def _s_to_l_columns(params: FieldParams) -> tuple[Row, ...]:
+    """[S_n(0)] in the L basis for 0 <= n <= q-1, as flat rows: [S_0] =
+    [L_0], [S_1] = [L_1] and ``_glover_step`` from there on."""
+    cols = [((0, 0, 1),), ((params.q - 1, 0, 1),)]
     for n in range(2, params.q):
         cols.append(_glover_step(params, cols[n - 1], cols[n - 2]))
-    return cols
+    return tuple(cols)
 
 
 @memo(_field_key)
-def _l_to_s_columns(params: FieldParams) -> list[dict[Label, int]]:
-    """[L_n(0)] in the S basis, inverting the unit-triangular S -> L change."""
-    cols: list[dict[Label, int]] = []
+def _l_to_s_columns(params: FieldParams) -> tuple[Row, ...]:
+    """[L_n(0)] in the S basis, as flat rows, inverting the unit-triangular
+    S -> L change: the constituents of S_n but L_n have labels below n."""
+    qm1 = params.q - 1
+    cols: list[Row] = []
     for n, s_col in enumerate(_s_to_l_columns(params)):
-        # constituents of S_n other than L_n have i < n (triangularity)
-        rest = {lbl: c for lbl, c in s_col.items() if lbl != (n, 0)}
-        acc = _expand(params, {(n, 0): 1}, rest, cols, -1)
-        cols.append({k: c for k, c in acc.items() if c != 0})
-    return cols
+        rest = [(nb, x, -k) for nb, x, k in s_col if (nb, x) != (n * qm1, 0)]
+        cols.append(_flat(qm1, _convolve(qm1, {n * qm1: 1}, rest, cols)))
+    return tuple(cols)
 
 
 def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """L-basis expansion of [S_n(m)] for 0 <= n <= q-1."""
     if not 0 <= n <= params.q - 1:
         raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
-    return _element(params, "L", _expand(params, {}, {(n, m): 1},
+    return _element(params, "L", _expand(params, {(n, m): 1},
                                          _s_to_l_columns(params)))
 
 
@@ -456,4 +444,4 @@ def convert_basis(v: RingElement, target: str) -> RingElement:
         return v
     params = v.params
     cols = _s_to_l_columns(params) if target == "L" else _l_to_s_columns(params)
-    return _element(params, target, _expand(params, {}, v.terms, cols))
+    return _element(params, target, _expand(params, v.terms, cols))

@@ -28,7 +28,7 @@ from modp_gl2 import (
     t_shift_candidates,
 )
 from modp_gl2.asymptotics import _class_norms
-from modp_gl2.ring import _expand, structure_constants
+from modp_gl2.ring import structure_constants
 
 # every field with q <= 16
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
@@ -69,17 +69,21 @@ def brute_force_norm(v):
 
 
 def per_b_norm(v):
-    """operator_norm as the q products v * [L_b(0)], one ``_expand`` label
-    dict each, with |c| summed per n: the reference for the flat
-    accumulator split by central character."""
+    """operator_norm as the q products v * [L_b(0)], each summed label by
+    label from the ``structure_constants`` maps, with |c| summed per n: the
+    reference for the flat accumulator split by central character."""
     params = v.params
+    qm1 = params.q - 1
     d = lcm(*(c.denominator for c in v.terms.values()))
-    scaled = {lbl: c.numerator * (d // c.denominator)
-              for lbl, c in v.terms.items()}
     rows = [0] * params.q
     for b in range(params.q):
-        times_b = [structure_constants(params, a, b) for a in range(params.q)]
-        for (n, _), c in _expand(params, {}, scaled, times_b).items():
+        column = {}
+        for (a, x), c in v.terms.items():
+            c = c.numerator * (d // c.denominator)
+            for (n, t), k in structure_constants(params, a, b).items():
+                lbl = (n, (t + x) % qm1)
+                column[lbl] = column.get(lbl, 0) + c * k
+        for (n, _), c in column.items():
             rows[n] += abs(c)
     return Fraction(max(rows), d)
 

@@ -148,8 +148,9 @@ def test_rounding_discipline(p3, monkeypatch):
         == [half] + [0] * (len(table.labels) - 1)
     monkeypatch.setattr(brauer.BrauerTable, "values",
                         lambda self, factor: np.full(len(self.classes), half))
+    # one factor S_0, of dimension 1, whose character is patched to it
     with pytest.raises(OracleError, match="dimension"):
-        oracle_decompose(p3, [])
+        oracle_decompose(p3, [(0, 0, 0)])
 
 
 @pytest.fixture

@@ -234,7 +234,7 @@ def test_series_gather_sums_the_series(p, f):
         counts = [rng.randrange(4) for _ in range(qm1)]
         series = {((alpha - 2 * c2) % qm1, c2): c
                   for c2, c in enumerate(counts)}
-        expected = _expand(params, {}, series, _diamond_columns(params))
+        expected = _expand(params, series, _diamond_columns(params))
         got = {lbl: sum(counts[c2] for c2 in c2s)
                for lbl, c2s in table.items()}
         assert RingElement(params, "L", got) \

@@ -228,10 +228,11 @@ def reference_terms(v, target):
     pr = v.params
     cols = (ring._s_to_l_columns(pr) if target == "L"
             else ring._l_to_s_columns(pr))
+    qm1 = pr.q - 1
     out = {}
     for (n, m), c in terms.items():
-        for (a, x), k in cols[n].items():
-            key = (a, (x + m) % (pr.q - 1))
+        for nb, x, k in cols[n]:
+            key = (nb // qm1, (x + m) % qm1)
             out[key] = out.get(key, Fraction(0)) + c * k
     return {k: c for k, c in out.items() if c != 0}
 

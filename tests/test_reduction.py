@@ -65,8 +65,8 @@ def test_slow_checkpoint_never_goes_stale(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the slow route reached the fast route")
 
-    # the slow route shares nothing with the fast route
-    for name in ("_reduce_symm_base_fast", "_series_gather", "_expand"):
+    # the slow route never reaches the fast route or its gather tables
+    for name in ("_reduce_symm_base_fast", "_series_gather"):
         monkeypatch.setattr(reduction, name, forbidden)
     p3, p16, p16h4 = FieldParams(3, 1), FieldParams(2, 4), FieldParams(2, 4, 4)
     # up, repeat, down (also into the base range), then up past the checkpoint
@@ -151,9 +151,11 @@ def test_slow_route_keeps_at_most_2q_plus_1_stops(p, f):
     stops = reduction._glover_checkpoint(params)[1]
     assert len(stops) == 2 * q + 1
     for i, (prev2, prev) in enumerate(stops):
-        # stop i holds [S_(k-1)] and [S_k] at k = q-1 + iq
+        # stop i holds [S_(k-1)] and [S_k] at k = q-1 + iq, as flat rows
         k = q - 1 + i * q
-        assert (prev2, prev) == (walk[k - 1].terms, walk[k].terms), k
+        assert [{(nb // (q - 1), x): c for nb, x, c in row}
+                for row in (prev2, prev)] \
+            == [walk[k - 1].terms, walk[k].terms], k
     # below and above the highest stop, down and then up
     for k in list(range(top, q - 1, -1)) + list(range(q, top + 1, 7)):
         assert reduce_symm(params, k, method="slow") == walk[k], k
