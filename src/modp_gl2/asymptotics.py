@@ -14,10 +14,10 @@ from math import lcm
 
 from .memo import memo
 from .params import FieldParams
-from .principal import _series_gather, s_alpha  # s_alpha re-exported
-from .reduction import SymmFactor, reduce_product, reduce_symm
+from .principal import _series_prefix, s_alpha  # s_alpha re-exported
+from .reduction import reduce_product, reduce_symm, symm_factors
 from .ring import (RingElement, _dims, _element, _field_key, _l1_rows,
-                   _l_to_s_columns, _products, frac_str, multiply)
+                   _labels, _products, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +38,10 @@ def norm_S_1(v: RingElement) -> Fraction:
 @memo(_field_key)
 def _norm_products(params: FieldParams) -> tuple[tuple, ...]:
     """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
-    triple (2(bq + n), y, k), read by ``operator_norm``; n is read off the
-    flat row's key n(q-1)."""
+    triple (2(bq + n), y, k), read by ``operator_norm``."""
     q, qm1 = params.q, params.q - 1
-    return tuple(tuple((2 * (b * q + nb // qm1), y, k)
-                       for b, terms in enumerate(row) for nb, y, k in terms)
+    return tuple(tuple((2 * (b * q + n), y, k) for b, terms in enumerate(row)
+                       for (n, y), k in _labels(qm1, terms).items())
                  for row in _products(params))
 
 
@@ -133,10 +132,8 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     """
     q, qm1 = params.q, params.q - 1
     period = q * q - 1
-    M: list[dict[int, int]] = [{} for _ in range(q)]   # sparse rows
-    for a, row in enumerate(_l1_rows(params)):
-        for nb, _, k in row:
-            M[a][nb // qm1] = M[a].get(nb // qm1, 0) + k
+    M = [[(n, k) for (n, _), k in _labels(qm1, row).items()]   # sparse rows
+         for row in _l1_rows(params)]
     dims = _dims(params)
     heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
     prev, cur = [0] * q, [1] * q
@@ -153,7 +150,7 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
                 max(x - y for x, y in zip(cur, heads[r - period])), period))
         nxt = [-x for x in prev]
         for a, x in enumerate(cur):
-            for n, k in M[a].items():
+            for n, k in M[a]:
                 nxt[n] += x * k
         prev, cur = cur, nxt
     return s_norms, hat_norms
@@ -162,14 +159,15 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
 @memo(_field_key)
 def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, and
-    M_upper: the constants that depend on the field alone, not on h. The
-    norms come from the row-sum recursion of ``_class_norms``, which reads
-    only the products [L_a][L_1], not from ``operator_norm``."""
+    M_upper, q - 1 times the S-basis l1 mass of the L_n(0), n < q: the
+    constants that depend on the field alone, not on h. The norms come from
+    the row-sum recursion of ``_class_norms``, which reads only the products
+    [L_a][L_1], not from ``operator_norm``."""
     q = params.q
     s_norms, hat_norms = _class_norms(params)
     a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))
-    mass = sum(abs(k) for col in _l_to_s_columns(params) for _, _, k in col)
-    return a_const, (q - 1) * Fraction(mass)
+    mass = sum(norm_S_1(RingElement.L(params, n)) for n in range(q))
+    return a_const, (q - 1) * mass
 
 
 def compute_constants(params: FieldParams) -> ConstantsReport:
@@ -194,19 +192,18 @@ def split_by_central_character(v: RingElement) -> dict[int, RingElement]:
 
 def residual(v: RingElement) -> RingElement:
     """r_V = [V] - (dim V) * S_alpha(V); requires a central character.
-    N r_V = N [V] - (dim V) N S-hat_alpha, N = q^2 - 1, is summed with
-    N S-hat_alpha read off the gather table of alpha, omega(n) on each label
-    as its entry's length, and divided by N once."""
+    N r_V = N [V] - (dim V) N S-hat_alpha, N = q^2 - 1, is summed on
+    -(dim V) N S-hat_alpha from ``_series_prefix`` (u = -dim V, s = 0) and
+    divided by N once."""
     alpha = v.central_character()
     if alpha is None:
         raise ValueError("element has no central character; split it first")
     v = v.to_basis("L")
     params = v.params
     period = params.q ** 2 - 1
-    dim = v.dimension()
-    scaled = {lbl: period * c for lbl, c in v.terms.items()}
-    for lbl, c2s in _series_gather(params, alpha).items():
-        scaled[lbl] = scaled.get(lbl, 0) - dim * len(c2s)
+    scaled = _series_prefix(params, alpha, -v.dimension(), 0)
+    for lbl, c in v.terms.items():
+        scaled[lbl] = scaled.get(lbl, 0) + period * c
     return _element(params, "L", {lbl: Fraction(c, period)
                                   for lbl, c in scaled.items()})
 
@@ -239,9 +236,10 @@ def check_theorem_bound(params: FieldParams, w: RingElement,
 
     The theorem bound C_r |W|_{S,1} (dim U) / min(k_i + 1) is a rational
     comparison; the corollary bound C ||W|| (dim U)^{1 - 1/h} is checked
-    exactly after raising both sides to the h-th power.
+    exactly after raising both sides to the h-th power. Its display float
+    ``rhs_corollary_float`` is inf when the value leaves float range.
     """
-    factors = [SymmFactor(*f) for f in factors]
+    factors = symm_factors(factors)
     if not factors:
         raise ValueError("at least one symmetric-power factor is required")
     if w.central_character() is None:
@@ -258,7 +256,10 @@ def check_theorem_bound(params: FieldParams, w: RingElement,
     c_w = report.C * operator_norm(w)
     # lhs <= C ||W|| (dim U)^(1 - 1/h)  <=>  lhs^h <= (C ||W||)^h (dim U)^(h-1)
     satisfied_coro = lhs ** h <= c_w ** h * dim_u ** (h - 1)
-    rhs_coro_float = float(c_w) * float(dim_u) ** (1 - 1 / h)
+    try:
+        rhs_coro_float = float(c_w) * float(dim_u) ** (1 - 1 / h)
+    except OverflowError:
+        rhs_coro_float = float("inf")
     return BoundReport(lhs, rhs_theorem, lhs <= rhs_theorem,
                        rhs_coro_float, satisfied_coro)
 

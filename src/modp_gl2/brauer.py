@@ -40,7 +40,7 @@ import numpy as np
 
 from .memo import memo
 from .params import FieldParams
-from .reduction import SymmFactor
+from .reduction import SymmFactor, symm_factors
 from .ring import RingElement, _element
 
 PRIME_BOUND = 2 ** 26
@@ -305,9 +305,7 @@ def oracle_decompose(params: FieldParams, factors,
     [0, prod ell) is exact. Raises OracleError unless the lifted
     multiplicities satisfy sum x * dim L_n = dim V exactly.
     """
-    factors = [SymmFactor(*f) for f in factors]
-    if any(f.k < 0 for f in factors):
-        raise ValueError(f"every k of {factors} must be >= 0")
+    factors = symm_factors(factors)
     dim_v = math.prod(f.k + 1 for f in factors)
     x, modulus, index = 0, 1, 0
     while modulus <= dim_v:

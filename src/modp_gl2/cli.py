@@ -21,7 +21,7 @@ from math import prod
 
 from . import asymptotics, bm, principal
 from .params import FieldParams
-from .reduction import SymmFactor, reduce_product, reduce_symm
+from .reduction import SymmFactor, reduce_product
 from .ring import RingElement, frac_str, symm_to_L
 
 EXIT_OK = 0
@@ -30,7 +30,7 @@ EXIT_ORACLE = 3
 EXIT_BOUND = 4
 
 _TERM_RE = re.compile(
-    r"^\s*(?:(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*)?"
+    r"^\s*(?:(?P<coeff>-?\d+(?:/0*[1-9]\d*)?)\s*\*\s*)?"
     r"\[(?P<basis>[LS])_(?P<n>\d+)(?:\((?P<m>\d+)\))?\]\s*$")
 
 
@@ -118,12 +118,11 @@ def cmd_decompose(params, args):
                          "or --factors, not both")
     if args.factors:
         factors = parse_factors(args.factors)
-        elem = reduce_product(params, factors)
     elif args.symm is not None:
-        elem = reduce_symm(params, args.symm, args.det or 0, args.frob or 0)
+        factors = [SymmFactor(args.symm, args.det or 0, args.frob or 0)]
     else:
         raise ValueError("decompose needs --symm or --factors")
-    emit_element(elem, args.format)
+    emit_element(reduce_product(params, factors), args.format)
     return EXIT_OK
 
 
@@ -311,12 +310,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        params = FieldParams(args.p, args.f, args.h)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        return args.func(params, args)
+        return args.func(FieldParams(args.p, args.f, args.h), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,10 +5,18 @@ closed walk of length f assigns one function per Frobenius slot. Walks on
 the first graph decompose a principal series V_n(m) into irreducibles; walks
 on the second one list the principal series containing a given irreducible.
 ``omega`` counts the latter; ``s_alpha`` averages the principal series.
+
+The V_n table is made of the ring's flat rows, built and read through
+``ring`` alone. The gather lists of ``_series_gather`` are this module's
+own: other modules read them only through ``_series_prefix`` (u N S-hat
+plus the first s series, for the fast ``reduce_symm``, ``s_alpha`` and
+``asymptotics.residual``) and ``_series_sum`` (any counts of the series,
+for the fast product).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +27,7 @@ from typing import Mapping
 from .memo import memo
 from .params import FieldParams
 from .ring import (Label, RingElement, Row, _element, _expand, _field_key,
-                   _flat)
+                   _labels, _row)
 
 DECOMPOSITION = "decomposition"
 ANTECEDENT = "antecedent"
@@ -147,9 +155,9 @@ def _diamond_columns(params: FieldParams) -> tuple[Row, ...]:
     """The untwisted V_n in the L basis for n < q-1, as flat rows: one
     L_lambda(ell) per compatible decomposition path."""
     qm1 = params.q - 1
-    return tuple(_flat(qm1, Counter(row["lambda"] * qm1 + row["ell"]
-                                    for row in explain_decomposition(params, n)
-                                    if row["compatible"]))
+    return tuple(_row(qm1, Counter((row["lambda"], row["ell"])
+                                   for row in explain_decomposition(params, n)
+                                   if row["compatible"]))
                  for n in range(qm1))
 
 
@@ -211,16 +219,33 @@ def _series_gather(params: FieldParams,
     contains it, ascending, each repeated by its multiplicity. A sum of
     the series with counts c[c2] holds the label sum(c[c2] for c2 in its
     entry) times, and the entry's length is omega(n), the label's value in
-    N S-hat_alpha: the one table of N S-hat_alpha, read by the fast route,
-    ``s_alpha`` and ``asymptotics.residual``. A read-only view, built from
+    N S-hat_alpha: the one table of N S-hat_alpha, read through
+    ``_series_prefix`` and ``_series_sum``. A read-only view, built from
     the V_n table."""
     qm1 = params.q - 1
-    columns = _diamond_columns(params)
+    rows = _diamond_columns(params)
     table: dict[Label, list[int]] = {}
     for c2 in range(qm1):
-        for nb, x, k in columns[(alpha - 2 * c2) % qm1]:
-            table.setdefault((nb // qm1, (x + c2) % qm1), []).extend([c2] * k)
+        row = _labels(qm1, rows[(alpha - 2 * c2) % qm1])
+        for (n, x), k in row.items():
+            table.setdefault((n, (x + c2) % qm1), []).extend([c2] * k)
     return MappingProxyType({lbl: tuple(c2s) for lbl, c2s in table.items()})
+
+
+def _series_prefix(params: FieldParams, alpha: int, u, s: int) -> dict:
+    """u N S-hat_alpha plus the series V(c2) of central character alpha
+    with c2 < s, as a fresh label dict: u len(entry) + (entries below s)
+    per label of the gather table. u = 1, s = 0 gives N S-hat_alpha."""
+    return {lbl: u * len(c2s) + bisect_left(c2s, s) for lbl, c2s
+            in _series_gather(params, alpha % (params.q - 1)).items()}
+
+
+def _series_sum(params: FieldParams, alpha: int, counts: list[int]) -> dict:
+    """The sum of counts[c2] V(c2) over the series of central character
+    alpha, as a fresh label dict: each label sums the counts of its
+    gather-table entry."""
+    return {lbl: sum(map(counts.__getitem__, c2s)) for lbl, c2s
+            in _series_gather(params, alpha % (params.q - 1)).items()}
 
 
 def s_alpha(params: FieldParams, i: int) -> RingElement:
@@ -231,6 +256,5 @@ def s_alpha(params: FieldParams, i: int) -> RingElement:
     with n + 2m = i (mod q-1), and 0 elsewhere, omega(n) being the length
     of the label's entry in the gather table of i."""
     period = params.q ** 2 - 1
-    return _element(params, "L", {
-        lbl: Fraction(len(c2s), period)
-        for lbl, c2s in _series_gather(params, i % (params.q - 1)).items()})
+    return _element(params, "L", {lbl: Fraction(c, period) for lbl, c
+                                  in _series_prefix(params, i, 1, 0).items()})

@@ -10,10 +10,17 @@ adds the full periods of k as one multiple of N S-hat_k, by
 [S_(k+N)] = [S_k] + N S-hat_k with N = q^2 - 1 and S-hat_k = ``s_alpha(k)``,
 peels off the rest in principal series of dimension q+1 and finishes with a
 base-change column. Both parts come from one gather table per central
-character, ``principal._series_gather``: N S-hat_alpha is the sum of the
-q-1 series V_((alpha-2c2) mod (q-1))(c2), and the table lists for each
-label the c2 whose series hold it. They must agree exactly; the fast one is
-O(q) per call. Both give [S_k]; ``_twist`` relabels it once into S_k(m)^[j].
+character in ``principal``: N S-hat_alpha is the sum of the q-1 series
+V_((alpha-2c2) mod (q-1))(c2), and the table lists for each label the c2
+whose series hold it. They must agree exactly; the fast one is O(q) per
+call. Both give [S_k]; ``_twist`` relabels it once into S_k(m)^[j].
+
+This module reads neither table format itself: the gather lists only
+through ``principal._series_prefix`` (the fast ``reduce_symm``) and
+``principal._series_sum`` (the fast product), and the ring's flat rows
+only through ``ring._labels`` and ``ring._add_symm``, which adds a
+remainder S_w(v) into a label dict. ``symm_factors`` checks every factor
+list once, for both product routes, the oracle and the bound check.
 
 The fast route keeps a remainder S_w(v) only when 2w < q. The principal
 series give [S_w(v)] + [S_(q-1-w)(v+w)] = [V_(w mod (q-1))(v)] for every
@@ -39,16 +46,15 @@ one route independent of them."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import reduce
 from math import prod
 from typing import NamedTuple
 
 from .memo import memo
 from .params import FieldParams
-from .principal import _series_gather
-from .ring import (Label, RingElement, _element, _field_key, _glover_step,
-                   _labels, _s_to_l_columns, _twist, multiply)
+from .principal import _series_prefix, _series_sum
+from .ring import (Label, RingElement, _add_symm, _element, _field_key,
+                   _glover_step, _labels, _s_to_l_columns, _twist, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -57,6 +63,16 @@ class SymmFactor(NamedTuple):
     k: int
     m: int = 0
     j: int = 0
+
+
+def symm_factors(factors) -> list[SymmFactor]:
+    """A factor list as ``SymmFactor``s, from k:m:j triples or prefixes of
+    them; a negative k is a ValueError."""
+    factors = [SymmFactor(*f) for f in factors]
+    for k, _, _ in factors:
+        if k < 0:
+            raise ValueError(f"k = {k} must be >= 0")
+    return factors
 
 
 def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None, int]:
@@ -76,22 +92,13 @@ def _split(params: FieldParams, k: int) -> tuple[int, int, Label | None, int]:
 
 
 def _reduce_symm_base_fast(params: FieldParams, k: int) -> dict[Label, int]:
-    """[S_k] as an L-basis label dict from its ``_split``: the series and
-    u N S-hat_k from the gather table of central character k, the remainder
-    through a base-change column, scaled by its sign. Series i < s sit at
-    c2 = i, so a label holds the entries of its gather list below s;
-    u N S-hat_k, the sum of all q-1 series u times, adds u to each."""
-    qm1 = params.q - 1
+    """[S_k] as an L-basis label dict from its ``_split``: u N S-hat_k and
+    the series i < s, which sit at c2 = i, by ``_series_prefix`` of
+    central character k, then sign [S_w(v)] added by ``_add_symm``."""
     u, s, rest, sign = _split(params, k)
-    terms = {}
-    if u or s:
-        terms = {lbl: u * len(c2s) + bisect_left(c2s, s) for lbl, c2s
-                 in _series_gather(params, k % qm1).items()}
+    terms = _series_prefix(params, k, u, s) if u or s else {}
     if rest is not None:
-        w, v = rest
-        for nb, x, c in _s_to_l_columns(params)[w]:
-            lbl = (nb // qm1, (x + v) % qm1)
-            terms[lbl] = terms.get(lbl, 0) + sign * c
+        _add_symm(params, terms, *rest, sign)
     return terms
 
 
@@ -182,8 +189,8 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     With F_i = P_i + e_i R_i from ``_split``, P_i the series and e_i the
     sign, the product is the sum over i of e_1...e_(i-1) R_1...R_(i-1) P_i
     F_(i+1)...F_r, plus e_1...e_r R_1...R_r by ``multiply``. The V-part's
-    count of V(alpha - c2, c2) is the coefficient of x^c2, and a label sums
-    the counts of the c2 in its gather list. A remainder S_w(v+m)^[j] is
+    count of V(alpha - c2, c2) is the coefficient of x^c2, and
+    ``_series_sum`` sums them into the labels. A remainder S_w(v+m)^[j] is
     the base-change column of S_w relabelled by ``_twist``.
 
     A polynomial is one int with ``bits`` bits per coefficient, ``bits``
@@ -203,9 +210,6 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     of ``plus`` + ``minus`` sum to at most the product of the k + 1, which
     ``bits`` holds.
     """
-    for k, _, _ in factors:
-        if k < 0:
-            raise ValueError(f"k = {k} must be >= 0")
     p, n = params.p, params.q - 1
     bits = -(-prod(k + 1 for k, _, _ in factors).bit_length() // 8) * 8
     size = bits * n
@@ -244,8 +248,7 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     slot = (1 << bits) - 1
     counts = [(plus >> bits * c2 & slot) - (minus >> bits * c2 & slot)
               for c2 in range(n)]
-    terms = {lbl: sum(map(counts.__getitem__, c2s)) for lbl, c2s
-             in _series_gather(params, alpha % n).items()}
+    terms = _series_sum(params, alpha, counts)
     if prefix:
         for lbl, c in reduce(multiply, rests).terms.items():
             terms[lbl] = terms.get(lbl, 0) + sign * c
@@ -258,7 +261,7 @@ def reduce_product(params: FieldParams, factors, method: str = "fast") -> RingEl
     the ``multiply`` fold of the factors' classes from the first one."""
     if method not in ("fast", "slow"):
         raise ValueError(f"unknown method {method!r}")
-    factors = [SymmFactor(*f) for f in factors]
+    factors = symm_factors(factors)
     if method == "fast" and len(factors) > 1:
         return _reduce_product_fast(params, factors)
     classes = [reduce_symm(params, f, method=method) for f in factors]

@@ -21,7 +21,10 @@ row is a tuple of triples (n(q-1), x, k) for the term k L_n(x), so that
 n(q-1) + x is the label's int key. Products, the S <-> L base change and
 (in ``principal``) V_n commute with the determinant twist, so one loop,
 ``_convolve``, applies the tables on int keys; keys and rows turn back
-into labels (n, x) = divmod(key, q-1) only for results handed out.
+into labels (n, x) = divmod(key, q-1) only for results handed out. The
+row format is this module's own: other modules hold the tables whole and
+go between rows and label dicts through ``_labels``, ``_row``, ``_expand``
+and ``_add_symm``.
 """
 
 from __future__ import annotations
@@ -251,7 +254,7 @@ class RingElement:
                                     "int or a string")
                 terms.append(((t["n"], t["m"]), Fraction(t["coeff"])))
             return cls(params, data["basis"], terms)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed element JSON: {exc!r}") from None
 
 
@@ -297,13 +300,17 @@ def _labels(qm1: int, row: Row) -> dict[Label, Coeff]:
     return {(nb // qm1, x): k for nb, x, k in row}
 
 
+def _row(qm1: int, terms: Mapping[Label, Coeff]) -> Row:
+    """A label dict as a flat row, the inverse of ``_labels``."""
+    return tuple([(n * qm1, x, c) for (n, x), c in terms.items()])
+
+
 def _expand(params: FieldParams, terms: Mapping[Label, Coeff], rows) -> dict:
     """The label dict ``terms`` through a table of rows, as a label dict,
     zeros kept: ``_convolve`` between labels and int keys."""
     qm1 = params.q - 1
-    flat = [(n * qm1, m, c) for (n, m), c in terms.items()]
     return {divmod(key, qm1): c
-            for key, c in _convolve(qm1, {}, flat, rows).items()}
+            for key, c in _convolve(qm1, {}, _row(qm1, terms), rows).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +436,22 @@ def _l_to_s_columns(params: FieldParams) -> tuple[Row, ...]:
     return tuple(cols)
 
 
+def _add_symm(params: FieldParams, terms: dict[Label, Coeff], w: int, v: int,
+              sign: int = 1) -> dict[Label, Coeff]:
+    """Add sign * [S_w(v)], w < q, into the label dict ``terms`` in one pass
+    over the base-change column of S_w; return ``terms``."""
+    qm1 = params.q - 1
+    for nb, x, c in _s_to_l_columns(params)[w]:
+        lbl = (nb // qm1, (x + v) % qm1)
+        terms[lbl] = terms.get(lbl, 0) + sign * c
+    return terms
+
+
 def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:
     """L-basis expansion of [S_n(m)] for 0 <= n <= q-1."""
     if not 0 <= n <= params.q - 1:
         raise ValueError(f"n = {n} out of range [0, {params.q - 1}]")
-    return _element(params, "L", _expand(params, {(n, m): 1},
-                                         _s_to_l_columns(params)))
+    return _element(params, "L", _add_symm(params, {}, n, m))
 
 
 def convert_basis(v: RingElement, target: str) -> RingElement:

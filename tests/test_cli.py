@@ -127,6 +127,17 @@ def test_verify_bound_ok(capsys):
     assert data["satisfied_corollary"] is True
 
 
+def test_verify_bound_past_float_range(capsys):
+    # at h = 200 the corollary's display float overflows and reads Infinity;
+    # the exact checks still decide the exit code
+    code, out, err = run(capsys, "--p", "3", "--h", "200", "verify-bound",
+                         "--w", "[L_1(0)]", "--factors", "5:0")
+    assert (code, err) == (0, "")
+    assert '"rhs_corollary": Infinity' in out
+    data = json.loads(out)
+    assert data["satisfied_theorem"] is data["satisfied_corollary"] is True
+
+
 def test_verify_bound_violation_exit_code(capsys):
     # an enormous W coefficient cannot violate the bound (it scales both
     # sides), but a mixed-character W is a validation error
@@ -266,6 +277,10 @@ ELEMENT = {"p": 3, "f": 1, "basis": "L",
         {"n": 0, "m": 0, "coeff": "1"}])}),
     # a weight label n must lie in [0, q-1]
     ("weights", [{"n": 99, "m": 0, "mu": 1}]),
+    # a zero denominator, in W and in the class of a type file
+    ("w", dict(ELEMENT, terms=[{"n": 1, "m": 0, "coeff": "1/0"}])),
+    ("type", {"dim": 1, "label": "", "class": dict(ELEMENT, terms=[
+        {"n": 0, "m": 0, "coeff": "1/0"}])}),
 ])
 def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
     from modp_gl2 import bm
@@ -304,6 +319,9 @@ def test_malformed_json_is_a_validation_error(capsys, tmp_path, kind, data):
     "--p 3 decompose --det 1 --factors 7:1",
     "--p 3 decompose --det 1 --frob 1 --factors 7:1",
     "--p 3 omega --all --n 1",
+    # a zero denominator
+    "--p 3 verify-bound --w 1/0*[L_1(0)] --factors 5:0",
+    "--p 3 verify-bound --w [L_1(0)]-3/00*[L_0(1)] --factors 5:0",
 ])
 def test_invalid_input_is_a_validation_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -241,3 +241,18 @@ def test_series_gather_sums_the_series(p, f):
             == RingElement(params, "L", expected), (params.q, alpha, counts)
     with pytest.raises(TypeError):
         _series_gather(params, 0)[(0, 0)] = ()
+
+
+def test_each_table_format_has_one_owner():
+    # only principal binds the gather table and only ring the flat-row
+    # builder: the other modules read both through their owners' functions
+    import importlib
+    import pkgutil
+
+    import modp_gl2
+
+    for info in pkgutil.iter_modules(modp_gl2.__path__):
+        module = importlib.import_module(f"modp_gl2.{info.name}")
+        assert hasattr(module, "_series_gather") \
+            == (info.name == "principal"), info.name
+        assert hasattr(module, "_flat") == (info.name == "ring"), info.name

@@ -65,8 +65,8 @@ def test_slow_checkpoint_never_goes_stale(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the slow route reached the fast route")
 
-    # the slow route never reaches the fast route or its gather tables
-    for name in ("_reduce_symm_base_fast", "_series_gather"):
+    # the slow route never reaches the fast route or the gather-table reads
+    for name in ("_reduce_symm_base_fast", "_series_prefix", "_series_sum"):
         monkeypatch.setattr(reduction, name, forbidden)
     p3, p16, p16h4 = FieldParams(3, 1), FieldParams(2, 4), FieldParams(2, 4, 4)
     # up, repeat, down (also into the base range), then up past the checkpoint
@@ -223,7 +223,7 @@ def test_reduce_product(p9):
 def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
                                                          count):
     # the slow route folds the factors' classes through multiply and reads
-    # nothing of the fast product: no weights or gather table
+    # nothing of the fast product: no weights or gather-table read
     calls = []
 
     def counted(v, w):
@@ -238,7 +238,8 @@ def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
     for k, m, j in factors[1:count]:
         expected = multiply(expected, reduce_symm(p9, k, m=m, j=j))
     monkeypatch.setattr(reduction, "multiply", counted)
-    for name in ("_reduce_product_fast", "_split", "_series_gather", "_runs"):
+    for name in ("_reduce_product_fast", "_split", "_series_prefix",
+                 "_series_sum", "_runs"):
         monkeypatch.setattr(reduction, name, forbidden)
     assert reduce_product(p9, factors[:count], method="slow") == expected
     assert len(calls) == count - 1

@@ -39,6 +39,8 @@ L1 = RingElement.L(P3, 1, 0)
     pytest.param(lambda: check_theorem_bound(P3, L1, []), ValueError,
                  "at least one symmetric-power factor is required",
                  id="bound-no-factors"),
+    pytest.param(lambda: check_theorem_bound(P3, L1, [(5, 0, 0), (-1, 0, 0)]),
+                 ValueError, "k = -1 must be >= 0", id="bound-negative-k"),
     pytest.param(lambda: reduce_symm(P3, 4, method="x"), ValueError,
                  "unknown method 'x'", id="reduce-symm-method"),
     pytest.param(lambda: reduce_symm(P3, SymmFactor(5, 1, 0), m=1),
@@ -60,7 +62,7 @@ L1 = RingElement.L(P3, 1, 0)
     pytest.param(lambda: L1 + RingElement.S(P3, 1, 0), ValueError,
                  "basis mismatch", id="add-bases"),
     pytest.param(lambda: oracle_decompose(P3, [(-1, 0, 0)]), ValueError,
-                 "must be >= 0", id="oracle-negative-k"),
+                 "k = -1 must be >= 0", id="oracle-negative-k"),
     pytest.param(lambda: bm.mu_aut_asymptotic_qp(P5, bm.RhoBarQp(1, 0), 3,
                                                  0, "x"),
                  ValueError, "unknown variant 'x'", id="asymptotic-variant"),
