@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pairs of independent routes against each other on every field q <= 64.
 
-For each of the 27 fields, six checks run on the field's shared memoized
+For each of the 27 fields, seven checks run on the field's shared memoized
 tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 
 - products: ``reduce_product`` (principal series absorbing the product)
@@ -31,7 +31,10 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
   route trades a remainder S_w with 2w >= q for one more series;
 - oracle: ``reduce_product`` against ``oracle_decompose``, the Brauer
   characters solved mod a prime, on 5 seeded products for each r = 2, 3
-  twisted S_k(m)^[j] with k < 300.
+  twisted S_k(m)^[j] with k < 300;
+- diamond: each row of the V_n table, built from column words, against
+  the (lambda, ell) of the compatible closed paths of
+  ``explain_decomposition``, counted with multiplicity.
 
 Prints one line per field and exits 1 on any mismatch. A check that raises
 counts as one mismatch on its field, and the sweep goes on.
@@ -44,6 +47,7 @@ import random
 import sys
 import time
 import traceback
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -53,8 +57,9 @@ from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
                       reduce_product, reduce_symm, residual, s_alpha,
                       symm_to_L)
 from modp_gl2.params import Q_CAP, is_prime
-from modp_gl2.principal import _diamond_columns, _series_gather
-from modp_gl2.ring import _expand, structure_constants
+from modp_gl2.principal import (_diamond_columns, _series_gather,
+                                explain_decomposition)
+from modp_gl2.ring import _expand, _labels, structure_constants
 
 PRODUCTS = 10     # per factor count r and bound on k
 ELEMENTS = 5      # residuals and mixes, each
@@ -198,9 +203,20 @@ def oracle(params, rng):
                             == oracle_decompose(params, factors))
 
 
+def diamond(params, rng):
+    """Yield (n, agree) for each row of the V_n table against the paths."""
+    qm1 = params.q - 1
+    rows = _diamond_columns(params)
+    for n in range(qm1):
+        paths = Counter((row["lambda"], row["ell"])
+                        for row in explain_decomposition(params, n)
+                        if row["compatible"])
+        yield f"n = {n}", _labels(qm1, rows[n]) == paths
+
+
 CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
           ("alphas", gather), ("identities", reflection),
-          ("oracle products", oracle))
+          ("oracle products", oracle), ("V_n rows", diamond))
 
 
 def tally(counts):

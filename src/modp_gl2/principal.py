@@ -6,6 +6,14 @@ the first graph decompose a principal series V_n(m) into irreducibles; walks
 on the second one list the principal series containing a given irreducible.
 ``omega`` counts the latter; ``s_alpha`` averages the principal series.
 
+Each vertex lies in the left (TL, BL) or right (TR, BR) column, and its
+column fixes its two successors, {TL, BR} or {TR, BL}. So a closed walk is
+fixed by its word of columns, one per slot. The V_n table is built from
+those words, extended slot by slot while the digit maps stay in
+[0, p-1]. The per-path functions (``explain_decomposition`` and the
+``--explain`` report, ``antecedents``, ``omega``) walk validated
+``ClosedPath`` objects, and the tests hold the table to them.
+
 The V_n table is made of the ring's flat rows, built and read through
 ``ring`` alone. The gather lists of ``_series_gather`` are this module's
 own: other modules read them only through ``_series_prefix`` (u N S-hat
@@ -75,15 +83,22 @@ class ClosedPath:
         return ",".join(self.vertices)
 
 
+# The vertex at slot i of a closed walk, from the columns (0 left, 1 right)
+# of slots i-1 and i: a left-column vertex (TL, BL) steps to TL or BR, a
+# right-column one (TR, BR) to TR or BL, so its column fixes the next pair.
+COLUMN_PAIRS = {(0, 0): "TL", (0, 1): "BR", (1, 1): "TR", (1, 0): "BL"}
+
+
 @memo(lambda graph, f: (graph, f))
 def enumerate_closed_paths(graph: str, f: int) -> tuple[ClosedPath, ...]:
-    """All closed walks of length f, in lexicographic vertex order."""
+    """All closed walks of length f, in lexicographic vertex order: one per
+    word c_0..c_(f-1) of columns, slot i taking the vertex of
+    (c_(i-1), c_i), with c_(-1) = c_(f-1)."""
     if f < 1:
         raise ValueError("path length must be >= 1")
-    # the pairs (seq[i-1], seq[i]) for i < f: every step, last to first too
-    return tuple(ClosedPath(graph, seq)
-                 for seq in product(sorted(VERTICES), repeat=f)
-                 if EDGES.issuperset(zip(seq[-1:] + seq, seq)))
+    return tuple(ClosedPath(graph, seq) for seq in sorted(
+        tuple(COLUMN_PAIRS[word[i - 1], word[i]] for i in range(f))
+        for word in product((0, 1), repeat=f)))
 
 
 def _path_label(params: FieldParams, path: ClosedPath, n: int, graph: str,
@@ -137,8 +152,9 @@ def _shift(params: FieldParams, path: ClosedPath, n: int, lam: int) -> int:
 
 def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
     """Per-path report: lambda and ell of every compatible decomposition
-    path. ``_diamond_columns`` sums its compatible rows; the CLI --explain
-    flag prints them all."""
+    path, which the CLI --explain flag prints. Its compatible rows count
+    the constituents of ``_diamond_columns``' row n, by an independent
+    route."""
     rows = []
     for path in enumerate_closed_paths(DECOMPOSITION, params.f):
         lam = lambda_of_path(params, path, n)
@@ -150,15 +166,51 @@ def explain_decomposition(params: FieldParams, n: int) -> list[dict]:
     return rows
 
 
+def _column_steps(p: int, x: int) -> list[tuple[int, int, int]]:
+    """The decomposition-graph vertices whose digit map keeps x in
+    [0, p-1], as (c_(i-1), c_i, image), in sorted vertex order: BL (x >= 1),
+    BR (x <= p-2), then TL and TR, which keep every digit."""
+    steps = []
+    if x >= 1:
+        steps.append((1, 0, x - 1))
+    if x <= p - 2:
+        steps.append((0, 1, p - 2 - x))
+    return steps + [(0, 0, x), (1, 1, p - 1 - x)]
+
+
 @memo(_field_key)
 def _diamond_columns(params: FieldParams) -> tuple[Row, ...]:
     """The untwisted V_n in the L basis for n < q-1, as flat rows: one
-    L_lambda(ell) per compatible decomposition path."""
-    qm1 = params.q - 1
-    return tuple(_row(qm1, Counter((row["lambda"], row["ell"])
-                                   for row in explain_decomposition(params, n)
-                                   if row["compatible"]))
-                 for n in range(qm1))
+    L_lambda(ell) per compatible decomposition path, built from column
+    words. Slot by slot, each partial word (c_(-1), c_i, lambda so far)
+    takes the vertices of ``_column_steps`` leaving its column; a word
+    closes when c_(f-1) is the column c_(-1) its slot 0 assumed. Then
+    ell = (n - lambda + [c_(f-1) right] (q-1)) / 2 mod (q-1), as in
+    ``ell_of_path``. The words stay in the paths' vertex order, so each
+    row lists its labels as ``explain_decomposition`` does."""
+    p, q = params.p, params.q
+    qm1 = q - 1
+    steps = [_column_steps(p, x) for x in range(p)]
+    rows = []
+    for n in range(qm1):
+        digits = params.digits(n)
+        # slot 0 takes every vertex, from the column c_(-1) it assumes
+        walks = steps[digits[0]]
+        for i in range(1, params.f):
+            pi = p ** i
+            walks = [(first, b, lam + pi * y) for first, c, lam in walks
+                     for a, b, y in steps[digits[i]] if a == c]
+        labels = Counter()
+        for first, last, lam in walks:
+            if last != first:
+                continue
+            total = n - lam + last * qm1
+            if total % 2 != 0:
+                raise AssertionError(
+                    "non-integral determinant shift (internal bug)")
+            labels[lam, (total // 2) % qm1] += 1
+        rows.append(_row(qm1, labels))
+    return tuple(rows)
 
 
 def diamond_decompose(params: FieldParams, n: int, m: int = 0) -> RingElement:

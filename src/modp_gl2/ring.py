@@ -66,12 +66,16 @@ def _element(params: FieldParams, basis: str,
 
 def _exact(c) -> Coeff:
     """A coefficient as an int or a Fraction; a float is refused, as its
-    value would arrive already rounded (0.1 is not 1/10)."""
+    value would arrive already rounded (0.1 is not 1/10), and a zero
+    denominator is a ``ValueError``, as in ``from_json_dict``."""
     if type(c) is int:
         return c
     if isinstance(c, float):
         raise TypeError(f"coefficient {c!r} is a float, not exact")
-    return Fraction(c)
+    try:
+        return Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
 
 
 def frac_str(x: Coeff) -> str:

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -16,9 +18,10 @@ from modp_gl2 import (
     t_shift_candidates,
 )
 from modp_gl2.params import is_prime
-from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, _diamond_columns,
-                                _series_gather, explain_decomposition)
-from modp_gl2.ring import _expand
+from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, EDGES, VERTICES,
+                                _diamond_columns, _series_gather,
+                                explain_decomposition)
+from modp_gl2.ring import _expand, _labels
 
 
 def _path(graph, *vertices):
@@ -34,6 +37,37 @@ def test_path_counts():
     assert len(enumerate_closed_paths(ANTECEDENT, 3)) == 8
     for f in range(1, 6):
         assert len(enumerate_closed_paths(DECOMPOSITION, f)) == 2 ** f
+
+
+@pytest.mark.parametrize("graph", [DECOMPOSITION, ANTECEDENT])
+def test_closed_paths_match_the_brute_force_filter(graph):
+    # the reference: every vertex sequence whose steps, last to first too,
+    # are all edges, in lexicographic order
+    for f in range(1, 7):
+        brute = [seq for seq in product(sorted(VERTICES), repeat=f)
+                 if all((seq[i - 1], seq[i]) in EDGES for i in range(f))]
+        paths = enumerate_closed_paths(graph, f)
+        assert [path.vertices for path in paths] == brute, f
+        assert {path.graph for path in paths} == {graph}
+
+
+@pytest.mark.parametrize("p, f", [(p, f) for p in range(2, 17) if is_prime(p)
+                                  for f in range(1, 5) if p ** f <= 16]
+                         + [(2, 6)])
+def test_diamond_columns_match_the_paths(p, f):
+    # the V_n table, built from column words, against the compatible
+    # paths of the path report, each a constituent L_lambda(ell)
+    params = FieldParams(p, f)
+    q = params.q
+    rows = _diamond_columns(params)
+    assert len(rows) == q - 1
+    for n, row in enumerate(rows):
+        paths = Counter((r["lambda"], r["ell"])
+                        for r in explain_decomposition(params, n)
+                        if r["compatible"])
+        labels = _labels(q - 1, row)
+        assert labels == paths, (q, n)
+        assert RingElement(params, "L", labels).dimension() == q + 1, (q, n)
 
 
 def test_lambda_of_path(p9):

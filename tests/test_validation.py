@@ -106,6 +106,13 @@ L1 = RingElement.L(P3, 1, 0)
                  "coefficient 0.1 is a float", id="scale-float"),
     pytest.param(lambda: L1 * 0.1, TypeError, "coefficient 0.1 is a float",
                  id="mul-float"),
+    # a zero denominator is a bad value, as in from_json_dict and the CLI
+    pytest.param(lambda: RingElement(P3, "L", {(0, 0): "1/0"}), ValueError,
+                 "coefficient '1/0' has a zero denominator",
+                 id="element-zero-denominator"),
+    pytest.param(lambda: L1.scale("1/0"), ValueError,
+                 "coefficient '1/0' has a zero denominator",
+                 id="scale-zero-denominator"),
 ])
 def test_invalid_arguments_raise(call, exc, message):
     with pytest.raises(exc, match=re.escape(message)):
