@@ -30,8 +30,8 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
   at every w < q and v in {0, 1, q-2}: the identity by which the fast
   route trades a remainder S_w with 2w >= q for one more series;
 - oracle: ``reduce_product`` against ``oracle_decompose``, the Brauer
-  characters solved mod a prime, on 5 seeded products for each r = 2, 3
-  twisted S_k(m)^[j] with k < 300;
+  characters solved mod primes, on 5 seeded products for each r = 2, 3
+  twisted S_k(m)^[j] and each bound on k, 300 and 10^9;
 - diamond: each row of the V_n table, built from column words, against
   the (lambda, ell) of the compatible closed paths of
   ``explain_decomposition``, counted with multiplicity.
@@ -64,7 +64,7 @@ from modp_gl2.ring import _expand, _labels, structure_constants
 PRODUCTS = 10     # per factor count r and bound on k
 ELEMENTS = 5      # residuals and mixes, each
 DESCENDING = 50   # seeded k after the ascending walk
-ORACLE = 5        # per factor count r
+ORACLE = 5        # per factor count r and bound on k
 
 
 def fields():
@@ -194,13 +194,15 @@ def reflection(params, rng):
 
 def oracle(params, rng):
     """Yield (factors, agree) for the fast product against the oracle."""
-    for r in (2, 3):
-        for _ in range(ORACLE):
-            factors = [SymmFactor(rng.randrange(300),
-                                  rng.randrange(params.q - 1),
-                                  rng.randrange(params.f)) for _ in range(r)]
-            yield factors, (reduce_product(params, factors)
-                            == oracle_decompose(params, factors))
+    for k_limit in (300, 10 ** 9):
+        for r in (2, 3):
+            for _ in range(ORACLE):
+                factors = [SymmFactor(rng.randrange(k_limit),
+                                      rng.randrange(params.q - 1),
+                                      rng.randrange(params.f))
+                           for _ in range(r)]
+                yield factors, (reduce_product(params, factors)
+                                == oracle_decompose(params, factors))
 
 
 def diamond(params, rng):

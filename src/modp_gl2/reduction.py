@@ -18,9 +18,11 @@ call. Both give [S_k]; ``_twist`` relabels it once into S_k(m)^[j].
 This module reads neither table format itself: the gather lists only
 through ``principal._series_prefix`` (the fast ``reduce_symm``) and
 ``principal._series_sum`` (the fast product), and the ring's flat rows
-only through ``ring._labels`` and ``ring._add_symm``, which adds a
-remainder S_w(v) into a label dict. ``symm_factors`` checks every factor
-list once, for both product routes, the oracle and the bound check.
+only through ``ring._labels``, ``ring._add_symm`` (a remainder S_w(v)
+added into a label dict), ``ring._symm_terms`` and ``ring._add_product``
+(the fast product's remainders and their product). ``symm_factors``
+checks every factor list once, for both product routes, the oracle and
+the bound check.
 
 The fast route keeps a remainder S_w(v) only when 2w < q. The principal
 series give [S_w(v)] + [S_(q-1-w)(v+w)] = [V_(w mod (q-1))(v)] for every
@@ -36,13 +38,12 @@ absorbs a tensor product: [V_chi][X] is the sum of [V_(chi psi)] over the
 torus weights psi of X, since X restricted to the Borel has those weights
 as its composition factors. So the V-part of the product is a sum of
 cyclic convolutions over Z/(q-1) of the factors' series and weights, a
-count per c2 read into each label through the gather table, and only the
-remainders' product goes through ``multiply``, so every remainder it sees
-has 2w < q, each twisted by ``_twist`` straight from its base-change
-column. The slow route folds the factors' slow classes through
-``multiply``. Both product routes call ``multiply``, read the base-change
-table and add rows through ``ring._convolve``, so the Brauer oracle is the
-one route independent of them."""
+count per c2 read into each label through the gather table. Only the
+remainders' product, every remainder with 2w < q, goes through the ring's
+product kernel ``ring._add_product``. The slow route folds the factors'
+slow classes through ``multiply``, an adapter on that kernel, so both
+product routes share it and the base-change and product tables, and the
+Brauer oracle is the one route independent of them."""
 
 from __future__ import annotations
 
@@ -53,8 +54,9 @@ from typing import NamedTuple
 from .memo import memo
 from .params import FieldParams
 from .principal import _series_prefix, _series_sum
-from .ring import (Label, RingElement, _add_symm, _element, _field_key,
-                   _glover_step, _labels, _s_to_l_columns, _twist, multiply)
+from .ring import (Label, RingElement, _add_product, _add_symm, _element,
+                   _field_key, _glover_step, _labels, _s_to_l_columns,
+                   _symm_terms, _twist, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -188,10 +190,11 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     for V(c1, c2) or the weight (c1, c2), and a product convolves them.
     With F_i = P_i + e_i R_i from ``_split``, P_i the series and e_i the
     sign, the product is the sum over i of e_1...e_(i-1) R_1...R_(i-1) P_i
-    F_(i+1)...F_r, plus e_1...e_r R_1...R_r by ``multiply``. The V-part's
-    count of V(alpha - c2, c2) is the coefficient of x^c2, and
+    F_(i+1)...F_r, plus e_1...e_r R_1...R_r by ``ring._add_product``. The
+    V-part's count of V(alpha - c2, c2) is the coefficient of x^c2, and
     ``_series_sum`` sums them into the labels. A remainder S_w(v+m)^[j] is
-    the base-change column of S_w relabelled by ``_twist``.
+    the flat terms of ``ring._symm_terms``, and the answer is the one
+    ``RingElement`` built.
 
     A polynomial is one int with ``bits`` bits per coefficient, ``bits``
     rounded up to whole bytes so that few run tables serve every product,
@@ -243,15 +246,13 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
         elif prefix:
             w, v = rest
             prefix, sign = fold(prefix * run(runs, pj, v + m, w + 1)), sign * e
-            rests.append(_element(params, "L", _twist(
-                params, _labels(n, _s_to_l_columns(params)[w]), v + m, j)))
+            rests.append(_symm_terms(params, w, v + m, j))
     slot = (1 << bits) - 1
     counts = [(plus >> bits * c2 & slot) - (minus >> bits * c2 & slot)
               for c2 in range(n)]
     terms = _series_sum(params, alpha, counts)
     if prefix:
-        for lbl, c in reduce(multiply, rests).terms.items():
-            terms[lbl] = terms.get(lbl, 0) + sign * c
+        _add_product(params, terms, rests, sign)
     return _element(params, "L", terms)
 
 

@@ -21,10 +21,14 @@ row is a tuple of triples (n(q-1), x, k) for the term k L_n(x), so that
 n(q-1) + x is the label's int key. Products, the S <-> L base change and
 (in ``principal``) V_n commute with the determinant twist, so one loop,
 ``_convolve``, applies the tables on int keys; keys and rows turn back
-into labels (n, x) = divmod(key, q-1) only for results handed out. The
-row format is this module's own: other modules hold the tables whole and
-go between rows and label dicts through ``_labels``, ``_row``, ``_expand``
-and ``_add_symm``.
+into labels (n, x) = divmod(key, q-1) only for results handed out. Every
+product is one kernel on such terms, ``_add_product``, which folds its
+factors through the product table and adds the result into a label dict:
+``multiply`` is an adapter on it, and the fast product hands it the
+remainders S_w(t)^[j] as flat terms from ``_symm_terms``. The row format
+is this module's own: other modules hold the tables whole and go between
+rows and label dicts through ``_labels``, ``_row``, ``_expand``,
+``_add_symm``, ``_symm_terms`` and ``_add_product``.
 """
 
 from __future__ import annotations
@@ -386,21 +390,34 @@ def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, i
     return MappingProxyType(_labels(params.q - 1, _products(params)[a][b]))
 
 
+def _add_product(params: FieldParams, terms: dict[Label, Coeff], factors,
+                 sign: int = 1) -> dict[Label, Coeff]:
+    """Add sign times the product of ``factors``, each a list of L-basis
+    flat terms (n(q-1), x, c), into the label dict ``terms``; return
+    ``terms``. The factors fold from the first, each partial product
+    convolved with the next factor through the rows of ``_products``."""
+    qm1 = params.q - 1
+    products = _products(params)
+    acc = factors[0]
+    for w in factors[1:]:
+        out: dict[int, Coeff] = {}
+        for nb, x, c in acc:
+            _convolve(qm1, out, w, products[nb // qm1], c, x)
+        acc = _flat(qm1, out)
+    for nb, x, c in acc:
+        lbl = (nb // qm1, x)
+        terms[lbl] = terms.get(lbl, 0) + sign * c
+    return terms
+
+
 def multiply(v: RingElement, w: RingElement) -> RingElement:
     """Product in the ring, returned in the L basis."""
     if (v.params.p, v.params.f) != (w.params.p, w.params.f):
         raise ValueError("field parameter mismatch")
     params = v.params
     qm1 = params.q - 1
-    v = v.to_basis("L")
-    w = w.to_basis("L")
-    products = _products(params)
-    flat_w = [(b * qm1, y, c) for (b, y), c in w.terms.items()]
-    acc: dict[int, Coeff] = {}
-    for (a, x), cv in v.terms.items():
-        _convolve(qm1, acc, flat_w, products[a], cv, x)
-    return _element(params, "L", {divmod(key, qm1): c
-                                  for key, c in acc.items()})
+    return _element(params, "L", _add_product(params, {}, [
+        _row(qm1, v.to_basis("L").terms), _row(qm1, w.to_basis("L").terms)]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +466,17 @@ def _add_symm(params: FieldParams, terms: dict[Label, Coeff], w: int, v: int,
         lbl = (nb // qm1, (x + v) % qm1)
         terms[lbl] = terms.get(lbl, 0) + sign * c
     return terms
+
+
+def _symm_terms(params: FieldParams, w: int, t: int, j: int) -> list:
+    """[S_w(t)]^[j], w < q, as L-basis flat terms in one pass over the
+    base-change column of S_w: (n, x) -> (theta^j n, p^j (x + t)) mod q-1,
+    theta^j fixing n = q-1, as in ``_twist``."""
+    qm1 = params.q - 1
+    pj, top = pow(params.p, j % params.f, qm1), qm1 * qm1
+    return [(nb if nb == top else nb // qm1 * pj % qm1 * qm1,
+             (x + t) * pj % qm1, c)
+            for nb, x, c in _s_to_l_columns(params)[w]]
 
 
 def symm_to_L(params: FieldParams, n: int, m: int = 0) -> RingElement:

@@ -268,6 +268,21 @@ def test_ring_matches_oracle_on_every_field():
                 == reduce_product(params, factors), (params, factors)
 
 
+def test_ring_matches_oracle_at_large_k():
+    # one three-factor product per field with k < 10^9: the oracle lifts
+    # from up to four primes, and the fast product folds u N S-hat_k
+    import random
+
+    assert len(FIELDS) == 27
+    rng = random.Random(20261020)
+    for params in FIELDS:
+        factors = [SymmFactor(rng.randrange(10 ** 9),
+                              rng.randrange(params.q - 1),
+                              rng.randrange(params.f)) for _ in range(3)]
+        assert oracle_decompose(params, factors) \
+            == reduce_product(params, factors), (params, factors)
+
+
 def test_derived_inverses_invert_every_block():
     # block d = b + 2s is the base block b times diag(zeta^(s(q+1)n)):
     # scales[d] times the inverse of base b inverts it, at every field

@@ -25,17 +25,17 @@ def test_check_fields_agrees_on_small_fields(check_fields, capsys):
     *per_field, total = capsys.readouterr().out.splitlines()
     # each line ends in its time; 40 seeded products and 13 edge products,
     # 2N + q ascending k and 50 descending, one gather table per central
-    # character, one identity per w < q and v in {0, 1, q-2}, 10 products
+    # character, one identity per w < q and v in {0, 1, q-2}, 20 products
     # against the oracle and one row of the V_n table per n < q-1
     assert [line.rsplit(", ", 1)[0] for line in per_field] == [
         f"q = {q:2d} (p = {p}, f = {f}): 53 products, 10 elements, "
         f"{2 * (q * q - 1) + q + 50} k, {q - 1} alphas, "
-        f"{q * len({0, 1, q - 2})} identities, 10 oracle products, "
+        f"{q * len({0, 1, q - 2})} identities, 20 oracle products, "
         f"{q - 1} V_n rows, 0 mismatches"
         for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
     assert total.startswith(
         "4 fields, 212 products, 40 elements, 314 k, 10 alphas, "
-        "37 identities, 40 oracle products, 10 V_n rows, "
+        "37 identities, 80 oracle products, 10 V_n rows, "
         "0 mismatches, ")
 
 
@@ -48,7 +48,7 @@ def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
     assert out.count("norms mismatch at q = ") == 40
     assert out.splitlines()[-1].startswith(
         "4 fields, 212 products, 40 elements, 314 k, 10 alphas, "
-        "37 identities, 40 oracle products, 10 V_n rows, "
+        "37 identities, 80 oracle products, 10 V_n rows, "
         "40 mismatches, ")
 
 
@@ -66,10 +66,10 @@ def test_check_fields_counts_a_raising_check(check_fields, capsys,
             if line.startswith("q = ")] == [
         f"q = {q:2d} (p = {p}, f = {f}): 53 products, 0 elements, "
         f"{2 * (q * q - 1) + q + 50} k, {q - 1} alphas, "
-        f"{q * len({0, 1, q - 2})} identities, 10 oracle products, "
+        f"{q * len({0, 1, q - 2})} identities, 20 oracle products, "
         f"{q - 1} V_n rows, 1 mismatches"
         for q, p, f in [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)]]
     assert lines[-1].startswith(
         "4 fields, 212 products, 0 elements, 314 k, 10 alphas, "
-        "37 identities, 40 oracle products, 10 V_n rows, "
+        "37 identities, 80 oracle products, 10 V_n rows, "
         "4 mismatches, ")

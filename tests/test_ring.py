@@ -1,17 +1,25 @@
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from modp_gl2 import (
     FieldParams,
     RingElement,
+    SymmFactor,
     convert_basis,
     multiply,
+    oracle_decompose,
     reduce_symm,
     s_alpha,
     symm_to_L,
 )
-from modp_gl2.ring import structure_constants
+from modp_gl2.ring import (_add_product, _labels, _row, _s_to_l_columns,
+                           _symm_terms, _twist, structure_constants)
+
+FIELDS_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (11, 1), (13, 1), (2, 4)]
 
 
 def test_det_twist(p3, p9):
@@ -135,3 +143,51 @@ def test_zero(p3):
     assert z.is_zero()
     assert z + RingElement.L(p3, 1, 0) == RingElement.L(p3, 1, 0)
     assert multiply(z, RingElement.L(p3, 2, 0)).is_zero()
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_symm_terms_twist_the_base_change_column(p, f):
+    # the flat terms of S_w(t)^[j] are the column of S_w relabelled by
+    # _twist, term by term and in order; at w = q-1 the column holds
+    # L_(q-1), the label theta fixes
+    params = FieldParams(p, f)
+    q, qm1 = params.q, params.q - 1
+    cols = _s_to_l_columns(params)
+    for w in range(q):
+        for t in (-1, 0, 1, q - 2):
+            for j in (-1, 0, f, 2 * f + 1):
+                expected = _twist(params, _labels(qm1, cols[w]), t, j)
+                assert _symm_terms(params, w, t, j) \
+                    == list(_row(qm1, expected)), (q, w, t, j)
+    assert (qm1, 0) in _labels(qm1, cols[q - 1])
+
+
+def _remainders(params, rng, r):
+    """r remainders S_w(v)^[j] with 2w < q and mixed j."""
+    q, f = params.q, params.f
+    return [SymmFactor(rng.randrange((q + 1) // 2), rng.randrange(-2, q),
+                       rng.choice((-1, 0, f - 1, f + 1)))
+            for _ in range(r)]
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_add_product_is_the_signed_product(p, f):
+    # sign times the product of 2 and 3 remainders, added into a label dict
+    # that already holds terms: against the multiply fold of their classes
+    # and, at q <= 9, against the Brauer oracle
+    params = FieldParams(p, f)
+    rng = random.Random(params.q)
+    base = RingElement.L(params, 1, 2) + RingElement.L(params, 0, 1)
+    for r in (2, 3, 2, 3):
+        factors = _remainders(params, rng, r)
+        products = [reduce(multiply, [reduce_symm(params, factor)
+                                      for factor in factors])]
+        if params.q <= 9:
+            products.append(oracle_decompose(params, factors))
+        for sign in (1, -1):
+            got = RingElement(params, "L", _add_product(
+                params, dict(base.terms),
+                [_symm_terms(params, *factor) for factor in factors], sign))
+            for product in products:
+                assert got == base + product.scale(sign), \
+                    (params, factors, sign)
