@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pairs of independent routes against each other on every field q <= 64.
 
-For each of the 27 fields, seven checks run on the field's shared memoized
+For each of the 27 fields, eight checks run on the field's shared memoized
 tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 
 - products: ``reduce_product`` (principal series absorbing the product)
@@ -34,7 +34,12 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
   twisted S_k(m)^[j] and each bound on k, 300 and 10^9;
 - diamond: each row of the V_n table, built from column words, against
   the (lambda, ell) of the compatible closed paths of
-  ``explain_decomposition``, counted with multiplicity.
+  ``explain_decomposition``, counted with multiplicity;
+- row orders: the q rows of the product table, built from empty tables in
+  ascending, descending and seeded shuffled order, against each other:
+  every entry [a][b] the same label dict in each order and equal to its
+  transpose [b][a], which must be the same stored object. It empties the
+  memo tables, so it runs last.
 
 Prints one line per field and exits 1 on any mismatch. A check that raises
 counts as one mismatch on its field, and the sweep goes on.
@@ -53,13 +58,13 @@ from functools import reduce
 from math import lcm
 
 from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
-                      multiply, omega, operator_norm, oracle_decompose,
+                      memo, multiply, omega, operator_norm, oracle_decompose,
                       reduce_product, reduce_symm, residual, s_alpha,
                       symm_to_L)
 from modp_gl2.params import Q_CAP, is_prime
 from modp_gl2.principal import (_diamond_columns, _series_gather,
                                 explain_decomposition)
-from modp_gl2.ring import _expand, _labels, structure_constants
+from modp_gl2.ring import _expand, _labels, _product_row, structure_constants
 
 PRODUCTS = 10     # per factor count r and bound on k
 ELEMENTS = 5      # residuals and mixes, each
@@ -216,9 +221,31 @@ def diamond(params, rng):
         yield f"n = {n}", _labels(qm1, rows[n]) == paths
 
 
+def row_orders(params, rng):
+    """Yield (order, agree) for the product rows built from empty tables in
+    ascending, descending and shuffled order, against the ascending ones."""
+    q, qm1 = params.q, params.q - 1
+    shuffled = list(range(q))
+    rng.shuffle(shuffled)
+    expected = None
+    for name, order in (("ascending", range(q)),
+                        ("descending", range(q - 1, -1, -1)),
+                        ("shuffled", shuffled)):
+        memo.clear()
+        rows = [None] * q
+        for a in order:
+            rows[a] = _product_row(params, a)
+        labels = [[_labels(qm1, entry) for entry in row] for row in rows]
+        expected = expected or labels
+        yield name, all(rows[a][b] is rows[b][a]
+                        and labels[a][b] == expected[a][b] == expected[b][a]
+                        for a in range(q) for b in range(q))
+
+
 CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
           ("alphas", gather), ("identities", reflection),
-          ("oracle products", oracle), ("V_n rows", diamond))
+          ("oracle products", oracle), ("V_n rows", diamond),
+          ("row orders", row_orders))
 
 
 def tally(counts):

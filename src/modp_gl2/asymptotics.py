@@ -17,7 +17,7 @@ from .params import FieldParams
 from .principal import _series_prefix, s_alpha  # s_alpha re-exported
 from .reduction import reduce_product, reduce_symm, symm_factors
 from .ring import (RingElement, _dims, _element, _field_key, _l1_rows,
-                   _labels, _products, frac_str, multiply)
+                   _labels, _product_row, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +38,13 @@ def norm_S_1(v: RingElement) -> Fraction:
 @memo(_field_key)
 def _norm_products(params: FieldParams) -> tuple[tuple, ...]:
     """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
-    triple (2(bq + n), y, k), read by ``operator_norm``."""
+    triple (2(bq + n), y, k), read by ``operator_norm``: every product
+    row."""
     q, qm1 = params.q, params.q - 1
-    return tuple(tuple((2 * (b * q + n), y, k) for b, terms in enumerate(row)
+    return tuple(tuple((2 * (b * q + n), y, k)
+                       for b, terms in enumerate(_product_row(params, a))
                        for (n, y), k in _labels(qm1, terms).items())
-                 for row in _products(params))
+                 for a in range(q))
 
 
 def operator_norm(v: RingElement) -> Fraction:

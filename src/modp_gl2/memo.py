@@ -9,11 +9,19 @@ stops, which it overwrites with the last k it reached and the fixed stops
 it passed (one every q steps), so that the next call resumes the Glover
 recursion there instead of walking again from q; it lives here so that
 ``clear()``, which empties every table, drops it too.
+
+A table may be read while it fills: ``f.table`` is a read-only view of
+``f``'s entries by key, and reading it never calls ``f``. So an entry under
+construction can take what it shares with entries already built
+(``ring._product_row`` takes [L_a][L_b] from row b when row b is stored)
+without building any, and the order entries are asked in decides only
+which of them computes a shared part.
 """
 
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 
 TABLES: dict[str, dict] = {}
 
@@ -38,6 +46,7 @@ def memo(key):
                 value = table[k] = fn(*args)
             return value
 
+        wrapper.table = MappingProxyType(table)
         return wrapper
 
     return decorate

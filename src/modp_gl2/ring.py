@@ -13,14 +13,19 @@ Multiplication starts from the q products [L_a][L_1]. L_n is the tensor
 product over Frobenius slots of symmetric powers of the digits of n, and L_1
 is S_1 in slot 0, so [L_a][L_1] takes one carry along the slots. As
 [L_(b-1)][L_1] is [L_b] plus classes of lower labels, every [L_a][L_b]
-follows by recursion on b. The Glover recursion
+follows by recursion on b. The product table is built one row a at a time,
+on first use: a product reads only the rows of the labels of its shorter
+operand. Row a takes [L_a][L_b] from row b when that row is already
+built, so each pair {a, b} is computed once and stored once, in whatever
+order rows are asked for. The Glover recursion
 [S_n] = [S_(n-1)][L_1] - [S_(n-2)](1) gives the S <-> L base change.
 
 Every per-field table is a tuple of flat rows, one per untwisted label: a
 row is a tuple of triples (n(q-1), x, k) for the term k L_n(x), so that
 n(q-1) + x is the label's int key. Products, the S <-> L base change and
 (in ``principal``) V_n commute with the determinant twist, so one loop,
-``_convolve``, applies the tables on int keys; keys and rows turn back
+``_convolve``, applies the tables on int keys (``_product_row``, the
+hottest table build, has it unrolled); keys and rows turn back
 into labels (n, x) = divmod(key, q-1) only for results handed out. Every
 product is one kernel on such terms, ``_add_product``, which folds its
 factors through the product table and adds the result into a label dict:
@@ -361,25 +366,40 @@ def _l1_rows(params: FieldParams) -> tuple[Row, ...]:
     return tuple(rows)
 
 
-@memo(_field_key)
-def _products(params: FieldParams) -> tuple[tuple[Row, ...], ...]:
-    """[L_a][L_b] (twists shifted out) for a, b < q, as flat rows.
-    [L_(b-1)][L_1] is [L_b] plus classes of labels below b, so [L_a][L_b] is
-    [L_a][L_(b-1)][L_1] less [L_a] times those, all earlier in the table.
-    Entries [a][b] and [b][a] are one row."""
-    q, qm1 = params.q, params.q - 1
-    rows = _l1_rows(params)
-    rests = [tuple((nb, x, -k) for nb, x, k in row
-                   if (nb, x) != ((b + 1) * qm1, 0))
-             for b, row in enumerate(rows)]
-    table: list[list] = [[None] * q for _ in range(q)]
-    table[0][0] = ((0, 0, 1),)
-    for a in range(q):
-        for b in range(max(a, 1), q):
-            acc = _convolve(qm1, {}, table[a][b - 1], rows)
-            _convolve(qm1, acc, rests[b - 1], table[a])
-            table[a][b] = table[b][a] = _flat(qm1, acc)
-    return tuple(map(tuple, table))
+@memo(lambda params, a: (params.p, params.f, a))
+def _product_row(params: FieldParams, a: int) -> tuple[Row, ...]:
+    """[L_a][L_b] (twists shifted out) for every b < q, as flat rows, from
+    [L_a][L_0] = [L_a]. [L_(b-1)][L_1] is [L_b] plus classes of labels
+    below b, so [L_a][L_b] is [L_a][L_(b-1)][L_1] less [L_a] times those,
+    all earlier in the row: entry b is empty while [L_a][L_(b-1)][L_1] is
+    convolved through the row, so the term L_b adds nothing. Entry b is
+    row b's entry a when row b is already stored, so that entries [a][b]
+    and [b][a] are one object."""
+    p, f, qm1 = params.p, params.f, params.q - 1
+    l1, stored = _l1_rows(params), _product_row.table.get
+    partner = stored((p, f, 0))
+    row = [((a * qm1, 0, 1),) if partner is None else partner[a]]
+    for b in range(1, params.q):
+        partner = stored((p, f, b))
+        if partner is not None:
+            row.append(partner[a])
+            continue
+        # _convolve twice, unrolled: most l1 rows hold one or two terms, so
+        # the calls and the per-term scale and shift would cost about as
+        # much as the sums
+        acc: dict[int, int] = {}
+        get = acc.get
+        for i, t, c in row[b - 1]:
+            for nb, x, k in l1[i // qm1]:
+                key = nb + (t + x) % qm1
+                acc[key] = get(key, 0) + c * k
+        row.append(())
+        for i, t, c in l1[b - 1]:
+            for nb, x, k in row[i // qm1]:
+                key = nb + (t + x) % qm1
+                acc[key] = get(key, 0) - c * k
+        row[b] = _flat(qm1, acc)
+    return tuple(row)
 
 
 def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, int]:
@@ -387,22 +407,26 @@ def structure_constants(params: FieldParams, a: int, b: int) -> Mapping[Label, i
     a fresh read-only map built from the memoized flat row."""
     if not (0 <= a < params.q and 0 <= b < params.q):
         raise ValueError(f"labels {a}, {b} out of range [0, {params.q - 1}]")
-    return MappingProxyType(_labels(params.q - 1, _products(params)[a][b]))
+    return MappingProxyType(_labels(params.q - 1, _product_row(params, a)[b]))
 
 
 def _add_product(params: FieldParams, terms: dict[Label, Coeff], factors,
                  sign: int = 1) -> dict[Label, Coeff]:
     """Add sign times the product of ``factors``, each a list of L-basis
     flat terms (n(q-1), x, c), into the label dict ``terms``; return
-    ``terms``. The factors fold from the first, each partial product
-    convolved with the next factor through the rows of ``_products``."""
+    ``terms``. The factors fold from the first. Each step walks the shorter
+    of the partial product and the next factor, fetching one product row
+    per term, and convolves it with the longer: so a fast product builds
+    only the rows of its remainders' labels, and ``multiply`` by one term
+    L_n(m) the row of n alone."""
     qm1 = params.q - 1
-    products = _products(params)
     acc = factors[0]
     for w in factors[1:]:
+        if len(w) < len(acc):
+            acc, w = w, acc
         out: dict[int, Coeff] = {}
         for nb, x, c in acc:
-            _convolve(qm1, out, w, products[nb // qm1], c, x)
+            _convolve(qm1, out, w, _product_row(params, nb // qm1), c, x)
         acc = _flat(qm1, out)
     for nb, x, c in acc:
         lbl = (nb // qm1, x)

@@ -230,11 +230,11 @@ def test_memo_tables_stay_bounded(p9):
 
 def test_constants_read_only_products_with_L1():
     # the row-sum recursion starts from t_0 = all ones and reads [L_a][L_1]
-    # alone: one table of the q rows, and no table of all the products
+    # alone: one table of the q rows, and no row of the product table
     memo.clear()
     compute_constants(FieldParams(2, 4))
     assert len(memo.TABLES["modp_gl2.ring._l1_rows"]) == 1
-    assert len(memo.TABLES["modp_gl2.ring._products"]) == 0
+    assert len(memo.TABLES["modp_gl2.ring._product_row"]) == 0
 
 
 def test_constants_are_computed_once_per_field(monkeypatch):

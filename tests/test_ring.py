@@ -9,14 +9,19 @@ from modp_gl2 import (
     RingElement,
     SymmFactor,
     convert_basis,
+    memo,
     multiply,
+    operator_norm,
     oracle_decompose,
+    reduce_product,
     reduce_symm,
     s_alpha,
     symm_to_L,
 )
-from modp_gl2.ring import (_add_product, _labels, _row, _s_to_l_columns,
-                           _symm_terms, _twist, structure_constants)
+from modp_gl2.reduction import _split
+from modp_gl2.ring import (_add_product, _labels, _product_row, _row,
+                           _s_to_l_columns, _symm_terms, _twist,
+                           structure_constants)
 
 FIELDS_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
@@ -191,3 +196,64 @@ def test_add_product_is_the_signed_product(p, f):
             for product in products:
                 assert got == base + product.scale(sign), \
                     (params, factors, sign)
+
+
+def _rows_in_order(params, order):
+    """Every product row of the field, built from empty tables in
+    ``order``, as a list indexed by label."""
+    memo.clear()
+    rows = [None] * params.q
+    for a in order:
+        rows[a] = _product_row(params, a)
+    return rows
+
+
+@pytest.mark.parametrize("p, f", FIELDS_TO_16)
+def test_product_rows_do_not_depend_on_build_order(p, f):
+    # a row takes the entries it shares with rows already built: in
+    # ascending, descending and shuffled order every entry is the same
+    # label dict and equals its transpose, and [a][b] and [b][a] are one
+    # stored object
+    params = FieldParams(p, f)
+    q, qm1 = params.q, params.q - 1
+    shuffled = list(range(q))
+    random.Random(q).shuffle(shuffled)
+    tables = [_rows_in_order(params, order)
+              for order in (range(q), range(q - 1, -1, -1), shuffled)]
+    expected = [[_labels(qm1, entry) for entry in row] for row in tables[0]]
+    for rows in tables:
+        for a in range(q):
+            for b in range(q):
+                assert rows[a][b] is rows[b][a], (q, a, b)
+                assert _labels(qm1, rows[a][b]) == expected[a][b] \
+                    == expected[b][a], (q, a, b)
+
+
+@pytest.mark.parametrize("p, f", [(7, 2), (2, 6)])
+def test_products_build_only_the_rows_they_read(p, f):
+    # a cold two-factor fast product builds the rows of its shorter
+    # remainder's labels alone; operator_norm reads every row
+    params = FieldParams(p, f)
+    q = params.q
+    table = memo.TABLES["modp_gl2.ring._product_row"]
+    rng = random.Random(q)
+    for _ in range(5):
+        factors = []
+        while len(factors) < 2:
+            factor = SymmFactor(rng.randrange(4000), rng.randrange(q - 1),
+                                rng.randrange(f))
+            if _split(params, factor.k)[2] is not None:
+                factors.append(factor)
+        remainders = []
+        for k, m, j in factors:
+            w, v = _split(params, k)[2]
+            remainders.append(_symm_terms(params, w, v + m, j))
+        shorter = min(remainders, key=len)
+        memo.clear()
+        reduce_product(params, factors)
+        built = {a for _, _, a in table}
+        assert built <= {nb // (q - 1) for nb, _, _ in shorter}, factors
+        assert len(built) <= len({(nb, x) for nb, x, _ in shorter})
+    memo.clear()
+    operator_norm(RingElement.L(params, 1, 0) - RingElement.L(params, 2, 1))
+    assert sorted(a for _, _, a in table) == list(range(q))

@@ -56,7 +56,7 @@ LEDGER = {
     # _twist, and _row only to build the V_n table of principal
     ("fast product", "slow product"): EVERY | GLOVER | {
         "reduction.reduce_product", "reduction.symm_factors",
-        "ring._add_product", "ring._products", "ring._row"},
+        "ring._add_product", "ring._product_row", "ring._row"},
     ("oracle", "fast product"): EVERY | {"reduction.symm_factors"},
     ("oracle", "slow product"): EVERY | {"reduction.symm_factors"},
 }
