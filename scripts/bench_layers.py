@@ -14,7 +14,11 @@ time includes the tables it builds on:
 - V_n table: ``principal._diamond_columns``;
 - gather tables: ``principal._series_gather`` at every central character;
 - compute_constants: at h = f;
-- build_table: the Brauer table of ``brauer.build_table``.
+- build_table: the Brauer table of ``brauer.build_table``;
+- _norm_products: ``asymptotics._norm_products``, the product rows as read
+  by ``operator_norm``;
+- first oracle product: ``oracle_decompose`` on the two factors of the
+  first product, its tables built included.
 
 The record holds, per field and layer, the median and interquartile range
 (IQR) of the seconds over the runs, and the median peak RSS of the
@@ -41,7 +45,8 @@ from datetime import datetime, timezone
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("product table", "first product", "V_n table", "gather tables",
-          "compute_constants", "build_table")
+          "compute_constants", "build_table", "_norm_products",
+          "first oracle product")
 
 
 def field(q):
@@ -58,7 +63,8 @@ def worker(q):
     """Time every layer at q from empty tables; print one JSON object."""
     from modp_gl2 import (FieldParams, SymmFactor, compute_constants, memo,
                           reduce_product)
-    from modp_gl2.brauer import build_table
+    from modp_gl2.asymptotics import _norm_products
+    from modp_gl2.brauer import build_table, oracle_decompose
     from modp_gl2.principal import _diamond_columns, _series_gather
     from modp_gl2.ring import _product_row
 
@@ -75,6 +81,8 @@ def worker(q):
                                   for alpha in range(q - 1)],
         "compute_constants": lambda: compute_constants(params),
         "build_table": lambda: build_table(params),
+        "_norm_products": lambda: _norm_products(params),
+        "first oracle product": lambda: oracle_decompose(params, factors),
     }
     seconds = {}
     for name in LAYERS:

@@ -15,18 +15,19 @@ The character of L_n(m) at a class c factors as chi_n(c) * omega^(d(c) m):
 chi_n is the product of the untwisted digit characters, omega = zeta^(q+1)
 has order q - 1, and d(c) = (ea + eb) / (q + 1) mod q - 1 is the
 determinant exponent of a class with eigenvalue exponents ea, eb. Each d is
-taken by exactly q classes. So the square character matrix of the
-irreducibles falls into q - 1 blocks by d: for the q classes of one d, the
-values of a class sum_{n,m} x_{n,m} [L_n(m)] are sum_n chi_n(c) y_n(d) with
-y_n(d) = sum_m x_{n,m} omega^(d m). The inverse of each q x q block gives y,
-and an inverse discrete Fourier transform over d gives x mod ell.
+taken by exactly q classes, listed as block d: class r has d = r // q. So
+the square character matrix of the irreducibles falls into q - 1 blocks: for
+the q classes of one d, the values of a class sum_{n,m} x_{n,m} [L_n(m)] are
+sum_n chi_n(c) y_n(d) with y_n(d) = sum_m x_{n,m} omega^(d m). The inverse
+of each q x q block gives y, and an inverse discrete Fourier transform over
+d gives x mod ell.
 
-Only one or two blocks are inverted. Multiplying a class by the scalar g^s
-maps the classes of determinant exponent d onto those of d + 2s and
-multiplies chi_n by zeta^(s(q+1)n). Listing the classes of d + 2s as the
-images of those of a base d, the block of d + 2s is the base block times
-diag(zeta^(s(q+1)n)), and its inverse is diag(zeta^(-s(q+1)n)) times the
-base inverse. 2 is a unit mod q - 1 when q is even, so d = 0 is the one
+Only one or two blocks are evaluated and inverted. Multiplying a class by
+the scalar g^s maps the classes of determinant exponent d onto those of
+d + 2s and multiplies chi_n by zeta^(s(q+1)n). Listing the classes of d + 2s
+as the images of those of a base d, the block of d + 2s is the base block
+times diag(zeta^(s(q+1)n)), and its inverse is diag(zeta^(-s(q+1)n)) times
+the base inverse. 2 is a unit mod q - 1 when q is even, so d = 0 is the one
 base; when q is odd the bases are d = 0 and 1.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,28 +172,25 @@ def _inverse_mod(blocks: np.ndarray, ell: int) -> np.ndarray:
 @dataclass(eq=False)
 class BrauerTable:
     """Character table of the irreducibles mod ell: one row per p-regular
-    class, one column per irreducible label (n, m) in sorted order.
+    class, block by block, one column per irreducible label (n, m) in sorted
+    order.
 
-    ``powers[e]`` is zeta^e, ``gaps[e]`` is 1 / (1 - zeta^e) and 0 at 0,
-    ``untwisted[c, n]`` is chi_n at class c and row d of ``blocks`` lists
-    the q classes of determinant exponent d. ``inverses`` has shape
+    ``powers[e]`` is zeta^e, ``gaps[e]`` is 1 / (1 - zeta^e) and 0 at 0, and
+    column r of ``exponents`` holds the eigenvalue exponents of class r, of
+    determinant exponent d = r // q. ``inverses`` has shape
     (bases, q, q), one base for even q and two for odd q: with d = b + 2s,
-    b = d mod bases, row d of ``blocks`` holds the images under g^s of the
-    classes in row b, ``inverses[b]`` inverts ``untwisted[blocks[b]]``, and
-    ``scales[d, n]`` = zeta^(-s(q+1)n), so ``scales[d, :, None] *
-    inverses[b]`` inverts ``untwisted[blocks[d]]``. ``twist`` is the inverse
-    DFT over d.
+    b = d mod bases, block d holds the images under g^s of the classes of
+    block b, ``inverses[b]`` inverts chi_n on block b, and ``scales[d, n]`` =
+    zeta^(-s(q+1)n), so ``scales[d, :, None] * inverses[b]`` inverts chi_n on
+    block d. ``twist`` is the inverse DFT over d.
     """
 
     params: FieldParams
-    classes: list[PRegularClass]
     labels: list[tuple[int, int]]
     ell: int
     powers: np.ndarray
     gaps: np.ndarray
     exponents: np.ndarray  # (2, classes) eigenvalue exponents ea, eb
-    untwisted: np.ndarray | None = None
-    blocks: np.ndarray | None = None
     inverses: np.ndarray | None = None
     scales: np.ndarray | None = None
     twist: np.ndarray | None = None
@@ -212,25 +210,38 @@ class BrauerTable:
         value = value * self.powers[eb * (k % n2) % n2] % ell
         return value * self.powers[(ea + eb) * (m % n2) % n2] % ell
 
+    def characters(self, count: int) -> np.ndarray:
+        """chi_n mod ell at the first ``count`` classes, shape (count, q):
+        chi_n for n < p^(i+1) from chi_n for n < p^i, n = a p^i + (n mod
+        p^i), through ``values`` on the table cut to those classes."""
+        head = replace(self, exponents=self.exponents[:, :count])
+        chi = np.ones((1, count), dtype=np.int64)
+        for i in range(self.params.f):
+            digit_values = np.array([head.values(SymmFactor(a, 0, i))
+                                     for a in range(self.params.p)])
+            chi = (digit_values[:, None] * chi % self.ell).reshape(-1, count)
+        return chi.T
+
     @property
     def matrix(self) -> np.ndarray:
-        """The full table mod ell, assembled on demand: entry (c, (n, m)) is
-        chi_n(c) * omega^(d(c) m)."""
-        n2 = len(self.powers)
-        # omega^(d(c) m) is the lifted determinant ea + eb to the m
-        twist = self.powers[np.outer(self.exponents.sum(axis=0),
-                                     range(len(self.blocks))) % n2]
-        return (self.untwisted[:, :, None] * twist[:, None, :]
-                % self.ell).reshape(len(self.classes), len(self.labels))
+        """The full table mod ell, assembled on demand: entry (r, (n, m)) is
+        chi_n at class r times omega^(d m)."""
+        q, count = self.params.q, self.exponents.shape[1]
+        # omega^(d m) = zeta^((q + 1) d m) with d = r // q
+        d_m = np.outer(np.arange(count) // q, range(q - 1))
+        twist = self.powers[(q + 1) * d_m % len(self.powers)]
+        return (self.characters(count)[:, :, None] * twist[:, None, :]
+                % self.ell).reshape(count, len(self.labels))
 
     def solve(self, rhs) -> np.ndarray:
         """Multiplicities mod ell, in ``labels`` order, of the class whose
-        Brauer character mod ell is ``rhs``, in ``classes`` order."""
+        Brauer character mod ell is ``rhs``, given at the classes in
+        ``exponents`` order."""
         ell, (bases, q, _) = self.ell, self.inverses.shape
-        values = (np.asarray(rhs, dtype=np.int64) % ell)[self.blocks]
-        # row d = b + 2s times the inverse of base b, then scaled
-        y = (self.inverses @ values.reshape(-1, bases, q, 1)).reshape(
-            values.shape)
+        values = (np.asarray(rhs, dtype=np.int64) % ell).reshape(
+            -1, bases, q, 1)
+        # block d = b + 2s times the inverse of base b, then scaled
+        y = (self.inverses @ values).reshape(-1, q)
         y %= ell
         y *= self.scales
         y %= ell
@@ -253,20 +264,9 @@ def build_table(params: FieldParams, index: int = 0) -> BrauerTable:
     zeta = next(z for z in (pow(g, (ell - 1) // n2, ell) for g in range(2, ell))
                 if all(pow(z, n2 // r, ell) != 1 for r in primes))
     powers = _powers(zeta, n2, ell)
-    classes = enumerate_p_regular_classes(params)
-    table = BrauerTable(
-        params, classes, [(n, m) for n in range(q) for m in range(qm1)], ell,
-        powers, _unit_inverses(1 - powers, ell),
-        np.array([cls.eigen_exponents(q) for cls in classes], dtype=np.int64).T)
-    # chi_n for n < p^(i+1) from chi_n for n < p^i: n = a p^i + (n mod p^i)
-    untwisted = np.ones((1, len(classes)), dtype=np.int64)
-    for i in range(params.f):
-        digit_values = np.array([table.values(SymmFactor(a, 0, i))
-                                 for a in range(params.p)])
-        untwisted = (digit_values[:, None] * untwisted % ell).reshape(
-            -1, len(classes))
-    table.untwisted = untwisted.T
-    dets = table.exponents.sum(axis=0) // (q + 1) % qm1
+    found = np.array([c.eigen_exponents(q) for c in
+                      enumerate_p_regular_classes(params)], dtype=np.int64).T
+    dets = found.sum(axis=0) // (q + 1) % qm1
     sizes = np.bincount(dets, minlength=qm1)
     if (sizes != q).any():
         raise AssertionError(f"determinant blocks of sizes {sizes.tolist()}, "
@@ -276,17 +276,15 @@ def build_table(params: FieldParams, index: int = 0) -> BrauerTable:
     bases = 1 if q % 2 == 0 else 2
     d = np.arange(qm1)
     shift = d * (q // 2) % qm1 if bases == 1 else d // 2
-    base_rows = np.argsort(dets, kind="stable").reshape(qm1, q)[:bases]
-    # a class is its unordered pair of eigenvalue exponents; g^s adds
-    # s (q + 1) to both
-    lo, hi = np.sort(table.exponents, axis=0)
-    keys = lo * n2 + hi
-    order = np.argsort(keys)
-    moved = (table.exponents[:, base_rows[d % bases]]
-             + (q + 1) * shift[:, None]) % n2
-    lo, hi = np.sort(moved, axis=0)
-    table.blocks = order[np.searchsorted(keys, lo * n2 + hi, sorter=order)]
-    table.inverses = _inverse_mod(table.untwisted[base_rows], ell)
+    base = np.argsort(dets, kind="stable").reshape(qm1, q)[:bases]
+    # block d is the image of base block b under g^s, which adds s (q + 1)
+    # to both eigenvalue exponents; the base blocks come first, unmoved
+    exponents = (found[:, base[d % bases]] + (q + 1) * shift[:, None]) % n2
+    table = BrauerTable(
+        params, [(n, m) for n in range(q) for m in range(qm1)], ell,
+        powers, _unit_inverses(1 - powers, ell), exponents.reshape(2, -1))
+    table.inverses = _inverse_mod(
+        table.characters(bases * q).reshape(bases, q, q), ell)
     table.scales = table.powers[-np.outer(shift * (q + 1), range(q)) % n2]
     m_d = np.outer(range(qm1), range(qm1))
     table.twist = table.powers[-(q + 1) * m_d % n2] * pow(qm1, -1, ell) % ell

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # Everything is exact, and the tests cover q <= 64. A cold
-# ``brauer.build_table`` inverts one or two q x q blocks: about 0.03 s at
-# q = 64, 0.15 s at q = 128 and 0.8-1.0 s at q = 256 (375 MB peak RSS,
-# mostly the q^2 (q - 1) table of untwisted characters), measured with the
-# cap raised on a shared 2-core host. At q = 256 no layer of the ring itself
-# takes more than about 11 s.
+# ``brauer.build_table`` evaluates and inverts one or two q x q blocks:
+# about 0.02 s at q = 64, 0.07 s at q = 128 and 0.35-0.46 s at q = 256
+# (47 MB peak RSS), measured with the cap raised on a shared 2-core host.
+# At q = 256 no layer of the ring itself takes more than about 11 s.
 Q_CAP = 64
 
 

@@ -130,7 +130,7 @@ def test_character_additivity(p9):
 
 def test_table_is_square_and_solvable(p5):
     table = build_table(p5)
-    assert len(table.classes) == len(table.labels) == 20
+    assert table.exponents.shape == (2, 20) and len(table.labels) == 20
     # solving for each column must return its unit vector exactly
     matrix = table.matrix
     for index in range(20):
@@ -144,10 +144,11 @@ def test_rounding_discipline(p3, monkeypatch):
     # a right-hand side that is not the character of any class: 1/2 at
     # every class, which solves to 1/2 [L_0(0)] mod ell
     half = (table.ell + 1) // 2
-    assert table.solve([half] * len(table.classes)).tolist() \
+    assert table.solve([half] * table.exponents.shape[1]).tolist() \
         == [half] + [0] * (len(table.labels) - 1)
     monkeypatch.setattr(brauer.BrauerTable, "values",
-                        lambda self, factor: np.full(len(self.classes), half))
+                        lambda self, factor: np.full(self.exponents.shape[1],
+                                                     half))
     # one factor S_0, of dimension 1, whose character is patched to it
     with pytest.raises(OracleError, match="dimension"):
         oracle_decompose(p3, [(0, 0, 0)])
@@ -213,8 +214,18 @@ def test_block_table_matches_scalar_characters(p, f):
     assert ell % n2 == 1 and ell < 2 ** 26 and is_prime(ell)
     # zeta has exact order q^2 - 1
     assert pow(zeta, n2, ell) == 1 and len(set(table.powers.tolist())) == n2
+    # each row is the class of its unordered pair of eigenvalue exponents:
+    # every p-regular class occurs exactly once
+    classes = {tuple(sorted(cls.eigen_exponents(q))): cls
+               for cls in enumerate_p_regular_classes(params)}
+    pairs = [tuple(sorted(pair)) for pair in table.exponents.T.tolist()]
+    assert sorted(pairs) == sorted(classes)
+    # the classes come block by block: row r has determinant exponent r // q
+    for r, (ea, eb) in enumerate(table.exponents.T.tolist()):
+        assert (ea + eb) // (q + 1) % (q - 1) == r // q
     matrix = table.matrix
-    for r, cls in enumerate(table.classes):
+    for r, pair in enumerate(pairs):
+        cls = classes[pair]
         for c, (n, m) in enumerate(table.labels):
             exponents = exponents_of_irreducible(params, n, m, cls)
             assert abs(sum(cmath.exp(2j * cmath.pi * e / n2)
@@ -222,14 +233,6 @@ def test_block_table_matches_scalar_characters(p, f):
                        - character_of_irreducible(params, n, m, cls)) < 1e-9
             assert matrix[r, c] \
                 == sum(pow(zeta, e, ell) for e in exponents) % ell
-    # q - 1 determinant blocks of exactly q classes each, covering every
-    # class once, and each block holds one determinant exponent
-    assert table.blocks.shape == (q - 1, q)
-    assert sorted(table.blocks.ravel().tolist()) == list(range(q * (q - 1)))
-    for d, block in enumerate(table.blocks):
-        for r in block:
-            ea, eb = table.classes[r].eigen_exponents(q)
-            assert (ea + eb) // (q + 1) % (q - 1) == d
 
 
 def test_every_product_matches_the_oracle():
@@ -242,7 +245,7 @@ def test_every_product_matches_the_oracle():
     for p, f in fields:
         params = FieldParams(p, f)
         table = build_table(params)
-        chi = table.untwisted
+        chi = table.matrix[:, ::params.q - 1]  # the columns L_n(0)
         for a in range(params.q):
             for b in range(a, params.q):
                 x = table.solve(chi[:, a] * chi[:, b] % table.ell)
@@ -295,8 +298,22 @@ def test_derived_inverses_invert_every_block():
         assert table.scales.shape == (q - 1, q)
         derived = table.scales[:, :, None] \
             * table.inverses[np.arange(q - 1) % bases] % table.ell
-        assert (derived @ table.untwisted[table.blocks] % table.ell
+        # chi_n at every class: the columns L_n(0) of ``matrix``, without
+        # its q(q-1)^2 twisted columns
+        blocks = table.characters(q * (q - 1)).reshape(q - 1, q, q)
+        assert (derived @ blocks % table.ell
                 == np.eye(q, dtype=np.int64)).all(), params
+
+
+def test_table_holds_no_array_beyond_2q2_entries():
+    # the characters are kept at the base blocks only, never at every
+    # class: no array of q^2 (q - 1) entries
+    assert len(FIELDS) == 27
+    for params in FIELDS:
+        table = build_table(params)
+        sizes = {name: value.size for name, value in vars(table).items()
+                 if isinstance(value, np.ndarray)}
+        assert max(sizes.values()) <= 2 * params.q ** 2, (params, sizes)
 
 
 def test_powers_and_gaps_match_pow():
