@@ -22,8 +22,9 @@ time includes the tables it builds on:
 
 The record holds, per field and layer, the median and interquartile range
 (IQR) of the seconds over the runs, and the median peak RSS of the
-interpreters, with the git rev, a SHA-256 of ``src/modp_gl2/*.py``, the
-Python and numpy versions and ``nproc``. It is a record, not a gate: nothing reads it back.
+interpreters, with the git rev, the paths ``git status`` lists as changed,
+a SHA-256 of ``src/modp_gl2/*.py``, the Python and numpy versions and
+``nproc``. It is a record, not a gate: nothing reads it back.
 
 Usage: python3 scripts/bench_layers.py [--q 25 49 64] [--runs 3]
                                        [--out BENCH_layers.json]
@@ -80,7 +81,7 @@ def worker(q):
         "gather tables": lambda: [_series_gather(params, alpha)
                                   for alpha in range(q - 1)],
         "compute_constants": lambda: compute_constants(params),
-        "build_table": lambda: build_table(params),
+        "build_table": lambda: build_table(params, 0),
         "_norm_products": lambda: _norm_products(params),
         "first oracle product": lambda: oracle_decompose(params, factors),
     }
@@ -121,13 +122,28 @@ def run(q, runs):
     }
 
 
-def git_rev():
+def git(*args):
+    """The output of ``git args`` in this checkout, or None without git."""
     try:
-        return subprocess.run(["git", "-C", ROOT, "describe", "--always",
-                               "--dirty", "--abbrev=12"], check=True,
-                              capture_output=True, text=True).stdout.strip()
+        return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                              capture_output=True, text=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def git_rev():
+    """``git describe`` of the checkout, ``-dirty`` when it has changes."""
+    rev = git("describe", "--always", "--dirty", "--abbrev=12")
+    return rev and rev.strip()
+
+
+def git_dirty():
+    """The paths ``git status --porcelain`` lists, so that two records of
+    dirty checkouts of one commit say what each changed."""
+    status = git("status", "--porcelain")
+    if status is None:
+        return None
+    return [line[3:] for line in status.splitlines()]
 
 
 def src_sha256():
@@ -166,6 +182,7 @@ def main(argv=None):
 
     record = {
         "rev": git_rev(),
+        "dirty": git_dirty(),
         "src_sha256": src_sha256(),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),

@@ -35,6 +35,13 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # the memo key: a table per field (p, f), shared across h
+    Mutant("the key drops f", "memo.py",
+           "key = ((first.p, first.f) if", "key = ((first.p,) if",
+           ("test_ring.py",)),
+    Mutant("a FieldParams keyed whole, so h-variants stop sharing",
+           "memo.py", "key = ((first.p, first.f) if", "key = ((first,) if",
+           ("test_memo.py", "test_ring.py")),
     # the oracle
     Mutant("base block off by one", "brauer.py",
            "found[:, base[d % bases]]", "found[:, base[(d + 1) % bases]]",

@@ -16,8 +16,8 @@ from .memo import memo
 from .params import FieldParams
 from .principal import _series_prefix, s_alpha  # s_alpha re-exported
 from .reduction import reduce_product, reduce_symm, symm_factors
-from .ring import (RingElement, _dims, _element, _field_key, _l1_rows,
-                   _labels, _product_row, frac_str, multiply)
+from .ring import (RingElement, _dims, _element, _l1_rows, _labels,
+                   _product_row, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def norm_S_1(v: RingElement) -> Fraction:
     return sum((abs(c) for c in v.terms.values()), Fraction(0))
 
 
-@memo(_field_key)
+@memo
 def _norm_products(params: FieldParams) -> tuple[tuple, ...]:
     """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
     triple (2(bq + n), y, k), read by ``operator_norm``: every product
@@ -158,7 +158,7 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     return s_norms, hat_norms
 
 
-@memo(_field_key)
+@memo
 def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, and
     M_upper, q - 1 times the S-basis l1 mass of the L_n(0), n < q: the
@@ -289,11 +289,9 @@ def t_shift(params: FieldParams, j: int, k: int) -> int:
     return t_shift_candidates(params, j, k)[0]
 
 
-def frobenius_proximity(params: FieldParams, k: int, j: int,
-                        a_const: Fraction | None = None) -> dict:
+def frobenius_proximity(params: FieldParams, k: int, j: int) -> dict:
     """Check ||[S_k]^{[j]} - [S_k](t)|| <= 2A for every valid t."""
-    if a_const is None:
-        a_const = compute_constants(params).A
+    a_const = compute_constants(params).A
     sk = reduce_symm(params, k)
     twisted = sk.frobenius_twist(j)
     out = {"k": k, "j": j, "checks": []}

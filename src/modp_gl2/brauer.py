@@ -230,8 +230,10 @@ class BrauerTable:
         # omega^(d m) = zeta^((q + 1) d m) with d = r // q
         d_m = np.outer(np.arange(count) // q, range(q - 1))
         twist = self.powers[(q + 1) * d_m % len(self.powers)]
-        return (self.characters(count)[:, :, None] * twist[:, None, :]
-                % self.ell).reshape(count, len(self.labels))
+        # one C-ordered array, reduced in place and reshaped as a view
+        table = np.multiply(self.characters(count)[:, :, None],
+                            twist[:, None, :], order="C")
+        return np.remainder(table, self.ell, out=table).reshape(count, -1)
 
     def solve(self, rhs) -> np.ndarray:
         """Multiplicities mod ell, in ``labels`` order, of the class whose
@@ -249,8 +251,8 @@ class BrauerTable:
         return (self.twist @ y % ell).T.reshape(-1)
 
 
-@memo(lambda params, index=0: (params.p, params.f, index))
-def build_table(params: FieldParams, index: int = 0) -> BrauerTable:
+@memo
+def build_table(params: FieldParams, index: int) -> BrauerTable:
     """The table mod ``_prime(q^2 - 1, index)``."""
     q = params.q
     qm1 = q - 1

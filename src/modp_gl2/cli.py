@@ -43,23 +43,26 @@ def parse_element(params: FieldParams, text: str) -> RingElement:
             raise ValueError("element JSON has mismatched field parameters")
         return elem
     total = RingElement.zero(params, "L")
-    for chunk in text.replace("-", "+-").split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign, chunk = -1, chunk[1:].strip()
-        match = _TERM_RE.match(chunk)
-        if not match:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = sign * Fraction(match["coeff"] or 1)
-        n, m = int(match["n"]), int(match["m"] or 0)
-        if match["basis"] == "L":
-            term = RingElement.L(params, n, m)
-        else:
-            term = symm_to_L(params, n, m)
-        total = total + term.scale(coeff)
+    # empty terms only before a sign: a leading '+', a '-' opening a term
+    pieces = text.split("+")
+    if len(pieces) > 1 and not pieces[0].strip():
+        del pieces[0]
+    for piece in pieces:
+        first, *negated = piece.split("-")
+        terms = [(-1, chunk) for chunk in negated]
+        if first.strip() or not negated:
+            terms.insert(0, (1, first))
+        for sign, chunk in terms:
+            match = _TERM_RE.match(chunk)
+            if not match:
+                raise ValueError(f"cannot parse term {chunk.strip()!r}")
+            coeff = sign * Fraction(match["coeff"] or 1)
+            n, m = int(match["n"]), int(match["m"] or 0)
+            if match["basis"] == "L":
+                term = RingElement.L(params, n, m)
+            else:
+                term = symm_to_L(params, n, m)
+            total = total + term.scale(coeff)
     return total
 
 

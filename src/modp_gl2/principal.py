@@ -34,8 +34,7 @@ from typing import Mapping
 
 from .memo import memo
 from .params import FieldParams
-from .ring import (Label, RingElement, Row, _element, _expand, _field_key,
-                   _labels, _row)
+from .ring import Label, RingElement, Row, _element, _expand, _labels, _row
 
 DECOMPOSITION = "decomposition"
 ANTECEDENT = "antecedent"
@@ -89,7 +88,7 @@ class ClosedPath:
 COLUMN_PAIRS = {(0, 0): "TL", (0, 1): "BR", (1, 1): "TR", (1, 0): "BL"}
 
 
-@memo(lambda graph, f: (graph, f))
+@memo
 def enumerate_closed_paths(graph: str, f: int) -> tuple[ClosedPath, ...]:
     """All closed walks of length f, in lexicographic vertex order: one per
     word c_0..c_(f-1) of columns, slot i taking the vertex of
@@ -178,7 +177,7 @@ def _column_steps(p: int, x: int) -> list[tuple[int, int, int]]:
     return steps + [(0, 0, x), (1, 1, p - 1 - x)]
 
 
-@memo(_field_key)
+@memo
 def _diamond_columns(params: FieldParams) -> tuple[Row, ...]:
     """The untwisted V_n in the L basis for n < q-1, as flat rows: one
     L_lambda(ell) per compatible decomposition path, built from column
@@ -242,7 +241,7 @@ def antecedents(params: FieldParams, n: int, m: int = 0) -> set[Label]:
     return result
 
 
-@memo(lambda params, n: (params.p, params.f, n))
+@memo
 def omega(params: FieldParams, n: int) -> int:
     """Number of principal series containing L_n(m) (independent of m).
 
@@ -262,7 +261,7 @@ def omega(params: FieldParams, n: int) -> int:
     return closed
 
 
-@memo(lambda params, alpha: (params.p, params.f, alpha))
+@memo
 def _series_gather(params: FieldParams,
                    alpha: int) -> Mapping[Label, tuple[int, ...]]:
     """The q-1 principal series V(c2) = V_((alpha-2c2) mod (q-1))(c2),

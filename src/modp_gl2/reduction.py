@@ -55,8 +55,8 @@ from .memo import memo
 from .params import FieldParams
 from .principal import _series_prefix, _series_sum
 from .ring import (Label, RingElement, _add_product, _add_symm, _element,
-                   _field_key, _glover_step, _labels, _s_to_l_columns,
-                   _symm_terms, _twist, multiply)
+                   _glover_step, _labels, _s_to_l_columns, _symm_terms,
+                   _twist, multiply)
 
 
 class SymmFactor(NamedTuple):
@@ -104,7 +104,7 @@ def _reduce_symm_base_fast(params: FieldParams, k: int) -> dict[Label, int]:
     return terms
 
 
-@memo(_field_key)
+@memo
 def _glover_checkpoint(params: FieldParams) -> list:
     """The slow route's stops on the field as flat rows, a two-slot list:
     the last stop (k, [S_(k-1)], [S_k]), first (q-1, [S_(q-2)], [S_(q-1)]),
@@ -168,14 +168,12 @@ def reduce_symm(params: FieldParams, factor, m: int = 0, j: int = 0,
     return _element(params, "L", terms)
 
 
-@memo(lambda params, j, bits: (params.p, params.f, j % params.f, bits))
-def _runs(params: FieldParams, j: int, bits: int) -> tuple[int, ...]:
-    """The run table of Frobenius twist j at ``bits`` bits per coefficient,
-    memoized on (p, f, j mod f, bits): entry L < q is x^0 + x^(p^j) + ... +
-    x^((L-1)p^j) mod x^(q-1) - 1, so entry q-1, as p^j is prime to q-1, is
-    the all-ones polynomial."""
+@memo
+def _runs(params: FieldParams, pj: int, bits: int) -> tuple[int, ...]:
+    """The run table of twist j, given as pj = p^j mod (q-1), which j + f
+    shares, at ``bits`` bits per coefficient: entry L < q is the sum of
+    x^(i p^j), i < L, mod x^(q-1) - 1, so entry q-1 is all ones."""
     n = params.q - 1
-    pj = pow(params.p, j % params.f, n)
     runs = [0]
     for i in range(n):
         runs.append(runs[-1] + (1 << bits * (pj * i % n)))
@@ -231,7 +229,8 @@ def _reduce_product_fast(params: FieldParams, factors) -> RingElement:
     # central character
     plus, minus, prefix, sign, alpha, rests = 0, 0, 1, 1, 0, []
     for k, m, j in factors:
-        pj, runs = pow(p, j, n), _runs(params, j, bits)
+        pj = pow(p, j, n)
+        runs = _runs(params, pj, bits)
         alpha += pj * (k + 2 * m)
         u, s, rest, e = _split(params, k)
         own = fold(prefix * run(runs, pj, m, u * n + s))

@@ -329,18 +329,14 @@ def _expand(params: FieldParams, terms: Mapping[Label, Coeff], rows) -> dict:
 # ---------------------------------------------------------------------------
 # Products: the q rows [L_a][L_1], then a recursion on the second label
 
-def _field_key(params: FieldParams) -> tuple[int, int]:
-    return (params.p, params.f)
-
-
-@memo(_field_key)
+@memo
 def _dims(params: FieldParams) -> tuple[int, ...]:
     """dim L_n for n < q: the product of (digit + 1) over its base-p digits."""
     return tuple(prod(d + 1 for d in params.digits(n))
                  for n in range(params.q))
 
 
-@memo(_field_key)
+@memo
 def _l1_rows(params: FieldParams) -> tuple[Row, ...]:
     """[L_a][L_1] in the L basis for a < q, as flat rows. L_1 is S_1 in slot
     0; tensoring S_1 into slot i sends S_d to S_(d+1) + S_(d-1)(p^i), and at
@@ -366,7 +362,7 @@ def _l1_rows(params: FieldParams) -> tuple[Row, ...]:
     return tuple(rows)
 
 
-@memo(lambda params, a: (params.p, params.f, a))
+@memo
 def _product_row(params: FieldParams, a: int) -> tuple[Row, ...]:
     """[L_a][L_b] (twists shifted out) for every b < q, as flat rows, from
     [L_a][L_0] = [L_a]. [L_(b-1)][L_1] is [L_b] plus classes of labels
@@ -459,7 +455,7 @@ def _glover_step(params: FieldParams, prev: Row, prev2: Row) -> Row:
     return _flat(qm1, acc)
 
 
-@memo(_field_key)
+@memo
 def _s_to_l_columns(params: FieldParams) -> tuple[Row, ...]:
     """[S_n(0)] in the L basis for 0 <= n <= q-1, as flat rows: [S_0] =
     [L_0], [S_1] = [L_1] and ``_glover_step`` from there on."""
@@ -469,7 +465,7 @@ def _s_to_l_columns(params: FieldParams) -> tuple[Row, ...]:
     return tuple(cols)
 
 
-@memo(_field_key)
+@memo
 def _l_to_s_columns(params: FieldParams) -> tuple[Row, ...]:
     """[L_n(0)] in the S basis, as flat rows, inverting the unit-triangular
     S -> L change: the constituents of S_n but L_n have labels below n."""

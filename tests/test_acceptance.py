@@ -151,13 +151,12 @@ def test_06_tensoriel():
 def test_07_frobenius_proximity():
     ok = True
     p9 = FieldParams(3, 2, 2)
-    a9 = compute_constants(p9).A
     rng = random.Random(SEED)
     seen = set()
     while len(seen) < 100:
         seen.add((rng.randrange(2001), rng.choice((1,))))
     for k, j in sorted(seen):
-        result = frobenius_proximity(p9, k, j, a9)
+        result = frobenius_proximity(p9, k, j)
         if len(result["checks"]) != 2:
             ok = False
         if not all(c["satisfied"] for c in result["checks"]):

@@ -367,9 +367,8 @@ def test_t_shift(p3, p9):
 
 
 def test_frobenius_proximity(p9):
-    a_const = compute_constants(FieldParams(3, 2, 2)).A
     for k in (3, 57, 311):
-        report = frobenius_proximity(p9, k, 1, a_const)
+        report = frobenius_proximity(p9, k, 1)
         assert all(check["satisfied"] for check in report["checks"])
 
 

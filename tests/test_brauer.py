@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_character_additivity(p9):
 
 
 def test_table_is_square_and_solvable(p5):
-    table = build_table(p5)
+    table = build_table(p5, 0)
     assert table.exponents.shape == (2, 20) and len(table.labels) == 20
     # solving for each column must return its unit vector exactly
     matrix = table.matrix
@@ -140,7 +141,7 @@ def test_table_is_square_and_solvable(p5):
 
 
 def test_rounding_discipline(p3, monkeypatch):
-    table = build_table(p3)
+    table = build_table(p3, 0)
     # a right-hand side that is not the character of any class: 1/2 at
     # every class, which solves to 1/2 [L_0(0)] mod ell
     half = (table.ell + 1) // 2
@@ -163,9 +164,9 @@ def fresh_tables():
 
 def test_tables_compare_by_identity(p3, fresh_tables):
     # the generated field-wise __eq__ would compare numpy arrays and raise
-    first = build_table(p3)
+    first = build_table(p3, 0)
     memo.clear()
-    second = build_table(p3)
+    second = build_table(p3, 0)
     assert first == first
     assert first != second
 
@@ -173,7 +174,7 @@ def test_tables_compare_by_identity(p3, fresh_tables):
 def test_oracle_error_raised(p3, monkeypatch, fresh_tables):
     factors = [(40, 1, 0), (17, 0, 0)]
     # one corrupted entry of one block inverse
-    table = build_table(p3)
+    table = build_table(p3, 0)
     table.inverses[0, 0, 0] = (table.inverses[0, 0, 0] + 1) % table.ell
     with pytest.raises(OracleError, match="dimension"):
         oracle_decompose(p3, factors)
@@ -209,7 +210,7 @@ def test_block_table_matches_scalar_characters(p, f):
     params = FieldParams(p, f)
     q = params.q
     n2 = q * q - 1
-    table = build_table(params)
+    table = build_table(params, 0)
     ell, zeta = table.ell, int(table.powers[1])
     assert ell % n2 == 1 and ell < 2 ** 26 and is_prime(ell)
     # zeta has exact order q^2 - 1
@@ -244,7 +245,7 @@ def test_every_product_matches_the_oracle():
     assert len(fields) == 18
     for p, f in fields:
         params = FieldParams(p, f)
-        table = build_table(params)
+        table = build_table(params, 0)
         chi = table.matrix[:, ::params.q - 1]  # the columns L_n(0)
         for a in range(params.q):
             for b in range(a, params.q):
@@ -292,7 +293,7 @@ def test_derived_inverses_invert_every_block():
     assert len(FIELDS) == 27
     for params in FIELDS:
         q = params.q
-        table = build_table(params)
+        table = build_table(params, 0)
         bases = 1 if q % 2 == 0 else 2
         assert table.inverses.shape == (bases, q, q)
         assert table.scales.shape == (q - 1, q)
@@ -310,15 +311,28 @@ def test_table_holds_no_array_beyond_2q2_entries():
     # class: no array of q^2 (q - 1) entries
     assert len(FIELDS) == 27
     for params in FIELDS:
-        table = build_table(params)
+        table = build_table(params, 0)
         sizes = {name: value.size for name, value in vars(table).items()
                  if isinstance(value, np.ndarray)}
         assert max(sizes.values()) <= 2 * params.q ** 2, (params, sizes)
 
 
+def test_matrix_allocates_one_full_table():
+    # matrix takes its residue in place and reshapes a view, so assembling
+    # it allocates about one q(q-1) x q(q-1) array, not two
+    table = build_table(FieldParams(3, 3), 0)
+    tracemalloc.start()
+    try:
+        matrix = table.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix.nbytes, (peak, matrix.nbytes)
+
+
 def test_powers_and_gaps_match_pow():
     for params in FIELDS:
-        table = build_table(params)
+        table = build_table(params, 0)
         ell, zeta = table.ell, int(table.powers[1])
         n2 = params.q ** 2 - 1
         assert table.powers.tolist() == [pow(zeta, e, ell) for e in range(n2)]
@@ -330,7 +344,7 @@ def test_int64_premise_is_checked(p3, monkeypatch, fresh_tables):
     # primes near 2^31 make q (ell - 1)^2 exceed 2^63 at q = 3
     monkeypatch.setattr(brauer, "PRIME_BOUND", 2 ** 31)
     with pytest.raises(OracleError, match="2\\^63"):
-        build_table(p3)
+        build_table(p3, 0)
 
 
 def test_miller_rabin_matches_trial_division():

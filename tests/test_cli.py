@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,41 @@ def test_parse_element(p3):
     assert parse_element(p3, as_json) == RingElement.L(p3, 2, 1)
     with pytest.raises(ValueError):
         parse_element(p3, "[X_1]")
+
+
+@pytest.mark.parametrize("text", [
+    "[L_1(0)] + + [L_2(0)]", "[L_1(0)] +", "[L_1(0)] -", "+ + [L_1(0)]",
+    "-", "", "  "])
+def test_empty_terms_are_rejected(p3, capsys, text):
+    # only a leading sign may leave an empty term before it
+    with pytest.raises(ValueError):
+        parse_element(p3, text)
+    code, out, err = run(capsys, "--p", "3", "verify-bound", "--w", text,
+                         "--factors", "5:0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert parse_element(p3, "-[L_1(0)]") == -1 * RingElement.L(p3, 1, 0)
+    assert parse_element(p3, "+ [L_1(0)]") == RingElement.L(p3, 1, 0)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("[L_0(0)] + -1*[L_2(0)]", {(0, 0): 1, (2, 0): -1}),
+    ("[L_0(0)] + -1/2*[L_2(0)]", {(0, 0): 1, (2, 0): Fraction(-1, 2)}),
+    ("-[L_0(0)] - 2*[L_2(0)] + - [L_2(1)]",
+     {(0, 0): -1, (2, 0): -2, (2, 1): -1})])
+def test_signed_terms_parse(p3, capsys, text, terms):
+    # a '-' may open any '+' term, as repr writes negative coefficients
+    assert parse_element(p3, text) == RingElement(p3, "L", terms)
+    code, out, err = run(capsys, "--p", "3", "verify-bound", "--w", text,
+                         "--factors", "5:0")
+    assert code in (0, 4) and not err.startswith("error: "), (code, err)
+
+
+def test_parse_element_reads_repr(p3):
+    x = RingElement(p3, "L", {(0, 0): 2, (1, 1): -1, (2, 0): Fraction(-3, 4),
+                              (1, 0): Fraction(1, 3)})
+    assert "+ -" in repr(x)
+    assert parse_element(p3, repr(x)) == x
 
 
 def test_parse_factors():
@@ -160,7 +196,7 @@ def test_oracle_failure_exit_code(capsys):
     memo.clear()
     try:
         # one corrupted entry of one block inverse
-        table = build_table(FieldParams(3, 1))
+        table = build_table(FieldParams(3, 1), 0)
         table.inverses[0, 0, 0] = (table.inverses[0, 0, 0] + 1) % table.ell
         code, out, err = run(capsys, "--p", "3", "--f", "1",
                              "oracle-check", "--factors", "40:1,17:0")

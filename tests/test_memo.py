@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
+import pytest
+
 from modp_gl2 import (
     ClosedPath,
     FieldParams,
@@ -9,11 +11,13 @@ from modp_gl2 import (
     SymmFactor,
     antecedents,
     check_theorem_bound,
+    compute_constants,
     convert_basis,
     diamond_decompose,
     memo,
     multiply,
     omega,
+    oracle_decompose,
     reduce_product,
     reduce_symm,
     s_alpha,
@@ -80,3 +84,48 @@ def test_memo_tables_are_immutable():
         if bad:
             loose[name] = bad
     assert not loose, f"mutable entries: {loose}"
+
+
+def test_every_table_is_shared_across_h():
+    # every table is keyed by the field (p, f): a seeded mix of calls with
+    # h unset, then the same calls with h = f and h = 4f, adds no entry to
+    # any table
+    def mix(params):
+        rng = random.Random(params.q)
+        q, qm1, f = params.q, params.q - 1, params.f
+        for _ in range(3):
+            factors = [SymmFactor(rng.randrange(10 ** 4), rng.randrange(qm1),
+                                  rng.randrange(-f, 2 * f)) for _ in range(3)]
+            reduce_symm(params, *factors[0])
+            reduce_symm(params, rng.randrange(3 * q), method="slow")
+            reduce_product(params, factors)
+            reduce_product(params, factors[:2], method="slow")
+            oracle_decompose(params, factors[:2])
+            multiply(RingElement.L(params, rng.randrange(q), 0),
+                     RingElement.L(params, rng.randrange(q), 1))
+            antecedents(params, rng.randrange(q))
+            omega(params, rng.randrange(q))
+            s_alpha(params, rng.randrange(qm1))
+            check_theorem_bound(params, RingElement.L(params, 1, 0),
+                                factors[:2])
+        compute_constants(params)
+
+    memo.clear()
+    mix(FieldParams(2, 4))
+    keys = {name: set(table) for name, table in memo.TABLES.items()}
+    assert all(keys.values()), \
+        [name for name, entries in keys.items() if not entries]
+    for h in (4, 16):
+        mix(FieldParams(2, 4, h))
+        assert {name: set(table)
+                for name, table in memo.TABLES.items()} == keys, h
+
+
+def test_memo_refuses_default_arguments():
+    # a defaulted argument would key f(x) and f(x, default) apart
+    def build(params, index=0):
+        return index
+
+    with pytest.raises(TypeError, match="default"):
+        memo.memo(build)
+    assert not any(name.endswith(".build") for name in memo.TABLES)

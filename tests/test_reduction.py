@@ -417,19 +417,21 @@ def test_fast_product_across_the_reflection(p, f):
 @pytest.mark.parametrize("p, f", FIELDS_TO_16)
 def test_runs_are_the_direct_sums(p, f):
     # entry L of the run table of j is the sum of x^(p^j i mod (q-1)),
-    # i < L, at every width and for j below 0 and past f too
+    # i < L, at every width and for j below 0 and past f too, and the
+    # twists j mod f share one table per width
     params = FieldParams(p, f)
     n = params.q - 1
     memo.clear()
     for bits in (8, 16):
         for j in list(range(f)) + [-1, f, 2 * f + 1]:
             pj = p ** (j % f)
-            runs = reduction._runs(params, j, bits)
+            runs = reduction._runs(params, pow(p, j, n), bits)
             assert len(runs) == params.q, (params, j, bits)
             for length, entry in enumerate(runs):
                 assert entry == sum(1 << bits * (pj * i % n)
                                     for i in range(length)), \
                     (params, j, bits, length)
+    assert len(reduction._runs.table) == 2 * f, params
 
 
 def _edge_products(params):

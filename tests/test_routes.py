@@ -40,7 +40,7 @@ def _called(route) -> set[str]:
 # every route reads field parameters and memo tables and builds its answer
 # with the trusted element constructor
 EVERY = {"memo.wrapper", "params.digits", "params.q", "ring._element",
-         "ring._field_key", "ring._fill"}
+         "ring._fill"}
 # the base-change columns, built by the Glover walk on flat rows: both
 # fast routes read them, and the slow routes continue the walk; the fast
 # routes' _labels comes from the gather tables of principal
