@@ -44,7 +44,19 @@ MUTANTS = [
            ("test_memo.py", "test_ring.py")),
     # the oracle
     Mutant("base block off by one", "brauer.py",
-           "found[:, base[d % bases]]", "found[:, base[(d + 1) % bases]]",
+           "base[:, d % bases]", "base[:, (d + 1) % bases]",
+           ("test_brauer.py",)),
+    # the block lister: the flipped nonsplit representative lists the same
+    # conjugacy classes by their other exponent, so only the flat reference
+    # listing tells it apart
+    Mutant("nonsplit representative e > e q", "brauer.py",
+           "if e < e * q % n2]", "if e > e * q % n2]", ("test_brauer.py",)),
+    Mutant("nonsplit exponents of determinant d + 1", "brauer.py",
+           "range(d, n2, qm1)", "range(d + 1, n2, qm1)", ("test_brauer.py",)),
+    Mutant("central g^a with a = d for 2a = d", "brauer.py",
+           "if 2 * a % qm1 == d]", "if a == d]", ("test_brauer.py",)),
+    Mutant("split pairs with a <= b", "brauer.py",
+           "if a < (d - a) % qm1]", "if a <= (d - a) % qm1]",
            ("test_brauer.py",)),
     Mutant("scales' minus sign dropped", "brauer.py",
            "table.powers[-np.outer(shift", "table.powers[np.outer(shift",

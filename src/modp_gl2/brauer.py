@@ -74,24 +74,27 @@ class PRegularClass:
         raise ValueError(f"unknown class kind {self.kind!r}")
 
 
-def enumerate_p_regular_classes(params: FieldParams) -> list[PRegularClass]:
-    """Deterministic complete list; count is q(q-1)."""
-    q = params.q
-    classes = [PRegularClass("central", (a,)) for a in range(q - 1)]
-    for a in range(q - 1):
-        for b in range(a + 1, q - 1):
-            classes.append(PRegularClass("split", (a, b)))
-    n2 = q * q - 1
-    for e in range(1, n2):
-        if e % (q + 1) == 0:
-            continue  # g2^e lies in F_q
-        if e < (e * q) % n2:
-            classes.append(PRegularClass("nonsplit", (e,)))
-    expected = (q - 1) + (q - 1) * (q - 2) // 2 + (q * q - q) // 2
-    if not len(classes) == expected == q * (q - 1):
-        raise AssertionError(f"{len(classes)} p-regular classes, expected "
-                             f"{q * (q - 1)} (internal bug)")
+def _block(q: int, d: int) -> list[PRegularClass]:
+    """The q classes of determinant exponent d: central g^a with 2a = d,
+    split (a, b) with a < b and a + b = d, and nonsplit g2^e with e = d
+    (mod q - 1) and e < e q (mod q^2 - 1); each kind by increasing a or e."""
+    qm1, n2 = q - 1, q * q - 1
+    classes = [PRegularClass("central", (a,)) for a in range(qm1)
+               if 2 * a % qm1 == d]
+    classes += [PRegularClass("split", (a, (d - a) % qm1)) for a in range(qm1)
+                if a < (d - a) % qm1]
+    # e q = e (mod n2) when q + 1 divides e, so g2^e in F_q is left out too
+    classes += [PRegularClass("nonsplit", (e,)) for e in range(d, n2, qm1)
+                if e < e * q % n2]
+    if len(classes) != q:
+        raise AssertionError(f"{len(classes)} classes of determinant exponent "
+                             f"{d}, expected {q} (internal bug)")
     return classes
+
+
+def enumerate_p_regular_classes(params: FieldParams) -> list[PRegularClass]:
+    """Deterministic complete list, block by block; count is q(q-1)."""
+    return [cls for d in range(params.q - 1) for cls in _block(params.q, d)]
 
 
 def _is_prime(n: int) -> bool:
@@ -266,22 +269,16 @@ def build_table(params: FieldParams, index: int) -> BrauerTable:
     zeta = next(z for z in (pow(g, (ell - 1) // n2, ell) for g in range(2, ell))
                 if all(pow(z, n2 // r, ell) != 1 for r in primes))
     powers = _powers(zeta, n2, ell)
-    found = np.array([c.eigen_exponents(q) for c in
-                      enumerate_p_regular_classes(params)], dtype=np.int64).T
-    dets = found.sum(axis=0) // (q + 1) % qm1
-    sizes = np.bincount(dets, minlength=qm1)
-    if (sizes != q).any():
-        raise AssertionError(f"determinant blocks of sizes {sizes.tolist()}, "
-                             f"expected {qm1} of {q} (internal bug)")
     # d = b + 2s with b = d mod bases: s = d q / 2 mod q - 1 when q is
     # even, as 2 (q / 2) = 1 there, and s = d // 2 when q is odd
     bases = 1 if q % 2 == 0 else 2
     d = np.arange(qm1)
     shift = d * (q // 2) % qm1 if bases == 1 else d // 2
-    base = np.argsort(dets, kind="stable").reshape(qm1, q)[:bases]
+    base = np.array([[c.eigen_exponents(q) for c in _block(q, b)]
+                     for b in range(bases)], dtype=np.int64).transpose(2, 0, 1)
     # block d is the image of base block b under g^s, which adds s (q + 1)
     # to both eigenvalue exponents; the base blocks come first, unmoved
-    exponents = (found[:, base[d % bases]] + (q + 1) * shift[:, None]) % n2
+    exponents = (base[:, d % bases] + (q + 1) * shift[:, None]) % n2
     table = BrauerTable(
         params, [(n, m) for n in range(q) for m in range(qm1)], ell,
         powers, _unit_inverses(1 - powers, ell), exponents.reshape(2, -1))

@@ -65,17 +65,60 @@ def character_of_irreducible(params: FieldParams, n: int, m: int,
     return value
 
 
+def flat_classes(params: FieldParams) -> list[PRegularClass]:
+    """Every p-regular class in one flat pass, kind by kind: the reference
+    for the block-by-block listing."""
+    q = params.q
+    classes = [PRegularClass("central", (a,)) for a in range(q - 1)]
+    for a in range(q - 1):
+        for b in range(a + 1, q - 1):
+            classes.append(PRegularClass("split", (a, b)))
+    n2 = q * q - 1
+    for e in range(1, n2):
+        if e % (q + 1) == 0:
+            continue  # g2^e lies in F_q
+        if e < (e * q) % n2:
+            classes.append(PRegularClass("nonsplit", (e,)))
+    return classes
+
+
 def test_class_counts():
     for p, f, expected in [(3, 1, 6), (5, 1, 20), (2, 1, 2), (3, 2, 72)]:
-        classes = enumerate_p_regular_classes(FieldParams(p, f))
-        assert len(classes) == expected
+        assert len(enumerate_p_regular_classes(FieldParams(p, f))) == expected
+    assert len(FIELDS) == 27
+    for params in FIELDS:
         kinds = {"central": 0, "split": 0, "nonsplit": 0}
-        for cls in classes:
+        for cls in enumerate_p_regular_classes(params):
             kinds[cls.kind] += 1
-        q = p ** f
+        q = params.q
         assert kinds["central"] == q - 1
         assert kinds["split"] == (q - 1) * (q - 2) // 2
         assert kinds["nonsplit"] == (q * q - q) // 2
+
+
+def test_blocks_match_the_flat_listing():
+    # the same classes, block by block, each block in the flat order
+    assert len(FIELDS) == 27
+    for params in FIELDS:
+        q = params.q
+
+        def det(cls):
+            return sum(cls.eigen_exponents(q)) // (q + 1) % (q - 1)
+
+        classes = enumerate_p_regular_classes(params)
+        assert classes == sorted(flat_classes(params), key=det), params
+        for d in range(q - 1):
+            assert {det(cls) for cls in brauer._block(q, d)} == {d}, params
+
+
+def test_build_table_lists_only_its_base_blocks(monkeypatch, fresh_tables):
+    def refuse(params):
+        raise AssertionError("build_table listed every class")
+
+    monkeypatch.setattr(brauer, "enumerate_p_regular_classes", refuse)
+    for params in (FieldParams(3, 2), FieldParams(2, 4)):
+        q = params.q
+        assert build_table(params, 0).exponents.shape == (2, q * (q - 1))
 
 
 def test_character_of_symm(p3):

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from modp_gl2 import FieldParams, RingElement
+from modp_gl2.cli import main
 from modp_gl2.params import Q_CAP, is_prime
 
 
@@ -28,6 +31,21 @@ def test_validation():
     for args in [(3.0, 1), (3, 1.0), (3, True), (3, 1, 1.0), (3, 1, True)]:
         with pytest.raises(TypeError):
             FieldParams(*args)
+
+
+@pytest.mark.parametrize("p,f", [(3, 10 ** 6), (2 ** 61 - 1, 1)])
+def test_cap_is_checked_before_arithmetic(p, f, capsys):
+    # neither 3^(10^6) nor trial division of a 61-bit prime is computed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        FieldParams(p, f)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    code = main(["--p", str(p), "--f", str(f), "omega", "--all"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "exceeds the cap" in captured.err
 
 
 def test_digits_roundtrip():
