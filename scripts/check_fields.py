@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pairs of independent routes against each other on every field q <= 64.
 
-For each of the 27 fields, eight checks run on the field's shared memoized
+For each of the 27 fields, nine checks run on the field's shared memoized
 tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 
 - products: ``reduce_product`` (principal series absorbing the product)
@@ -35,6 +35,11 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 - diamond: each row of the V_n table, built from column words, against
   the (lambda, ell) of the compatible closed paths of
   ``explain_decomposition``, counted with multiplicity;
+- constants: the class norms ||[S_r]|| (r < N) and ||S-hat_i|| (i < q-1)
+  behind the constant A, from ``_class_norms``, against the Glover
+  recursion run step by step on row-sum vectors written here: one matvec
+  against the products [L_1][L_a] per step, each step checked against the
+  dimension;
 - row orders: the q rows of the product table, built from empty tables in
   ascending, descending and seeded shuffled order, against each other:
   every entry [a][b] the same label dict in each order and equal to its
@@ -55,12 +60,14 @@ import traceback
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from itertools import zip_longest
+from math import lcm, prod
 
 from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
                       memo, multiply, omega, operator_norm, oracle_decompose,
                       reduce_product, reduce_symm, residual, s_alpha,
                       symm_to_L)
+from modp_gl2.asymptotics import _class_norms
 from modp_gl2.params import Q_CAP, is_prime
 from modp_gl2.principal import (_diamond_columns, _series_gather,
                                 explain_decomposition)
@@ -221,6 +228,46 @@ def diamond(params, rng):
         yield f"n = {n}", _labels(qm1, rows[n]) == paths
 
 
+def glover_class_norms(params):
+    """||[S_r]|| for r < N = q^2 - 1 and ||S-hat_i|| for i < q-1 by the
+    Glover recursion on row sums: t_r = t_(r-1) M - t_(r-2) from t_(-1) = 0
+    and t_0 = all ones, M the products [L_1][L_a] with the twist summed out,
+    one step per r, and S-hat_i from (t_(i+N) - t_i) / N. Each t_r must pass
+    sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b, dim L_n the product of
+    (digit + 1) over the base-p digits of n."""
+    q, period = params.q, params.q ** 2 - 1
+    rows = [structure_constants(params, 1, a) for a in range(q)]
+    dims = [prod(d + 1 for d in params.digits(n)) for n in range(q)]
+    heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
+    prev, cur = [0] * q, [1] * q
+    for r in range(period + q - 1):
+        if sum(x * d for x, d in zip(cur, dims)) != (r + 1) * sum(dims):
+            raise AssertionError(f"row sums of [S_{r}] fail the dimension "
+                                 "check")
+        if r < period:
+            s_norms.append(max(cur))
+            if r < q - 1:
+                heads.append(cur)
+        else:
+            hat_norms.append(Fraction(max(
+                x - y for x, y in zip(cur, heads[r - period])), period))
+        nxt = [-x for x in prev]
+        for a, x in enumerate(cur):
+            for (n, _), k in rows[a].items():
+                nxt[n] += x * k
+        prev, cur = cur, nxt
+    return s_norms, hat_norms
+
+
+def constants(params, rng):
+    """Yield (class, agree) for each norm of ``_class_norms`` against the
+    step-by-step Glover reference."""
+    got, expected = _class_norms(params), glover_class_norms(params)
+    for name, norms, reference in zip(("[S_{}]", "S-hat_{}"), got, expected):
+        for i, (x, y) in enumerate(zip_longest(norms, reference)):
+            yield "||" + name.format(i) + "||", x == y
+
+
 def row_orders(params, rng):
     """Yield (order, agree) for the product rows built from empty tables in
     ascending, descending and shuffled order, against the ascending ones."""
@@ -245,7 +292,7 @@ def row_orders(params, rng):
 CHECKS = (("products", products), ("elements", norms), ("k", slow_route),
           ("alphas", gather), ("identities", reflection),
           ("oracle products", oracle), ("V_n rows", diamond),
-          ("row orders", row_orders))
+          ("class norms", constants), ("row orders", row_orders))
 
 
 def tally(counts):

@@ -3,7 +3,8 @@
 
 Each mutant is one (old, new) text edit in one file of ``src/modp_gl2``,
 with the test files expected to catch it. For each mutant the script copies
-``src/`` and ``tests/`` into a temporary directory, applies the edit to the
+``src/``, ``tests/`` and ``scripts/`` (whose references some tests load)
+into a temporary directory, applies the edit to the
 copy and runs ``pytest -x -q`` on those test files there, with the copy's
 ``src`` first on ``PYTHONPATH``. The real tree is never edited. Before the
 mutants, the unmutated copy runs every listed test file once.
@@ -115,11 +116,30 @@ MUTANTS = [
     Mutant("right-column q-1 term of ell dropped", "principal.py",
            "total = n - lam + last * qm1", "total = n - lam",
            ("test_principal.py",)),
+    # the constants: row sums of [S_r] by one series per step past r = q.
+    # The first three fail the dimension check or index past the series;
+    # the S-hat one passes it, and only the references (the generic
+    # operator_norm and check_fields' Glover recursion) tell it apart
+    Mutant("series partner t_(q-1-c) off by one", "asymptotics.py",
+           "t[c], t[qm1 - c])", "t[c], t[q - c])",
+           ("test_asymptotics.py", "test_check_fields.py")),
+    Mutant("row-sum buffer stride q for q+1", "asymptotics.py",
+           "i = r % (q + 1)", "i = r % q",
+           ("test_asymptotics.py", "test_check_fields.py")),
+    Mutant("series index r mod q for r mod (q-1)", "asymptotics.py",
+           "series[r % qm1]", "series[r % q]",
+           ("test_asymptotics.py", "test_check_fields.py")),
+    Mutant("S-hat_i from t_(i+N+1)", "asymptotics.py",
+           "last[(period + i) % (q + 1)]", "last[(period + i + 1) % (q + 1)]",
+           ("test_asymptotics.py", "test_check_fields.py")),
+    Mutant("M_upper summing signed entries", "asymptotics.py",
+           "sum(abs(k) for col", "sum(k for col",
+           ("test_asymptotics.py", "test_cli.py")),
 ]
 
 
 def copy_tree(dest):
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "scripts"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
                         ignore=shutil.ignore_patterns("__pycache__"))
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 
 from .memo import memo
 from .params import FieldParams
 from .principal import _series_prefix, s_alpha  # s_alpha re-exported
 from .reduction import reduce_product, reduce_symm, symm_factors
-from .ring import (RingElement, _dims, _element, _l1_rows, _labels,
-                   _product_row, frac_str, multiply)
+from .ring import (RingElement, _dims, _element, _l1_rows, _l_to_s_columns,
+                   _labels, _product_row, frac_str, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -121,55 +122,53 @@ class ConstantsReport:
 def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
     """||[S_r]|| for r < N = q^2 - 1 and ||S-hat_i|| for i < q - 1.
 
-    These classes are nonnegative, and so are their products with the L_b,
-    so each norm is the max over n of the row sums t[n]: the multiplicity
-    of L_n(t) in the class times [L_b(0)], summed over b and t. Summing out
-    the twist is a ring map (it sets det = 1), so multiplication by L_1 (the
-    q x q matrix M, from the products [L_a][L_1] alone) commutes with the
-    sum over b, and the Glover recursion [S_r] = [S_(r-1)][L_1] - [S_(r-2)](1)
-    holds on the row sums: t_r = t_(r-1) M - t_(r-2) from t_(-1) = 0 and
-    t_0 = all ones, as [L_0][L_b] = [L_b]. As N S-hat_i = [S_(i+N)] - [S_i],
-    the row sums of S-hat_i are (t_(i+N) - t_i) / N. Each t_r is checked
-    exactly against the dimension: sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b.
+    Each class and its products with the L_b are nonnegative, so its norm is
+    max_n t_r[n], the multiplicity of L_n(t) in [S_r][L_b(0)] summed over b
+    and t. Summing out t is a ring map (det = 1), so class identities hold on
+    the t_r. Base: the Glover recursion t_r = t_(r-1) M - t_(r-2) for r <= q,
+    from t_(-1) = 0 and t_0 = all ones, M the q x q matrix of [L_a][L_1].
+    Step: for r > q, [S_r] = [V_r(0)] + [S_(r-q-1)](1) (``_split``'s first
+    series) and Diamond's [V_c] = [S_c] + [S_(q-1-c)](c) give one vector add,
+    t_r = t_(r-q-1) + U_c, U_c = t_c + t_(q-1-c), c = r mod (q-1). S-hat_i has
+    row sums (t_(i+N) - t_i) / N, as N S-hat_i = [S_(i+N)] - [S_i]. Every t_r
+    is checked exactly: sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b.
     """
-    q, qm1 = params.q, params.q - 1
-    period = q * q - 1
+    q, qm1, period = params.q, params.q - 1, params.q ** 2 - 1
     M = [[(n, k) for (n, _), k in _labels(qm1, row).items()]   # sparse rows
          for row in _l1_rows(params)]
-    dims = _dims(params)
-    heads, s_norms, hat_norms = [], [], []   # heads: t_i for i < q-1
-    prev, cur = [0] * q, [1] * q
-    for r in range(period + q - 1):
-        if sum(x * d for x, d in zip(cur, dims)) != (r + 1) * sum(dims):
-            raise AssertionError(
-                f"row sums of [S_{r}] fail the dimension check (internal bug)")
-        if r < period:
-            s_norms.append(max(cur))
-            if r < q - 1:
-                heads.append(cur)
-        else:
-            hat_norms.append(Fraction(
-                max(x - y for x, y in zip(cur, heads[r - period])), period))
-        nxt = [-x for x in prev]
-        for a, x in enumerate(cur):
+    dims, t = _dims(params), [[1] * q]  # t: t_r for r <= q
+    for r in range(q):
+        nxt = [-x for x in t[r - 1]] if r else [0] * q
+        for a, x in enumerate(t[r]):
             for n, k in M[a]:
                 nxt[n] += x * k
-        prev, cur = cur, nxt
-    return s_norms, hat_norms
+        t.append(nxt)
+    series = [list(map(add, t[c], t[qm1 - c])) for c in range(qm1)]  # U_c
+    last, norms = t[:], []              # t_r in slot r % (q+1)
+    for r in range(period + qm1):
+        i = r % (q + 1)
+        if r > q:
+            last[i] = list(map(add, last[i], series[r % qm1]))
+        if sum(map(mul, last[i], dims)) != (r + 1) * sum(dims):
+            raise AssertionError(
+                f"row sums of [S_{r}] fail the dimension check (internal bug)")
+        norms.append(max(last[i]))
+    return norms[:period], [
+        Fraction(max(map(sub, last[(period + i) % (q + 1)], t[i])), period)
+        for i in range(qm1)]
 
 
 @memo
 def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
-    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, and
-    M_upper, q - 1 times the S-basis l1 mass of the L_n(0), n < q: the
-    constants that depend on the field alone, not on h. The norms come from
-    the row-sum recursion of ``_class_norms``, which reads only the products
-    [L_a][L_1], not from ``operator_norm``."""
+    """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, from
+    the row sums of ``_class_norms``, which read only the products [L_a][L_1]
+    and not ``operator_norm``; and M_upper, q - 1 times the S-basis l1 mass
+    of the L_n(0): the sum of |k| over every entry of ``_l_to_s_columns``.
+    Both depend on the field alone, not on h."""
     q = params.q
-    s_norms, hat_norms = _class_norms(params)
-    a_const = (q * q + 2 * q) * max(Fraction(max(s_norms)), max(hat_norms))
-    mass = sum(norm_S_1(RingElement.L(params, n)) for n in range(q))
-    return a_const, (q - 1) * mass
+    norm = max(max(norms) for norms in _class_norms(params))
+    mass = sum(abs(k) for col in _l_to_s_columns(params) for _, _, k in col)
+    return (q * q + 2 * q) * Fraction(norm), Fraction((q - 1) * mass)
 
 
 def compute_constants(params: FieldParams) -> ConstantsReport:

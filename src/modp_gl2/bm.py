@@ -47,8 +47,8 @@ class RhoBarQp:
 
 
 def _require_qp(params: FieldParams):
-    if params.f != 1:
-        raise ValueError("this construction is specific to f = 1")
+    if params.f != 1 or params.degree != 1:
+        raise ValueError("this construction needs K = Q_p: f = 1, h = 1")
 
 
 def preset_type_trivial_qp(p: int) -> GaloisTypeClass:
@@ -180,13 +180,14 @@ def mu_aut_asymptotic_unramified(h: int, p: int, dim_type: int,
 
 def unramified_gate(params: FieldParams, r_list, a_list, b_list,
                     alpha_type: int) -> bool:
-    """Central character gate of the unramified generic example.
+    """Central character gate of the unramified generic example (h = f).
 
     Checks sum p^i (a_i + 2 b_i) + alpha(type-bar) = sum p^i (r_i + 1)
     mod q-1, after validating the genericity window on the r_i.
     """
-    p = params.p
-    h = params.degree
+    p, h = params.p, params.f
+    if params.degree != h:
+        raise ValueError(f"the unramified example needs h = f = {h}")
     r_list, a_list, b_list = list(r_list), list(a_list), list(b_list)
     if not (len(r_list) == len(a_list) == len(b_list) == h):
         raise ValueError(f"expected {h} entries in each list")

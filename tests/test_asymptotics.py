@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +211,34 @@ def test_linear_norm_matches_generic(p, f):
     assert _class_norms(params) == (s_norms, hat_norms)
     best = max(s_norms + hat_norms)
     assert compute_constants(params).A == (q * q + 2 * q) * best
+
+
+@pytest.fixture(scope="module")
+def check_fields():
+    """``scripts/check_fields.py`` as a module, for its references."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "check_fields.py"
+    spec = importlib.util.spec_from_file_location("check_fields", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p,f", MID_FIELDS)
+def test_class_norms_match_glover_reference(p, f, check_fields):
+    # past r = q, _class_norms adds one principal series' row sums per step;
+    # the reference runs the Glover matvec at every step, as check_fields
+    # does on every field
+    params = FieldParams(p, f)
+    assert _class_norms(params) == check_fields.glover_class_norms(params)
+
+
+@pytest.mark.parametrize("p,f", MID_FIELDS)
+def test_m_upper_is_the_l1_mass_of_the_L_n(p, f):
+    # M_upper sums |k| over the base-change columns in one pass; the
+    # reference is norm_S_1 of each L_n(0) through to_basis("S")
+    params = FieldParams(p, f)
+    mass = sum(norm_S_1(RingElement.L(params, n)) for n in range(params.q))
+    assert compute_constants(params).M_upper == (params.q - 1) * mass
 
 
 def test_memo_tables_stay_bounded(p9):

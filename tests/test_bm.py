@@ -15,6 +15,7 @@ from modp_gl2.bm import (
     preset_type_crystalline_trivial_qp,
     preset_type_trivial_qp,
     qp_gate,
+    qp_sweep,
     serre_weights_qp_irreducible,
     type_from_json,
     type_to_json,
@@ -132,6 +133,31 @@ def test_unramified_gate():
     lhs = (1 + 0) + 5 * (1 + 0)
     rhs = (2 + 1) + 5 * (1 + 1)
     assert unramified_gate(p25, (2, 1), (1, 1), (0, 0), (rhs - lhs) % 24)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_qp_helpers_refuse_h_above_f(p):
+    # K of degree h = 2 over Q_p with f = 1 is ramified: the Q_p closed
+    # forms are specific to K = Q_p and must not answer for it
+    params, rho = FieldParams(p, 1, 2), RhoBarQp(1, 0)
+    with pytest.raises(ValueError, match="f = 1, h = 1"):
+        serre_weights_qp_irreducible(params, rho)
+    with pytest.raises(ValueError, match="f = 1, h = 1"):
+        mu_aut_asymptotic_qp(params, rho, 3, 0)
+    with pytest.raises(ValueError, match="f = 1, h = 1"):
+        list(qp_sweep(params, rho, "trivial", range(4)))
+    # h = 1 still answers
+    assert len(list(qp_sweep(FieldParams(p, 1, 1), rho, "trivial",
+                             range(4)))) == 4
+
+
+def test_unramified_gate_refuses_h_not_f():
+    # the unramified example has one weight per Frobenius slot, h = f
+    with pytest.raises(ValueError, match="needs h = f = 1"):
+        unramified_gate(FieldParams(7, 1, 2), (2, 1), (1, 1), (0, 0), 0)
+    with pytest.raises(ValueError, match="needs h = f = 2"):
+        unramified_gate(FieldParams(7, 2, 4), (2, 1, 1, 1), (1,) * 4,
+                        (0,) * 4, 0)
 
 
 def test_json_roundtrip(p3):

@@ -231,6 +231,16 @@ def test_bm_qp_needs_f_1(capsys):
     assert "f = 1" in err
 
 
+def test_bm_qp_refuses_h_2(capsys):
+    # f = 1, h = 2 is a ramified K: the K = Q_p sweep must not print
+    code, out, err = run(capsys, "--p", "5", "--f", "1", "--h", "2",
+                         "--format", "csv", "bm", "qp", "--rho-n", "1",
+                         "--a-max", "3")
+    assert code == 2
+    assert out == ""
+    assert "f = 1, h = 1" in err
+
+
 def test_every_flag_is_read():
     # perfbench's cli-batch workload passes --cache-path and --jobs, so they
     # stay accepted though nothing reads them
