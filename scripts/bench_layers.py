@@ -45,35 +45,35 @@ import time
 from datetime import datetime, timezone
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))  # this checkout's package
+from modp_gl2.params import Q_CAP, fields
+
 LAYERS = ("product table", "first product", "V_n table", "gather tables",
           "compute_constants", "build_table", "_norm_products",
           "first oracle product")
 
 
 def field(q):
-    """The (p, f) with p prime and p^f = q: p is q's least divisor."""
-    p, f = next((d for d in range(2, q + 1) if q % d == 0), q), 1
-    while p ** f < q:
-        f += 1
-    if q < 2 or p ** f != q:
-        raise SystemExit(f"q = {q} is not a prime power")
-    return p, f
+    """The supported field with q elements."""
+    for params in fields(Q_CAP):
+        if params.q == q:
+            return params
+    raise SystemExit(f"q = {q} is not a supported field size: a prime "
+                     f"power up to the cap {Q_CAP}")
 
 
 def worker(q):
     """Time every layer at q from empty tables; print one JSON object."""
-    from modp_gl2 import (FieldParams, SymmFactor, compute_constants, memo,
-                          reduce_product)
+    from modp_gl2 import SymmFactor, compute_constants, memo, reduce_product
     from modp_gl2.asymptotics import _norm_products
     from modp_gl2.brauer import build_table, oracle_decompose
     from modp_gl2.principal import _diamond_columns, _series_gather
     from modp_gl2.ring import _product_row
 
-    p, f = field(q)
-    params = FieldParams(p, f)
+    params = field(q)
     rng = random.Random(q)
     factors = [SymmFactor(rng.randrange(3980, 4000), rng.randrange(q - 1),
-                          rng.randrange(f)) for _ in range(2)]
+                          rng.randrange(params.f)) for _ in range(2)]
     layers = {
         "product table": lambda: [_product_row(params, a) for a in range(q)],
         "first product": lambda: reduce_product(params, factors),
@@ -104,6 +104,7 @@ def summary(xs):
 
 
 def run(q, runs):
+    params = field(q)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"),
                       os.environ.get("PYTHONPATH")])))
@@ -114,7 +115,7 @@ def run(q, runs):
                              capture_output=True, text=True).stdout
         samples.append(json.loads(out))
     return {
-        "p, f": list(field(q)),
+        "p, f": [params.p, params.f],
         "seconds": {name: summary([s["seconds"][name] for s in samples])
                     for name in LAYERS},
         "peak_rss_mb": round(statistics.median(

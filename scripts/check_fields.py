@@ -63,12 +63,12 @@ from functools import reduce
 from itertools import zip_longest
 from math import lcm, prod
 
-from modp_gl2 import (FieldParams, RingElement, SymmFactor, diamond_decompose,
-                      memo, multiply, omega, operator_norm, oracle_decompose,
+from modp_gl2 import (RingElement, SymmFactor, diamond_decompose, memo,
+                      multiply, omega, operator_norm, oracle_decompose,
                       reduce_product, reduce_symm, residual, s_alpha,
                       symm_to_L)
 from modp_gl2.asymptotics import _class_norms
-from modp_gl2.params import Q_CAP, is_prime
+from modp_gl2.params import fields
 from modp_gl2.principal import (_diamond_columns, _series_gather,
                                 explain_decomposition)
 from modp_gl2.ring import _expand, _labels, _product_row, structure_constants
@@ -77,13 +77,7 @@ PRODUCTS = 10     # per factor count r and bound on k
 ELEMENTS = 5      # residuals and mixes, each
 DESCENDING = 50   # seeded k after the ascending walk
 ORACLE = 5        # per factor count r and bound on k
-
-
-def fields():
-    """Every supported field, by q."""
-    return sorted((FieldParams(p, f) for p in range(2, Q_CAP + 1)
-                   if is_prime(p) for f in range(1, Q_CAP.bit_length())
-                   if p ** f <= Q_CAP), key=lambda params: params.q)
+Q_MAX = 64        # the fields checked: every q <= Q_MAX
 
 
 def edge_products(params):
@@ -304,7 +298,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     seed = parser.parse_args(argv).seed
 
-    all_fields = fields()
+    all_fields = fields(Q_MAX)
     totals = dict.fromkeys([noun for noun, _ in CHECKS] + ["mismatches"], 0)
     start = time.perf_counter()
     for params in all_fields:

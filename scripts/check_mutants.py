@@ -36,6 +36,9 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # the one list of fields that every test and script walks
+    Mutant("fields stopping below q_max", "params.py",
+           "if p ** f <= q_max)", "if p ** f < q_max)", ("test_params.py",)),
     # the memo key: a table per field (p, f), shared across h
     Mutant("the key drops f", "memo.py",
            "key = ((first.p, first.f) if", "key = ((first.p,) if",

@@ -165,10 +165,17 @@ def qp_sweep(params: FieldParams, rho: RhoBarQp, variant: str, a_values,
                mu_aut_asymptotic_qp(params, rho, a, b_a, variant))
 
 
-def mu_aut_asymptotic_unramified(h: int, p: int, dim_type: int,
+def _require_unramified(params: FieldParams):
+    if params.degree != params.f:
+        raise ValueError(f"the unramified example needs h = f = {params.f}")
+
+
+def mu_aut_asymptotic_unramified(params: FieldParams, dim_type: int,
                                  a_list, gate: bool) -> Fraction:
     """Leading term 4^h dim(type) prod(a_i + 1) / (p^(2h) - 1) in the
-    unramified generic case; zero when the character gate fails."""
+    unramified generic case (h = f); zero when the character gate fails."""
+    _require_unramified(params)
+    p, h = params.p, params.f
     a_list = list(a_list)
     if len(a_list) != h:
         raise ValueError(f"expected {h} weights, got {len(a_list)}")
@@ -185,9 +192,8 @@ def unramified_gate(params: FieldParams, r_list, a_list, b_list,
     Checks sum p^i (a_i + 2 b_i) + alpha(type-bar) = sum p^i (r_i + 1)
     mod q-1, after validating the genericity window on the r_i.
     """
+    _require_unramified(params)
     p, h = params.p, params.f
-    if params.degree != h:
-        raise ValueError(f"the unramified example needs h = f = {h}")
     r_list, a_list, b_list = list(r_list), list(a_list), list(b_list)
     if not (len(r_list) == len(a_list) == len(b_list) == h):
         raise ValueError(f"expected {h} entries in each list")

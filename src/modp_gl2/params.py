@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Everything is exact, and the tests cover q <= 64. A cold
-# ``brauer.build_table`` evaluates and inverts one or two q x q blocks:
-# about 0.007 s at q = 64, 0.04 s at q = 128 and 0.2 s at q = 256 (40 MB
-# peak RSS), measured with the cap raised on a shared 2-core host.
-# At q = 256 no layer of the ring itself takes more than about 11 s.
+# Everything is exact, and the tests cover q <= 64, each test its own range
+# from ``fields``. A cold ``brauer.build_table`` evaluates and inverts one or
+# two q x q blocks: about 0.007 s at q = 64, 0.04 s at q = 128 and 0.2 s at
+# q = 256 (40 MB peak RSS), measured with the cap raised on a shared 2-core
+# host. At q = 256 the largest cold layer of ``scripts/bench_layers.py`` is
+# ``compute_constants``, 2.0-2.3 s, and a run of all eight peaks at 174 MB RSS.
 Q_CAP = 64
 
 
@@ -21,6 +22,14 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def fields(q_max: int) -> list[FieldParams]:
+    """Every supported field with q <= q_max, ordered by q; a q_max above
+    the cap raises ``ValueError``."""
+    return sorted((FieldParams(p, f) for p in range(2, q_max + 1)
+                   if is_prime(p) for f in range(1, q_max.bit_length())
+                   if p ** f <= q_max), key=lambda params: params.q)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,11 @@ from modp_gl2 import (
     t_shift_candidates,
 )
 from modp_gl2.asymptotics import _class_norms
+from modp_gl2.params import fields
 from modp_gl2.ring import structure_constants
 
-# every field with q <= 16
-SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
-                (7, 1), (11, 1), (13, 1)]
-# every field with q <= 32
-MID_FIELDS = SMALL_FIELDS + [(2, 5), (3, 3), (5, 2), (17, 1), (19, 1),
-                             (23, 1), (29, 1), (31, 1)]
+FIELDS_TO_16 = [(params.p, params.f) for params in fields(16)]
+FIELDS_TO_32 = [(params.p, params.f) for params in fields(32)]
 
 
 def diamond_sum(params, i):
@@ -107,7 +104,7 @@ def test_s_alpha_dimension_and_character(p9):
         assert v.central_character() == i
 
 
-@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS_TO_16)
 def test_s_alpha_closed_form_matches_diamond_sum(p, f):
     params = FieldParams(p, f)
     for i in range(max(params.q - 1, 1)):
@@ -142,7 +139,7 @@ def test_norms(p3, p9):
     assert operator_norm(v.frobenius_twist(1)) == operator_norm(v)
 
 
-@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS_TO_16)
 def test_operator_norm_matches_brute_force(p, f):
     params = FieldParams(p, f)
     q, qm1 = params.q, max(params.q - 1, 1)
@@ -165,7 +162,7 @@ def test_operator_norm_matches_brute_force(p, f):
         assert operator_norm(v) == brute_force_norm(v.to_basis("L"))
 
 
-@pytest.mark.parametrize("p,f", MID_FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS_TO_32)
 def test_operator_norm_matches_per_b_products(p, f):
     params = FieldParams(p, f)
     q, qm1 = params.q, max(params.q - 1, 1)
@@ -200,7 +197,7 @@ def test_operator_norm_matches_per_b_products(p, f):
         assert operator_norm(v) == per_b_norm(v.to_basis("L"))
 
 
-@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS_TO_16)
 def test_linear_norm_matches_generic(p, f):
     # compute_constants norms the nonnegative classes by the recursion on
     # row sums; the generic operator_norm on each class is the reference
@@ -223,7 +220,7 @@ def check_fields():
     return module
 
 
-@pytest.mark.parametrize("p,f", MID_FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS_TO_32)
 def test_class_norms_match_glover_reference(p, f, check_fields):
     # past r = q, _class_norms adds one principal series' row sums per step;
     # the reference runs the Glover matvec at every step, as check_fields
@@ -232,7 +229,7 @@ def test_class_norms_match_glover_reference(p, f, check_fields):
     assert _class_norms(params) == check_fields.glover_class_norms(params)
 
 
-@pytest.mark.parametrize("p,f", MID_FIELDS)
+@pytest.mark.parametrize("p,f", FIELDS_TO_32)
 def test_m_upper_is_the_l1_mass_of_the_L_n(p, f):
     # M_upper sums |k| over the base-change columns in one pass; the
     # reference is norm_S_1 of each L_n(0) through to_basis("S")

@@ -115,13 +115,20 @@ def test_asymptotic_qp():
 
 
 def test_asymptotic_unramified():
-    assert mu_aut_asymptotic_unramified(2, 3, 1, (8, 8), True) == Fraction(81, 5)
+    p9, p5 = FieldParams(3, 2), FieldParams(5, 1)
+    assert mu_aut_asymptotic_unramified(p9, 1, (8, 8), True) == Fraction(81, 5)
     a = 119
-    assert mu_aut_asymptotic_unramified(1, 5, 5, (a,), True) \
+    assert mu_aut_asymptotic_unramified(p5, 5, (a,), True) \
         == Fraction(4 * 5 * (a + 1), 24)
-    assert mu_aut_asymptotic_unramified(2, 3, 1, (8, 8), False) == 0
+    assert mu_aut_asymptotic_unramified(p9, 1, (8, 8), False) == 0
     with pytest.raises(ValueError):
-        mu_aut_asymptotic_unramified(2, 3, 1, (8,), True)
+        mu_aut_asymptotic_unramified(p9, 1, (8,), True)
+    # a ramified K (h > f) gets no unramified closed form, gate or not
+    with pytest.raises(ValueError, match="needs h = f = 1"):
+        mu_aut_asymptotic_unramified(FieldParams(5, 1, 2), 1, (3, 3), True)
+    with pytest.raises(ValueError, match="needs h = f = 2"):
+        mu_aut_asymptotic_unramified(FieldParams(7, 2, 4), 1, (3,) * 4,
+                                     False)
 
 
 def test_unramified_gate():

@@ -18,11 +18,8 @@ from modp_gl2 import (
 )
 from modp_gl2 import brauer, memo
 from modp_gl2.brauer import PRegularClass
-from modp_gl2.params import Q_CAP, is_prime
+from modp_gl2.params import fields, is_prime
 from modp_gl2.ring import structure_constants
-
-FIELDS = [FieldParams(p, f) for p in range(2, Q_CAP + 1) if is_prime(p)
-          for f in range(1, Q_CAP.bit_length()) if p ** f <= Q_CAP]
 
 
 # A floating-point reference, independent of the oracle's arithmetic mod
@@ -85,8 +82,7 @@ def flat_classes(params: FieldParams) -> list[PRegularClass]:
 def test_class_counts():
     for p, f, expected in [(3, 1, 6), (5, 1, 20), (2, 1, 2), (3, 2, 72)]:
         assert len(enumerate_p_regular_classes(FieldParams(p, f))) == expected
-    assert len(FIELDS) == 27
-    for params in FIELDS:
+    for params in fields(64):
         kinds = {"central": 0, "split": 0, "nonsplit": 0}
         for cls in enumerate_p_regular_classes(params):
             kinds[cls.kind] += 1
@@ -98,8 +94,7 @@ def test_class_counts():
 
 def test_blocks_match_the_flat_listing():
     # the same classes, block by block, each block in the flat order
-    assert len(FIELDS) == 27
-    for params in FIELDS:
+    for params in fields(64):
         q = params.q
 
         def det(cls):
@@ -283,11 +278,7 @@ def test_every_product_matches_the_oracle():
     # the character of [L_a][L_b] is chi_a chi_b; solved against the table
     # mod ell, every multiplicity is below q^2 < ell, so the residues are
     # the product's coefficients exactly
-    fields = [(p, f) for p in range(2, 33) if is_prime(p)
-              for f in range(1, 6) if p ** f <= 32]
-    assert len(fields) == 18
-    for p, f in fields:
-        params = FieldParams(p, f)
+    for params in fields(32):
         table = build_table(params, 0)
         chi = table.matrix[:, ::params.q - 1]  # the columns L_n(0)
         for a in range(params.q):
@@ -300,16 +291,12 @@ def test_every_product_matches_the_oracle():
 def test_ring_matches_oracle_on_every_field():
     import random
 
-    fields = [(p, f) for p in range(2, 65) if all(p % d for d in range(2, p))
-              for f in range(1, 7) if p ** f <= 64]
-    assert len(fields) == 27
     rng = random.Random(20261018)
-    for p, f in fields:
-        params = FieldParams(p, f)
+    for params in fields(64):
         for _ in range(3):
             factors = [SymmFactor(rng.randrange(300),
                                   rng.randrange(params.q - 1),
-                                  rng.randrange(f))
+                                  rng.randrange(params.f))
                        for _ in range(rng.choice((2, 3)))]
             assert oracle_decompose(params, factors) \
                 == reduce_product(params, factors), (params, factors)
@@ -320,9 +307,8 @@ def test_ring_matches_oracle_at_large_k():
     # from up to four primes, and the fast product folds u N S-hat_k
     import random
 
-    assert len(FIELDS) == 27
     rng = random.Random(20261020)
-    for params in FIELDS:
+    for params in fields(64):
         factors = [SymmFactor(rng.randrange(10 ** 9),
                               rng.randrange(params.q - 1),
                               rng.randrange(params.f)) for _ in range(3)]
@@ -333,8 +319,7 @@ def test_ring_matches_oracle_at_large_k():
 def test_derived_inverses_invert_every_block():
     # block d = b + 2s is the base block b times diag(zeta^(s(q+1)n)):
     # scales[d] times the inverse of base b inverts it, at every field
-    assert len(FIELDS) == 27
-    for params in FIELDS:
+    for params in fields(64):
         q = params.q
         table = build_table(params, 0)
         bases = 1 if q % 2 == 0 else 2
@@ -352,8 +337,7 @@ def test_derived_inverses_invert_every_block():
 def test_table_holds_no_array_beyond_2q2_entries():
     # the characters are kept at the base blocks only, never at every
     # class: no array of q^2 (q - 1) entries
-    assert len(FIELDS) == 27
-    for params in FIELDS:
+    for params in fields(64):
         table = build_table(params, 0)
         sizes = {name: value.size for name, value in vars(table).items()
                  if isinstance(value, np.ndarray)}
@@ -374,7 +358,7 @@ def test_matrix_allocates_one_full_table():
 
 
 def test_powers_and_gaps_match_pow():
-    for params in FIELDS:
+    for params in fields(64):
         table = build_table(params, 0)
         ell, zeta = table.ell, int(table.powers[1])
         n2 = params.q ** 2 - 1
@@ -402,7 +386,7 @@ def test_prime_matches_trial_division():
         return next(itertools.islice(filter(is_prime, candidates), index,
                                      None))
 
-    cases = [(params.q, index) for params in FIELDS if params.q <= 16
+    cases = [(params.q, index) for params in fields(16)
              for index in range(3)] + [(64, 0)]
     for q, index in cases:
         assert brauer._prime(q * q - 1, index) \

@@ -4,7 +4,7 @@ import pytest
 
 from modp_gl2 import FieldParams, RingElement
 from modp_gl2.cli import main
-from modp_gl2.params import Q_CAP, is_prime
+from modp_gl2.params import Q_CAP, fields
 
 
 def test_q_and_degree():
@@ -21,8 +21,8 @@ def test_validation():
         FieldParams(3, 0)
     with pytest.raises(ValueError):
         FieldParams(3, 2, h=3)
-    with pytest.raises(ValueError):
-        FieldParams(2, 7)  # q beyond the supported cap
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        FieldParams(Q_CAP + 1, 1)  # the first q beyond the supported cap
     with pytest.raises(ValueError):
         FieldParams(3, 1, h=0)
     with pytest.raises(ValueError):
@@ -70,12 +70,17 @@ def test_theta_label():
 
 
 def test_theta_label_rotates_digits_on_every_field():
+    # the fields: every prime power q <= q_max, by q, against a brute-force
+    # search for p prime (no smaller divisor) and f with p^f = q
+    for q_max, count in [(5, 4), (9, 7), (16, 10), (32, 18), (64, 27)]:
+        brute = [(p, f) for q in range(2, q_max + 1) for p in range(2, q + 1)
+                 for f in range(1, q) if p ** f == q
+                 and all(p % d for d in range(2, p))]
+        assert [(params.p, params.f) for params in fields(q_max)] == brute
+        assert len(brute) == count
     # reference: Frobenius^j sends L_n(m) to L_n'(m p^j), n' the f base-p
     # digits of n rotated up by j mod f places; q-1, all digits p-1, is fixed
-    fields = [FieldParams(p, f) for p in range(2, Q_CAP + 1) if is_prime(p)
-              for f in range(1, Q_CAP.bit_length()) if p ** f <= Q_CAP]
-    assert len(fields) == 27
-    for params in fields:
+    for params in fields(64):
         p, f, q = params.p, params.f, params.q
         for j in range(-f, 2 * f):
             r = j % f

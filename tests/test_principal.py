@@ -17,7 +17,7 @@ from modp_gl2 import (
     symm_to_L,
     t_shift_candidates,
 )
-from modp_gl2.params import is_prime
+from modp_gl2.params import fields
 from modp_gl2.principal import (ANTECEDENT, DECOMPOSITION, EDGES, VERTICES,
                                 _diamond_columns, _series_gather,
                                 explain_decomposition)
@@ -51,9 +51,8 @@ def test_closed_paths_match_the_brute_force_filter(graph):
         assert {path.graph for path in paths} == {graph}
 
 
-@pytest.mark.parametrize("p, f", [(p, f) for p in range(2, 17) if is_prime(p)
-                                  for f in range(1, 5) if p ** f <= 16]
-                         + [(2, 6)])
+@pytest.mark.parametrize("p, f", [(params.p, params.f)
+                                  for params in fields(16)] + [(2, 6)])
 def test_diamond_columns_match_the_paths(p, f):
     # the V_n table, built from column words, against the compatible
     # paths of the path report, each a constituent L_lambda(ell)
@@ -249,8 +248,8 @@ def test_s_alpha_is_omega_over_n(p, f):
         assert got == series, (q, alpha)
 
 
-@pytest.mark.parametrize("p, f", [(p, f) for p in range(2, 32) if is_prime(p)
-                                  for f in range(1, 6) if p ** f <= 32])
+@pytest.mark.parametrize("p, f", [(params.p, params.f)
+                                  for params in fields(32)])
 def test_series_gather_sums_the_series(p, f):
     # the gather table against the series expanded term by term through
     # the V_n table, for seeded counts (zeros among them) at every alpha

@@ -17,6 +17,7 @@ from modp_gl2 import (
     symm_to_L,
 )
 from modp_gl2 import memo, reduction
+from modp_gl2.params import fields
 
 
 def test_small_values(p3, p5):
@@ -245,8 +246,8 @@ def test_reduce_product_multiplies_from_the_first_factor(p9, monkeypatch,
     assert len(calls) == count - 1
 
 
-SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
-FIELDS_TO_16 = SMALL_FIELDS + [(11, 1), (13, 1), (2, 4)]
+FIELDS_TO_9 = [(params.p, params.f) for params in fields(9)]
+FIELDS_TO_16 = [(params.p, params.f) for params in fields(16)]
 
 
 def _principal(params, c1, c2):
@@ -266,7 +267,7 @@ def _weights_of_l(params, b, t):
     return out
 
 
-@pytest.mark.parametrize("p, f", SMALL_FIELDS)
+@pytest.mark.parametrize("p, f", FIELDS_TO_9)
 def test_principal_series_absorb_a_tensor_product(p, f):
     # [V(c1, c2)][L_b(t)] = sum of [V(c1 + a, c2 + d)] over the weights
     # (a, d) of L_b(t): the formula the fast product is built on
@@ -383,7 +384,7 @@ def _boundary_factors(params):
             for kind, ws in kinds.items()}
 
 
-@pytest.mark.parametrize("p, f", SMALL_FIELDS + [(2, 4)])
+@pytest.mark.parametrize("p, f", FIELDS_TO_9 + [(2, 4)])
 def test_fast_product_across_the_reflection(p, f):
     # every sign pattern of two and three factors: none reflected, mixed
     # and all reflected, where the signed V-part counts go negative, and

@@ -18,13 +18,13 @@ from modp_gl2 import (
     s_alpha,
     symm_to_L,
 )
+from modp_gl2.params import fields
 from modp_gl2.reduction import _split
 from modp_gl2.ring import (_add_product, _labels, _product_row, _row,
                            _s_to_l_columns, _symm_terms, _twist,
                            structure_constants)
 
-FIELDS_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
-                (11, 1), (13, 1), (2, 4)]
+FIELDS_TO_16 = [(params.p, params.f) for params in fields(16)]
 
 
 def test_det_twist(p3, p9):
