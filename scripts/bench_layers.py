@@ -15,8 +15,11 @@ time includes the tables it builds on:
 - gather tables: ``principal._series_gather`` at every central character;
 - compute_constants: at h = f;
 - build_table: the Brauer table of ``brauer.build_table``;
-- _norm_products: ``asymptotics._norm_products``, the product rows as read
-  by ``operator_norm``;
+- norm table: ``asymptotics._norm_rows`` at 64-bit slots, the packed
+  product rows ``operator_norm`` sums, with the product rows it reads;
+- norms: ``operator_norm`` on 20 residuals r_V of V = W * S_k1 S_k2, k <
+  4000, drawn from ``random.Random(q)`` and built before the clock starts,
+  so that the time is the norms' and their tables';
 - first oracle product: ``oracle_decompose`` on the two factors of the
   first product, its tables built included.
 
@@ -49,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))  # this checkout's package
 from modp_gl2.params import Q_CAP, fields
 
 LAYERS = ("product table", "first product", "V_n table", "gather tables",
-          "compute_constants", "build_table", "_norm_products",
+          "compute_constants", "build_table", "norm table", "norms",
           "first oracle product")
 
 
@@ -64,8 +67,9 @@ def field(q):
 
 def worker(q):
     """Time every layer at q from empty tables; print one JSON object."""
-    from modp_gl2 import SymmFactor, compute_constants, memo, reduce_product
-    from modp_gl2.asymptotics import _norm_products
+    from modp_gl2 import (RingElement, SymmFactor, compute_constants, memo,
+                          multiply, operator_norm, reduce_product, residual)
+    from modp_gl2.asymptotics import _norm_rows
     from modp_gl2.brauer import build_table, oracle_decompose
     from modp_gl2.principal import _diamond_columns, _series_gather
     from modp_gl2.ring import _product_row
@@ -74,6 +78,13 @@ def worker(q):
     rng = random.Random(q)
     factors = [SymmFactor(rng.randrange(3980, 4000), rng.randrange(q - 1),
                           rng.randrange(params.f)) for _ in range(2)]
+    residuals = [residual(multiply(
+        RingElement.L(params, rng.randrange(q), rng.randrange(q - 1)),
+        reduce_product(params, [SymmFactor(rng.randrange(4000),
+                                           rng.randrange(q - 1),
+                                           rng.randrange(params.f))
+                                for _ in range(2)])))
+        for _ in range(20)]
     layers = {
         "product table": lambda: [_product_row(params, a) for a in range(q)],
         "first product": lambda: reduce_product(params, factors),
@@ -82,7 +93,8 @@ def worker(q):
                                   for alpha in range(q - 1)],
         "compute_constants": lambda: compute_constants(params),
         "build_table": lambda: build_table(params, 0),
-        "_norm_products": lambda: _norm_products(params),
+        "norm table": lambda: _norm_rows(params, 64),
+        "norms": lambda: [operator_norm(v) for v in residuals],
         "first oracle product": lambda: oracle_decompose(params, factors),
     }
     seconds = {}

@@ -14,8 +14,11 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 - norms: ``operator_norm`` against a per-b reference written here, the q
   products v * [L_b(0)], each expanded into a label dict from the rows of
   the product table, with |c| summed per n, on 5 seeded residuals r_V of
-  V = W * prod S_k and 5 seeded signed Fraction mixes of several central
-  characters;
+  V = W * prod S_k, 5 seeded signed Fraction mixes of several central
+  characters, 5 residuals of W * S_k1 S_k2 with k near 10^9 (which the
+  theorem keeps small) and 5 classes W * S_k1 S_k2 S_k3 with k near 10^9,
+  whose coefficients need slots wider than 64 bits; one more case checks
+  that the field's norms did read such slots;
 - slow route: ``reduce_symm`` by the slow Glover route against the fast
   route at every k < 2N + q, N = q^2 - 1, in ascending order, then at 50
   seeded k in descending order, which the slow route must resume from its
@@ -67,7 +70,7 @@ from modp_gl2 import (RingElement, SymmFactor, diamond_decompose, memo,
                       multiply, omega, operator_norm, oracle_decompose,
                       reduce_product, reduce_symm, residual, s_alpha,
                       symm_to_L)
-from modp_gl2.asymptotics import _class_norms
+from modp_gl2.asymptotics import _class_norms, _norm_rows
 from modp_gl2.params import fields
 from modp_gl2.principal import (_diamond_columns, _series_gather,
                                 explain_decomposition)
@@ -134,8 +137,10 @@ def per_b_norm(v):
 
 def norms(params, rng):
     """Yield (element, agree) for ``operator_norm`` against the per-b
-    reference: residuals of W * S_k1 (* S_k2), then signed mixes of eight
-    random labels."""
+    reference: residuals of W * S_k1 (* S_k2), signed mixes of eight random
+    labels, residuals of W * S_k1 S_k2 and classes W * S_k1 S_k2 S_k3 with
+    k near 10^9; then ("wide slots", whether a norm of the field was packed
+    wider than 64 bits)."""
     q, qm1 = params.q, params.q - 1
     batch = []
     for _ in range(ELEMENTS):
@@ -150,8 +155,18 @@ def norms(params, rng):
                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
                          rng.randint(1, 99))
             for _ in range(8)}))
+    for r in (2, 3):
+        for _ in range(ELEMENTS):
+            w = RingElement.L(params, rng.randrange(q), rng.randrange(qm1))
+            v = multiply(w, reduce_product(params, [
+                SymmFactor(rng.randrange(10 ** 9 - 10 ** 6, 10 ** 9),
+                           rng.randrange(qm1), rng.randrange(params.f))
+                for _ in range(r)]))
+            batch.append(residual(v) if r == 2 else v)
     for v in batch:
         yield v, operator_norm(v) == per_b_norm(v)
+    yield "wide slots", any(bits > 64 for p, f, bits in _norm_rows.table
+                            if (p, f) == (params.p, params.f))
 
 
 def slow_route(params, rng):

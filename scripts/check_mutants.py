@@ -138,6 +138,25 @@ MUTANTS = [
     Mutant("M_upper summing signed entries", "asymptotics.py",
            "sum(abs(k) for col", "sum(k for col",
            ("test_asymptotics.py", "test_cli.py")),
+    # the norm: one packed int per central character. Without the sign bit,
+    # a slot of 2^63 reads negative: only test_operator_norm_slot_width_rule
+    # packs one. Without [t >= h], the two twists of a (b, n) share a slot
+    # at odd q: the per-b, brute-force, det-twist and class-norm tests, and
+    # check_fields, catch the cancellation. A twist off by one looks up a
+    # row the table does not hold (KeyError) at every q but 3, where it is
+    # the other normalized twist and the norm is the same: every test that
+    # takes a norm fails
+    Mutant("the width rule's sign bit dropped", "asymptotics.py",
+           ".bit_length() // 64 + 1) * 64",
+           ".bit_length() + 63) // 64 * 64 or 64", ("test_asymptotics.py",)),
+    Mutant("[t >= h] dropped for odd q", "asymptotics.py",
+           "slot = b - b % 2 + ((x + y) % qm1 >= h) if q % 2 else b",
+           "slot = b - b % 2 if q % 2 else b",
+           ("test_asymptotics.py", "test_check_fields.py")),
+    Mutant("a part's twist off by one", "asymptotics.py",
+           "x -= alpha // 2 if q % 2 else alpha * (q // 2)",
+           "x -= alpha // 2 + 1 if q % 2 else alpha * (q // 2) + 1",
+           ("test_asymptotics.py", "test_acceptance.py")),
 ]
 
 

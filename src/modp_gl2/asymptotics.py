@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
+from struct import Struct
+from sys import byteorder
+from types import MappingProxyType
 
 from .memo import memo
 from .params import FieldParams
@@ -37,47 +40,75 @@ def norm_S_1(v: RingElement) -> Fraction:
 
 
 @memo
-def _norm_products(params: FieldParams) -> tuple[tuple, ...]:
-    """Per a < q, each term k L_n(y) of [L_a][L_b], over all b < q, as the
-    triple (2(bq + n), y, k), read by ``operator_norm``: every product
-    row."""
-    q, qm1 = params.q, params.q - 1
-    return tuple(tuple((2 * (b * q + n), y, k)
-                       for b, terms in enumerate(_product_row(params, a))
-                       for (n, y), k in _labels(qm1, terms).items())
-                 for a in range(q))
+def _largest_product(params: FieldParams) -> int:
+    """The largest coefficient of any [L_a][L_b]."""
+    return max(k for a in range(params.q)
+               for row in _product_row(params, a) for _, _, k in row)
+
+
+@memo
+def _norm_rows(params: FieldParams,
+               bits: int) -> tuple[int, MappingProxyType]:
+    """``bias``, 2^(bits-1) in each of q(q+1) slots of ``bits`` bits, and
+    at a(q-1) + x, for each twist x of L_a in the normalized part (central
+    character 0 for even q, a mod 2 for odd q), [L_a(x)][L_b(0)] over all
+    b < q as one int packed from words: k L_n(t) is k in slot n(q+1) + b
+    for even q and n(q+1) + 2(b // 2) + [t >= h] for odd q, h = (q-1) // 2.
+    A part of character alpha has n + 2t = alpha + b (mod q-1), so for odd
+    q, b has the parity of n + alpha and (b, n) two twists, t and t + h."""
+    q, qm1, h, step = params.q, params.q - 1, (params.q - 1) // 2, bits // 64
+    pack = Struct(f"<{q * (q + 1) * step}Q").pack
+    rows: dict[int, int] = {}
+    for i in range(q * qm1):
+        a, x = divmod(i, qm1)
+        if (a + 2 * x) % qm1 == a % 2 * (q % 2):
+            words = [0] * (q * (q + 1) * step)
+            for b, row in enumerate(_product_row(params, a)):
+                for nb, y, k in row:
+                    slot = b - b % 2 + ((x + y) % qm1 >= h) if q % 2 else b
+                    words[(nb // qm1 * (q + 1) + slot) * step] = k
+            rows[i] = int.from_bytes(pack(*words), "little")
+    bias = [0] * (step - 1) + [1 << 63]
+    return (int.from_bytes(pack(*bias * (q * (q + 1))), "little"),
+            MappingProxyType(rows))
 
 
 def operator_norm(v: RingElement) -> Fraction:
-    """Exact induced infinity-norm of multiplication by v in the L basis.
-
-    Equals the max over output labels of the absolute row sum of the
-    q(q-1)-square multiplication matrix. A det twist of an input only shifts
-    the output twist, so row L_n(t) sums, over b and t, |coefficient of
-    L_n(t)| in v [L_b(0)], on ints: v is scaled by the lcm D of its
-    denominators and the norm is the max row sum / D. Every L_n(t) in
-    v_alpha [L_b(0)], v_alpha the part of v of central character alpha, has
-    n + 2t = alpha + b (mod q-1). So parts share no label, and in a part
-    each (b, n) has at most two twists, one in [0, h) and one in [h, q-1)
-    for h = (q-1) // 2: each part fills one flat int list, slot
-    2(bq + n) + [t >= h], and row n sums |slot i| over i // 2 = n (mod q).
-    Every element takes this one path, and nothing is kept.
-    """
+    """Exact induced infinity-norm of multiplication by v in the L basis:
+    the max over n of the sum over b and t of |coefficient of L_n(t)| in
+    v [L_b(0)], on v scaled to ints by its denominators' lcm D, over D.
+    Parts of v of distinct central characters share no label, and a det
+    twist keeps their sums, so each part is twisted to its normalized
+    character and summed as one int: ``bias`` plus c times the row of
+    ``_norm_rows`` for each term c L_a(x), at ``bits`` bits per slot, a
+    sign bit over the bit length of the largest part's sum of |c| times the
+    largest product, in whole 64-bit words. XOR with ``bias`` leaves each
+    slot in two's complement; one ``memoryview`` cast reads 64-bit slots,
+    and wider ones are read one by one, in native byte order (on a
+    big-endian host the slots, and so the rows, come reversed, and their
+    max is the same). Every element takes this one path."""
     v = v.to_basis("L")
-    q, qm1, h = v.params.q, v.params.q - 1, (v.params.q - 1) // 2
+    q, qm1 = v.params.q, v.params.q - 1
     d = lcm(*(c.denominator for c in v.terms.values()))
-    parts: dict[int, list[tuple[int, int, int]]] = {}
+    parts: dict[int, list[tuple[int, int]]] = {}
     for (a, x), c in v.terms.items():
-        parts.setdefault((a + 2 * x) % qm1, []).append(
-            (a, x, c.numerator * (d // c.denominator)))
-    table, rows = _norm_products(v.params), [0] * q
+        alpha = (a + 2 * x) % qm1
+        # twist to alpha mod 2 (odd q), or to 0 (even q: q/2 inverts 2)
+        x -= alpha // 2 if q % 2 else alpha * (q // 2)
+        parts.setdefault(alpha, []).append(
+            (a * qm1 + x % qm1, c.numerator * (d // c.denominator)))
+    top = max((sum(abs(c) for _, c in p) for p in parts.values()), default=0)
+    bits = ((top * _largest_product(v.params)).bit_length() // 64 + 1) * 64
+    bias, table = _norm_rows(v.params, bits)
+    width, size, rows = bits // 8, q * (q + 1) * bits // 8, [0] * q
     for part in parts.values():
-        acc = [0] * (2 * q * q)
-        for a, x, c in part:
-            for i, y, k in table[a]:
-                acc[i + ((x + y) % qm1 >= h)] += c * k
-        for j in range(2 * q):
-            rows[j >> 1] += sum(map(abs, acc[j::2 * q]))
+        acc = sum((c * table[i] for i, c in part), bias) ^ bias
+        raw = acc.to_bytes(size, byteorder)
+        slots = (memoryview(raw).cast("q") if bits == 64 else
+                 [int.from_bytes(raw[j:j + width], byteorder, signed=True)
+                  for j in range(0, size, width)])
+        rows = [r + sum(map(abs, slots[j:j + q + 1]))
+                for r, j in zip(rows, range(0, q * (q + 1), q + 1))]
     return Fraction(max(rows), d)
 
 

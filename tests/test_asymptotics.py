@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -29,12 +30,13 @@ from modp_gl2 import (
     t_shift,
     t_shift_candidates,
 )
-from modp_gl2.asymptotics import _class_norms
+from modp_gl2.asymptotics import _class_norms, _largest_product, _norm_rows
 from modp_gl2.params import fields
-from modp_gl2.ring import structure_constants
+from modp_gl2.ring import _product_row, structure_constants
 
 FIELDS_TO_16 = [(params.p, params.f) for params in fields(16)]
 FIELDS_TO_32 = [(params.p, params.f) for params in fields(32)]
+ODD_TO_32 = [(params.p, params.f) for params in fields(32) if params.q % 2]
 
 
 def diamond_sum(params, i):
@@ -195,6 +197,73 @@ def test_operator_norm_matches_per_b_products(p, f):
                    - RingElement.S(params, 1, 0).scale(Fraction(2, 3))])
     for v in elements:
         assert operator_norm(v) == per_b_norm(v.to_basis("L"))
+
+
+@pytest.mark.parametrize("p,f", FIELDS_TO_16)
+def test_operator_norm_slot_width_rule(p, f):
+    # a part is packed at a sign bit over the bit length of the largest
+    # part's sum of |c| times the largest product coefficient, in whole
+    # 64-bit words. c L_a(x) with that coefficient in a row of L_a puts c
+    # times it in one slot: up to 2^63 - 1 it fits 64 bits, and from 2^63
+    # on it needs 128. A unit term of another central character (b = a + 1)
+    # is a second part, which leaves the width alone
+    params = FieldParams(p, f)
+    q, qm1 = params.q, params.q - 1
+    peak = _largest_product(params)
+    a = next(a for a in range(q) for row in _product_row(params, a)
+             if any(k == peak for _, _, k in row))
+    # the largest c with c * peak < 2^63, the smallest c past it, and the
+    # same at 2^127; each norm starts from no packed table, so the one it
+    # builds is the width it chose
+    tables = memo.TABLES["modp_gl2.asymptotics._norm_rows"]
+    cases = []
+    for top, bits in ((2 ** 63, 64), (2 ** 127, 128)):
+        cases += [((top - 1) // peak, bits), (-(-top // peak), bits + 64)]
+    for (c, bits), sign, x in itertools.product(cases, (1, -1), range(qm1)):
+        v = RingElement.L(params, a, x).scale(sign * c)
+        parts = v - RingElement.L(params, (a + 1) % qm1, x)
+        for w in (v, parts) if q > 2 else (v,):
+            tables.clear()
+            assert operator_norm(w) == per_b_norm(w)
+            assert list(tables) == [(p, f, bits)]
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (3, 2), (2, 4), (5, 2)])
+def test_operator_norm_on_residuals_near_1e9(p, f):
+    # residuals of W * S_k1 S_k2 S_k3 with k near 10^9, against the per-b
+    # sums, with the classes V themselves, which need 128-bit slots
+    params = FieldParams(p, f)
+    q, qm1 = params.q, params.q - 1
+    rng = random.Random(f"wide:{q}")
+    for _ in range(4):
+        w = RingElement.L(params, rng.randrange(q), rng.randrange(qm1))
+        v = multiply(w, reduce_product(params, [
+            SymmFactor(rng.randrange(10 ** 9 - 10 ** 6, 10 ** 9),
+                       rng.randrange(qm1), rng.randrange(f))
+            for _ in range(3)]))
+        for u in (residual(v), v):
+            assert operator_norm(u) == per_b_norm(u)
+    assert (p, f, 128) in _norm_rows.table
+
+
+@pytest.mark.parametrize("p,f", ODD_TO_32)
+def test_operator_norm_of_every_det_twist(p, f):
+    # each part is twisted to central character alpha mod 2 before it is
+    # packed; every det twist of a mixed element, whose parts go to both
+    # characters, has the per-b norm, and the one norm
+    params = FieldParams(p, f)
+    q, qm1 = params.q, params.q - 1
+    rng = random.Random(f"twist:{q}")
+    v = RingElement(params, "L", {
+        (rng.randrange(q), rng.randrange(qm1)):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.randint(1, 9))
+        for _ in range(8)})
+    assert {a % 2 for a in split_by_central_character(v)} == {0, 1}
+    norm = per_b_norm(v)
+    for m in range(qm1):
+        u = v.det_twist(m)
+        assert operator_norm(u) == per_b_norm(u) == norm
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_16)
