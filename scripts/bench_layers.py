@@ -15,8 +15,9 @@ time includes the tables it builds on:
 - gather tables: ``principal._series_gather`` at every central character;
 - compute_constants: at h = f;
 - build_table: the Brauer table of ``brauer.build_table``;
-- norm table: ``asymptotics._norm_rows`` at 64-bit slots, the packed
-  product rows ``operator_norm`` sums, with the product rows it reads;
+- norm table: ``asymptotics._norm_rows``, the field's one table of packed
+  product rows in 64-bit slots that ``operator_norm`` sums, with the
+  product rows it reads;
 - norms: ``operator_norm`` on 20 residuals r_V of V = W * S_k1 S_k2, k <
   4000, drawn from ``random.Random(q)`` and built before the clock starts,
   so that the time is the norms' and their tables';
@@ -93,7 +94,7 @@ def worker(q):
                                   for alpha in range(q - 1)],
         "compute_constants": lambda: compute_constants(params),
         "build_table": lambda: build_table(params, 0),
-        "norm table": lambda: _norm_rows(params, 64),
+        "norm table": lambda: _norm_rows(params),
         "norms": lambda: [operator_norm(v) for v in residuals],
         "first oracle product": lambda: oracle_decompose(params, factors),
     }

@@ -17,8 +17,8 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
   V = W * prod S_k, 5 seeded signed Fraction mixes of several central
   characters, 5 residuals of W * S_k1 S_k2 with k near 10^9 (which the
   theorem keeps small) and 5 classes W * S_k1 S_k2 S_k3 with k near 10^9,
-  whose coefficients need slots wider than 64 bits; one more case checks
-  that the field's norms did read such slots;
+  whose coefficients overflow a 64-bit slot; one more case checks, from
+  the elements' coefficients, that some element needed more than one limb;
 - slow route: ``reduce_symm`` by the slow Glover route against the fast
   route at every k < 2N + q, N = q^2 - 1, in ascending order, then at 50
   seeded k in descending order, which the slow route must resume from its
@@ -69,8 +69,8 @@ from math import lcm, prod
 from modp_gl2 import (RingElement, SymmFactor, diamond_decompose, memo,
                       multiply, omega, operator_norm, oracle_decompose,
                       reduce_product, reduce_symm, residual, s_alpha,
-                      symm_to_L)
-from modp_gl2.asymptotics import _class_norms, _norm_rows
+                      split_by_central_character, symm_to_L)
+from modp_gl2.asymptotics import _class_norms, _largest_product
 from modp_gl2.params import fields
 from modp_gl2.principal import (_diamond_columns, _series_gather,
                                 explain_decomposition)
@@ -135,12 +135,24 @@ def per_b_norm(v):
     return Fraction(max(rows), d)
 
 
+def needs_limbs(v):
+    """Whether some central-character part of v, scaled to ints by the
+    lcm D of v's denominators, has a sum of |c| times the largest product
+    coefficient of 2^63 or more: a part whose slots overflow 64 bits, which
+    ``operator_norm`` sums in more than one limb."""
+    v = v.to_basis("L")
+    d = lcm(*(c.denominator for c in v.terms.values()))
+    return any(sum(abs(c) * d for c in part.terms.values())
+               * _largest_product(v.params) >= 2 ** 63
+               for part in split_by_central_character(v).values())
+
+
 def norms(params, rng):
     """Yield (element, agree) for ``operator_norm`` against the per-b
     reference: residuals of W * S_k1 (* S_k2), signed mixes of eight random
     labels, residuals of W * S_k1 S_k2 and classes W * S_k1 S_k2 S_k3 with
-    k near 10^9; then ("wide slots", whether a norm of the field was packed
-    wider than 64 bits)."""
+    k near 10^9; then ("limbs", whether some element needed more than one
+    limb)."""
     q, qm1 = params.q, params.q - 1
     batch = []
     for _ in range(ELEMENTS):
@@ -165,8 +177,7 @@ def norms(params, rng):
             batch.append(residual(v) if r == 2 else v)
     for v in batch:
         yield v, operator_norm(v) == per_b_norm(v)
-    yield "wide slots", any(bits > 64 for p, f, bits in _norm_rows.table
-                            if (p, f) == (params.p, params.f))
+    yield "limbs", any(map(needs_limbs, batch))
 
 
 def slow_route(params, rng):

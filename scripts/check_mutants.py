@@ -138,17 +138,24 @@ MUTANTS = [
     Mutant("M_upper summing signed entries", "asymptotics.py",
            "sum(abs(k) for col", "sum(k for col",
            ("test_asymptotics.py", "test_cli.py")),
-    # the norm: one packed int per central character. Without the sign bit,
-    # a slot of 2^63 reads negative: only test_operator_norm_slot_width_rule
-    # packs one. Without [t >= h], the two twists of a (b, n) share a slot
+    # the norm: one packed int per central character and limb, in 64-bit
+    # slots. Without the sign bit, a part up to 2^64 is one limb, and a
+    # slot past 2^63 reads negative: the value cases of
+    # test_operator_norm_slot_width_rule with c times the largest product
+    # between 2^63 and 2^64 catch it. At the last split's s, a limb's slots
+    # land right for two limbs and wrong from three on: the 2^127 cases and
+    # the growing c of test_operator_norm_keeps_one_table_as_c_grows catch
+    # it. Without [t >= h], the two twists of a (b, n) share a slot
     # at odd q: the per-b, brute-force, det-twist and class-norm tests, and
     # check_fields, catch the cancellation. A twist off by one looks up a
     # row the table does not hold (KeyError) at every q but 3, where it is
     # the other normalized twist and the norm is the same: every test that
     # takes a norm fails
-    Mutant("the width rule's sign bit dropped", "asymptotics.py",
-           ".bit_length() // 64 + 1) * 64",
-           ".bit_length() + 63) // 64 * 64 or 64", ("test_asymptotics.py",)),
+    Mutant("the fit test without its sign bit", "asymptotics.py",
+           "* largest >= 1 << 63", "* largest >= 1 << 64",
+           ("test_asymptotics.py",)),
+    Mutant("limb slots added at the last split's shift", "asymptotics.py",
+           "(u << shift)", "(u << s)", ("test_asymptotics.py",)),
     Mutant("[t >= h] dropped for odd q", "asymptotics.py",
            "slot = b - b % 2 + ((x + y) % qm1 >= h) if q % 2 else b",
            "slot = b - b % 2 if q % 2 else b",

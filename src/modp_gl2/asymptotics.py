@@ -47,29 +47,26 @@ def _largest_product(params: FieldParams) -> int:
 
 
 @memo
-def _norm_rows(params: FieldParams,
-               bits: int) -> tuple[int, MappingProxyType]:
-    """``bias``, 2^(bits-1) in each of q(q+1) slots of ``bits`` bits, and
-    at a(q-1) + x, for each twist x of L_a in the normalized part (central
-    character 0 for even q, a mod 2 for odd q), [L_a(x)][L_b(0)] over all
-    b < q as one int packed from words: k L_n(t) is k in slot n(q+1) + b
-    for even q and n(q+1) + 2(b // 2) + [t >= h] for odd q, h = (q-1) // 2.
-    A part of character alpha has n + 2t = alpha + b (mod q-1), so for odd
-    q, b has the parity of n + alpha and (b, n) two twists, t and t + h."""
-    q, qm1, h, step = params.q, params.q - 1, (params.q - 1) // 2, bits // 64
-    pack = Struct(f"<{q * (q + 1) * step}Q").pack
-    rows: dict[int, int] = {}
+def _norm_rows(params: FieldParams) -> tuple[int, MappingProxyType]:
+    """``bias``, 2^63 in each of q(q+1) 64-bit slots, and at a(q-1) + x,
+    for each twist x of L_a in the normalized part (central character 0
+    for even q, a mod 2 for odd q), [L_a(x)][L_b(0)] over all b < q as one
+    int packed from words: k L_n(t) is k in slot n(q+1) + b for even q and
+    n(q+1) + 2(b // 2) + [t >= h] for odd q, h = (q-1) // 2. A part of
+    character alpha has n + 2t = alpha + b (mod q-1), so for odd q, b has
+    the parity of n + alpha and (b, n) two twists, t and t + h."""
+    q, qm1, h, rows = params.q, params.q - 1, (params.q - 1) // 2, {}
+    pack = Struct(f"<{q * (q + 1)}Q").pack
     for i in range(q * qm1):
         a, x = divmod(i, qm1)
         if (a + 2 * x) % qm1 == a % 2 * (q % 2):
-            words = [0] * (q * (q + 1) * step)
+            words = [0] * (q * (q + 1))
             for b, row in enumerate(_product_row(params, a)):
                 for nb, y, k in row:
                     slot = b - b % 2 + ((x + y) % qm1 >= h) if q % 2 else b
-                    words[(nb // qm1 * (q + 1) + slot) * step] = k
+                    words[nb // qm1 * (q + 1) + slot] = k
             rows[i] = int.from_bytes(pack(*words), "little")
-    bias = [0] * (step - 1) + [1 << 63]
-    return (int.from_bytes(pack(*bias * (q * (q + 1))), "little"),
+    return (int.from_bytes(pack(*[1 << 63] * (q * (q + 1))), "little"),
             MappingProxyType(rows))
 
 
@@ -80,13 +77,12 @@ def operator_norm(v: RingElement) -> Fraction:
     Parts of v of distinct central characters share no label, and a det
     twist keeps their sums, so each part is twisted to its normalized
     character and summed as one int: ``bias`` plus c times the row of
-    ``_norm_rows`` for each term c L_a(x), at ``bits`` bits per slot, a
-    sign bit over the bit length of the largest part's sum of |c| times the
-    largest product, in whole 64-bit words. XOR with ``bias`` leaves each
-    slot in two's complement; one ``memoryview`` cast reads 64-bit slots,
-    and wider ones are read one by one, in native byte order (on a
-    big-endian host the slots, and so the rows, come reversed, and their
-    max is the same). Every element takes this one path."""
+    ``_norm_rows`` for each term c L_a(x). XOR with ``bias`` leaves each
+    64-bit slot in two's complement, read by one ``memoryview`` cast in
+    native byte order (a big-endian host reverses the rows, not their max).
+    A part whose sum of |c| times the largest product reaches 2^63 is
+    summed in exact limbs: c & (2^s - 1) >= 0, 2^s len(part) largest <=
+    2^63, then c >> s (floor) at shift + s, until it fits."""
     v = v.to_basis("L")
     q, qm1 = v.params.q, v.params.q - 1
     d = lcm(*(c.denominator for c in v.terms.values()))
@@ -97,16 +93,20 @@ def operator_norm(v: RingElement) -> Fraction:
         x -= alpha // 2 if q % 2 else alpha * (q // 2)
         parts.setdefault(alpha, []).append(
             (a * qm1 + x % qm1, c.numerator * (d // c.denominator)))
-    top = max((sum(abs(c) for _, c in p) for p in parts.values()), default=0)
-    bits = ((top * _largest_product(v.params)).bit_length() // 64 + 1) * 64
-    bias, table = _norm_rows(v.params, bits)
-    width, size, rows = bits // 8, q * (q + 1) * bits // 8, [0] * q
+    bias, table = _norm_rows(v.params)
+    largest, size, rows = _largest_product(v.params), q * (q + 1) * 8, [0] * q
     for part in parts.values():
-        acc = sum((c * table[i] for i, c in part), bias) ^ bias
-        raw = acc.to_bytes(size, byteorder)
-        slots = (memoryview(raw).cast("q") if bits == 64 else
-                 [int.from_bytes(raw[j:j + width], byteorder, signed=True)
-                  for j in range(0, size, width)])
+        shift = 0
+        while part:
+            wide = sum(abs(c) for _, c in part) * largest >= 1 << 63
+            s = 63 - (len(part) * largest).bit_length()
+            limb = [(i, c & ((1 << s) - 1)) for i, c in part] if wide else part
+            acc = sum((c * table[i] for i, c in limb), bias) ^ bias
+            read = memoryview(acc.to_bytes(size, byteorder)).cast("q")
+            slots = ([t + (u << shift) for t, u in zip(slots, read)]
+                     if shift else read)
+            part = [(i, c >> s) for i, c in part] if wide else []
+            shift += s
         rows = [r + sum(map(abs, slots[j:j + q + 1]))
                 for r, j in zip(rows, range(0, q * (q + 1), q + 1))]
     return Fraction(max(rows), d)

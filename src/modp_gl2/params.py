@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Everything is exact, and the tests cover q <= 64, each test its own range
-# from ``fields``. A cold ``brauer.build_table`` evaluates and inverts one or
-# two q x q blocks: about 0.007 s at q = 64, 0.04 s at q = 128 and 0.2 s at
-# q = 256 (40 MB peak RSS), measured with the cap raised on a shared 2-core
-# host. At q = 256 the largest cold layer of ``scripts/bench_layers.py`` is
-# ``compute_constants``, 2.0-2.3 s, and a run of all eight peaks at 174 MB RSS.
-Q_CAP = 64
+# Everything is exact; the tests cover q <= 64, each its own range from
+# ``fields``. The oracle's int64 sums hold while q (ell - 1)^2 < 2^63 for its
+# primes ell < 2^26: every q < 2^11. At q = 256 the cold layers of
+# ``scripts/bench_layers.py`` take 0.2 s (``build_table``), 1.7 s
+# (``compute_constants``) and 2.5 s (20 norms, with the 135 MB norm table),
+# and peak at 225 MB RSS (median of 3 runs on a shared 2-core host).
+Q_CAP = 256
 
 
 def is_prime(n: int) -> bool:

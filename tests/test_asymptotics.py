@@ -201,40 +201,41 @@ def test_operator_norm_matches_per_b_products(p, f):
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_16)
 def test_operator_norm_slot_width_rule(p, f):
-    # a part is packed at a sign bit over the bit length of the largest
-    # part's sum of |c| times the largest product coefficient, in whole
-    # 64-bit words. c L_a(x) with that coefficient in a row of L_a puts c
-    # times it in one slot: up to 2^63 - 1 it fits 64 bits, and from 2^63
-    # on it needs 128. A unit term of another central character (b = a + 1)
-    # is a second part, which leaves the width alone
+    # every slot is 64 bits wide: a part fits it while its sum of |c| times
+    # the largest product coefficient is below 2^63, and is summed in limbs
+    # from 2^63 on. c L_a(x) with that coefficient in a row of L_a puts c
+    # times it in one slot. A unit term of another central character
+    # (b = a + 1) is a second part, which is summed on its own
     params = FieldParams(p, f)
     q, qm1 = params.q, params.q - 1
     peak = _largest_product(params)
     a = next(a for a in range(q) for row in _product_row(params, a)
              if any(k == peak for _, _, k in row))
     # the largest c with c * peak < 2^63, the smallest c past it, and the
-    # same at 2^127; each norm starts from no packed table, so the one it
-    # builds is the width it chose
+    # same at 2^127; and the largest c with c * peak < 2^64, whose slot of
+    # c * peak would read negative if it were summed in one limb. Each norm
+    # starts from no packed table and builds the field's one table
     tables = memo.TABLES["modp_gl2.asymptotics._norm_rows"]
-    cases = []
-    for top, bits in ((2 ** 63, 64), (2 ** 127, 128)):
-        cases += [((top - 1) // peak, bits), (-(-top // peak), bits + 64)]
-    for (c, bits), sign, x in itertools.product(cases, (1, -1), range(qm1)):
+    cases = [(2 ** 64 - 1) // peak]
+    for top in (2 ** 63, 2 ** 127):
+        cases += [(top - 1) // peak, -(-top // peak)]
+    for c, sign, x in itertools.product(cases, (1, -1), range(qm1)):
         v = RingElement.L(params, a, x).scale(sign * c)
         parts = v - RingElement.L(params, (a + 1) % qm1, x)
         for w in (v, parts) if q > 2 else (v,):
             tables.clear()
             assert operator_norm(w) == per_b_norm(w)
-            assert list(tables) == [(p, f, bits)]
+            assert list(tables) == [(p, f)]
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (3, 2), (2, 4), (5, 2)])
 def test_operator_norm_on_residuals_near_1e9(p, f):
     # residuals of W * S_k1 S_k2 S_k3 with k near 10^9, against the per-b
-    # sums, with the classes V themselves, which need 128-bit slots
+    # sums, with the classes V themselves, which are summed in limbs
     params = FieldParams(p, f)
     q, qm1 = params.q, params.q - 1
     rng = random.Random(f"wide:{q}")
+    memo.clear()
     for _ in range(4):
         w = RingElement.L(params, rng.randrange(q), rng.randrange(qm1))
         v = multiply(w, reduce_product(params, [
@@ -243,7 +244,19 @@ def test_operator_norm_on_residuals_near_1e9(p, f):
             for _ in range(3)]))
         for u in (residual(v), v):
             assert operator_norm(u) == per_b_norm(u)
-    assert (p, f, 128) in _norm_rows.table
+    assert list(_norm_rows.table) == [(p, f)]
+
+
+@pytest.mark.parametrize("p,f", [(13, 1), (2, 4)])
+def test_operator_norm_keeps_one_table_as_c_grows(p, f):
+    # c L_3(0) with c from 2^10 to 2^490, 60 bits apart: from one limb to
+    # nine, each norm the per-b one, and the field's one packed table
+    params = FieldParams(p, f)
+    memo.clear()
+    for e in range(10, 491, 60):
+        v = RingElement.L(params, 3, 0).scale(2 ** e)
+        assert operator_norm(v) == per_b_norm(v)
+    assert list(_norm_rows.table) == [(p, f)]
 
 
 @pytest.mark.parametrize("p,f", ODD_TO_32)
@@ -309,10 +322,14 @@ def test_m_upper_is_the_l1_mass_of_the_L_n(p, f):
 
 def test_memo_tables_stay_bounded(p9):
     # every table is keyed by the field and a bounded index, so once warm,
-    # new bound checks on the same field store nothing
+    # new bound checks on the same field store nothing. The two-factor
+    # checks per twist j < f build the fast product's run tables
     compute_constants(p9)
     for k in range(p9.q ** 2 - 1 + p9.q):
         check_theorem_bound(p9, RingElement.L(p9, 1, 0), [SymmFactor(k, 0, 0)])
+    for j in range(p9.f):
+        check_theorem_bound(p9, RingElement.L(p9, 1, 0),
+                            [SymmFactor(10 ** 6, 0, j), SymmFactor(10 ** 6, 0)])
     before = sum(len(t) for t in memo.TABLES.values())
     rng = random.Random(50)
     for i in range(50):  # the first factor makes every call distinct

@@ -10,8 +10,8 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_fields.py"
 
 # each check's count at one field q, and its total over q = 2, 3, 4, 5:
-# 40 seeded products and 13 edge products, 20 elements and the wide-slot
-# case, 2N + q ascending k and 50 descending, one gather table per central
+# 40 seeded products and 13 edge products, 20 elements and the limb case,
+# 2N + q ascending k and 50 descending, one gather table per central
 # character, one identity per w < q and v in {0, 1, q-2}, 20 products
 # against the oracle, one row of the V_n table per n < q-1, N + q - 1
 # class norms and three orders of the product rows
@@ -67,7 +67,7 @@ def test_check_fields_exits_1_on_a_wrong_norm(check_fields, capsys,
     monkeypatch.setattr(check_fields, "operator_norm", lambda v: norm(v) + 1)
     assert check_fields.main([]) == 1
     out = capsys.readouterr().out
-    # every element but the wide-slot case, which the +1 leaves alone
+    # every element but the limb case, which the +1 leaves alone
     assert out.count("norms mismatch at q = ") == 80
     assert_tallies(out, 20)
 
