@@ -8,8 +8,9 @@ character value is a polynomial in zeta with integer coefficients. Such
 identities hold in Z[zeta], so they also hold modulo a prime above any prime
 ell = 1 (mod q^2 - 1), where zeta becomes an element of F_ell of exact order
 q^2 - 1: the oracle computes in F_ell, with no floating point. The primes
-are taken below 2^26, counting down, so q (ell - 1)^2 < 2^63 for q <= 64
-and every int64 product sum below is exact; ``build_table`` checks this.
+are taken below 2^26, counting down, so q (ell - 1)^2 < 2^63 for every
+q < 2^11, so every q up to the cap, and every int64 product sum below is
+exact; ``build_table`` checks this.
 
 The character of L_n(m) at a class c factors as chi_n(c) * omega^(d(c) m):
 chi_n is the product of the untwisted digit characters, omega = zeta^(q+1)

@@ -31,9 +31,9 @@ product is one kernel on such terms, ``_add_product``, which folds its
 factors through the product table and adds the result into a label dict:
 ``multiply`` is an adapter on it, and the fast product hands it the
 remainders S_w(t)^[j] as flat terms from ``_symm_terms``. The row format
-is this module's own: other modules hold the tables whole and go between
-rows and label dicts through ``_labels``, ``_row``, ``_expand``,
-``_add_symm``, ``_symm_terms`` and ``_add_product``.
+is this module's own: other modules use ``_labels``, ``_row``, ``_expand``,
+``_add_symm``, ``_symm_terms`` and ``_add_product``, but ``asymptotics``
+reads the triples of the product rows and the L -> S columns directly.
 """
 
 from __future__ import annotations

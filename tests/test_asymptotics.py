@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +30,7 @@ from modp_gl2 import (
 )
 from modp_gl2.asymptotics import _class_norms, _largest_product, _norm_rows
 from modp_gl2.params import fields
-from modp_gl2.ring import _product_row, structure_constants
+from modp_gl2.ring import _product_row
 
 FIELDS_TO_16 = [(params.p, params.f) for params in fields(16)]
 FIELDS_TO_32 = [(params.p, params.f) for params in fields(32)]
@@ -67,26 +65,6 @@ def brute_force_norm(v):
             for lbl, c in column.terms.items():
                 rows[lbl] += abs(c)
     return Fraction(max(rows.values()), d)
-
-
-def per_b_norm(v):
-    """operator_norm as the q products v * [L_b(0)], each summed label by
-    label from the ``structure_constants`` maps, with |c| summed per n: the
-    reference for the flat accumulator split by central character."""
-    params = v.params
-    qm1 = params.q - 1
-    d = lcm(*(c.denominator for c in v.terms.values()))
-    rows = [0] * params.q
-    for b in range(params.q):
-        column = {}
-        for (a, x), c in v.terms.items():
-            c = c.numerator * (d // c.denominator)
-            for (n, t), k in structure_constants(params, a, b).items():
-                lbl = (n, (t + x) % qm1)
-                column[lbl] = column.get(lbl, 0) + c * k
-        for (n, _), c in column.items():
-            rows[n] += abs(c)
-    return Fraction(max(rows), d)
 
 
 def test_s_alpha_small(p3):
@@ -165,7 +143,7 @@ def test_operator_norm_matches_brute_force(p, f):
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_32)
-def test_operator_norm_matches_per_b_products(p, f):
+def test_operator_norm_matches_per_b_products(p, f, check_fields):
     params = FieldParams(p, f)
     q, qm1 = params.q, max(params.q - 1, 1)
     h = qm1 // 2
@@ -196,11 +174,11 @@ def test_operator_norm_matches_per_b_products(p, f):
                    RingElement.S(params, q - 1, 1)
                    - RingElement.S(params, 1, 0).scale(Fraction(2, 3))])
     for v in elements:
-        assert operator_norm(v) == per_b_norm(v.to_basis("L"))
+        assert operator_norm(v) == check_fields.per_b_norm(v)
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_16)
-def test_operator_norm_slot_width_rule(p, f):
+def test_operator_norm_slot_width_rule(p, f, check_fields):
     # every slot is 64 bits wide: a part fits it while its sum of |c| times
     # the largest product coefficient is below 2^63, and is summed in limbs
     # from 2^63 on. c L_a(x) with that coefficient in a row of L_a puts c
@@ -224,12 +202,12 @@ def test_operator_norm_slot_width_rule(p, f):
         parts = v - RingElement.L(params, (a + 1) % qm1, x)
         for w in (v, parts) if q > 2 else (v,):
             tables.clear()
-            assert operator_norm(w) == per_b_norm(w)
+            assert operator_norm(w) == check_fields.per_b_norm(w)
             assert list(tables) == [(p, f)]
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (3, 2), (2, 4), (5, 2)])
-def test_operator_norm_on_residuals_near_1e9(p, f):
+def test_operator_norm_on_residuals_near_1e9(p, f, check_fields):
     # residuals of W * S_k1 S_k2 S_k3 with k near 10^9, against the per-b
     # sums, with the classes V themselves, which are summed in limbs
     params = FieldParams(p, f)
@@ -243,24 +221,24 @@ def test_operator_norm_on_residuals_near_1e9(p, f):
                        rng.randrange(qm1), rng.randrange(f))
             for _ in range(3)]))
         for u in (residual(v), v):
-            assert operator_norm(u) == per_b_norm(u)
+            assert operator_norm(u) == check_fields.per_b_norm(u)
     assert list(_norm_rows.table) == [(p, f)]
 
 
 @pytest.mark.parametrize("p,f", [(13, 1), (2, 4)])
-def test_operator_norm_keeps_one_table_as_c_grows(p, f):
+def test_operator_norm_keeps_one_table_as_c_grows(p, f, check_fields):
     # c L_3(0) with c from 2^10 to 2^490, 60 bits apart: from one limb to
     # nine, each norm the per-b one, and the field's one packed table
     params = FieldParams(p, f)
     memo.clear()
     for e in range(10, 491, 60):
         v = RingElement.L(params, 3, 0).scale(2 ** e)
-        assert operator_norm(v) == per_b_norm(v)
+        assert operator_norm(v) == check_fields.per_b_norm(v)
     assert list(_norm_rows.table) == [(p, f)]
 
 
 @pytest.mark.parametrize("p,f", ODD_TO_32)
-def test_operator_norm_of_every_det_twist(p, f):
+def test_operator_norm_of_every_det_twist(p, f, check_fields):
     # each part is twisted to central character alpha mod 2 before it is
     # packed; every det twist of a mixed element, whose parts go to both
     # characters, has the per-b norm, and the one norm
@@ -273,10 +251,10 @@ def test_operator_norm_of_every_det_twist(p, f):
                      rng.randint(1, 9))
         for _ in range(8)})
     assert {a % 2 for a in split_by_central_character(v)} == {0, 1}
-    norm = per_b_norm(v)
+    norm = check_fields.per_b_norm(v)
     for m in range(qm1):
         u = v.det_twist(m)
-        assert operator_norm(u) == per_b_norm(u) == norm
+        assert operator_norm(u) == check_fields.per_b_norm(u) == norm
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_16)
@@ -290,16 +268,6 @@ def test_linear_norm_matches_generic(p, f):
     assert _class_norms(params) == (s_norms, hat_norms)
     best = max(s_norms + hat_norms)
     assert compute_constants(params).A == (q * q + 2 * q) * best
-
-
-@pytest.fixture(scope="module")
-def check_fields():
-    """``scripts/check_fields.py`` as a module, for its references."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "check_fields.py"
-    spec = importlib.util.spec_from_file_location("check_fields", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_32)

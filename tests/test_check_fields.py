@@ -2,12 +2,7 @@
 and a wrong ``operator_norm``, wrong class norms or a check that raises
 makes the script exit 1."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_fields.py"
 
 # each check's count at one field q, and its total over q = 2, 3, 4, 5:
 # 40 seeded products and 13 edge products, 20 elements and the limb case,
@@ -29,12 +24,9 @@ COUNTS = {
 
 
 @pytest.fixture
-def check_fields(monkeypatch):
-    spec = importlib.util.spec_from_file_location("check_fields", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "Q_MAX", 5)
-    return module
+def check_fields(check_fields, monkeypatch):
+    monkeypatch.setattr(check_fields, "Q_MAX", 5)
+    return check_fields
 
 
 def assert_tallies(out, mismatches, zero=()):

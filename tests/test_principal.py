@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -53,19 +52,17 @@ def test_closed_paths_match_the_brute_force_filter(graph):
 
 @pytest.mark.parametrize("p, f", [(params.p, params.f)
                                   for params in fields(16)] + [(2, 6)])
-def test_diamond_columns_match_the_paths(p, f):
+def test_diamond_columns_match_the_paths(p, f, check_fields):
     # the V_n table, built from column words, against the compatible
     # paths of the path report, each a constituent L_lambda(ell)
     params = FieldParams(p, f)
     q = params.q
+    for case, agree in check_fields.diamond(params, None):
+        assert agree, (params, case)
     rows = _diamond_columns(params)
     assert len(rows) == q - 1
     for n, row in enumerate(rows):
-        paths = Counter((r["lambda"], r["ell"])
-                        for r in explain_decomposition(params, n)
-                        if r["compatible"])
         labels = _labels(q - 1, row)
-        assert labels == paths, (q, n)
         assert RingElement(params, "L", labels).dimension() == q + 1, (q, n)
 
 

@@ -44,12 +44,13 @@ def test_fast_equals_slow():
 
 
 @pytest.mark.parametrize("p, f", [(2, 4), (5, 2), (3, 3), (2, 5)])
-def test_fast_equals_slow_over_two_periods(p, f):
-    # every k < 2N + q, N = q^2 - 1: zero, one and two full periods
+def test_fast_equals_slow_over_two_periods(p, f, check_fields):
+    # every k < 2N + q, N = q^2 - 1: zero, one and two full periods, then
+    # 50 seeded k going down, which the slow route resumes from its stops
     params = FieldParams(p, f)
-    for k in range(2 * (params.q ** 2 - 1) + params.q):
-        assert reduce_symm(params, k, method="fast") \
-            == reduce_symm(params, k, method="slow"), (p, f, k)
+    rng = random.Random(params.q)
+    for case, agree in check_fields.slow_route(params, rng):
+        assert agree, (params, case)
 
 
 def _walk(params, top):
@@ -342,17 +343,12 @@ def test_fast_product_twists_a_remainder_s_q_minus_1(p, f):
 
 
 @pytest.mark.parametrize("p, f", FIELDS_TO_16)
-def test_remainder_reflection_identity(p, f):
-    # [S_w(v)] + [S_(q-1-w)(v+w)] = [V_(w mod (q-1))(v)] for every w < q,
-    # by the base-change columns and the V_n table alone
+def test_remainder_reflection_identity(p, f, check_fields):
+    # [S_w(v)] + [S_(q-1-w)(v+w)] = [V_(w mod (q-1))(v)] for every w < q
+    # and v in {0, 1, q-2}, by the base-change columns and the V_n table
     params = FieldParams(p, f)
-    q = params.q
-    for w in range(q):
-        for v in {0, 1, q - 2}:
-            assert symm_to_L(params, w, v) + symm_to_L(params, q - 1 - w,
-                                                       v + w) \
-                == diamond_decompose(params, w % (q - 1), v % (q - 1)), \
-                (q, w, v)
+    for case, agree in check_fields.reflection(params, None):
+        assert agree, (params, case)
 
 
 @pytest.mark.parametrize("p, f", FIELDS_TO_16)
@@ -435,28 +431,10 @@ def test_runs_are_the_direct_sums(p, f):
     assert len(reduction._runs.table) == 2 * f, params
 
 
-def _edge_products(params):
-    """Products at the run tables' edges: k + 1 = -1, 0, 1 (mod q-1), k in
-    {N-1, N, 2N+q}, k = v(q+1) + q (w = q, no remainder), the product of
-    the k + 1 at 2^8 - 1, 2^8 and 2^16, and j in {-1, f, 2f+1} with m < 0
-    among the twists."""
-    q, f = params.q, params.f
-    n, period = q - 1, q * q - 1
-    twists = [(-1, -1), (q - 2, f), (-q, 2 * f + 1)]
-    ks = [3 * n - 2, 3 * n - 1, 3 * n, period - 1, period, 2 * period + q,
-          2 * (q + 1) + q, period + q + 1 + q]
-    singles = [SymmFactor(k, *twists[i % 3]) for i, k in enumerate(ks)]
-    products = [[a, b] for a, b in zip(singles, singles[1:] + singles[:1])]
-    products.append(singles[:3])
-    for ks in ([14, 16], [15, 15], [255, 255], [15, 15, 255]):
-        products.append([SymmFactor(k, *twists[i]) for i, k in enumerate(ks)])
-    return products
-
-
 @pytest.mark.parametrize("p, f", FIELDS_TO_16)
-def test_fast_product_at_the_run_edges(p, f):
+def test_fast_product_at_the_run_edges(p, f, check_fields):
     params = FieldParams(p, f)
-    for factors in _edge_products(params):
+    for factors in check_fields.edge_products(params):
         fast = reduce_product(params, factors)
         fold = reduce(multiply, [reduce_symm(params, factor)
                                  for factor in factors])

@@ -20,9 +20,8 @@ from modp_gl2 import (
 )
 from modp_gl2.params import fields
 from modp_gl2.reduction import _split
-from modp_gl2.ring import (_add_product, _labels, _product_row, _row,
-                           _s_to_l_columns, _symm_terms, _twist,
-                           structure_constants)
+from modp_gl2.ring import (_add_product, _labels, _row, _s_to_l_columns,
+                           _symm_terms, _twist, structure_constants)
 
 FIELDS_TO_16 = [(params.p, params.f) for params in fields(16)]
 
@@ -198,35 +197,16 @@ def test_add_product_is_the_signed_product(p, f):
                     (params, factors, sign)
 
 
-def _rows_in_order(params, order):
-    """Every product row of the field, built from empty tables in
-    ``order``, as a list indexed by label."""
-    memo.clear()
-    rows = [None] * params.q
-    for a in order:
-        rows[a] = _product_row(params, a)
-    return rows
-
-
 @pytest.mark.parametrize("p, f", FIELDS_TO_16)
-def test_product_rows_do_not_depend_on_build_order(p, f):
+def test_product_rows_do_not_depend_on_build_order(p, f, check_fields):
     # a row takes the entries it shares with rows already built: in
     # ascending, descending and shuffled order every entry is the same
     # label dict and equals its transpose, and [a][b] and [b][a] are one
     # stored object
     params = FieldParams(p, f)
-    q, qm1 = params.q, params.q - 1
-    shuffled = list(range(q))
-    random.Random(q).shuffle(shuffled)
-    tables = [_rows_in_order(params, order)
-              for order in (range(q), range(q - 1, -1, -1), shuffled)]
-    expected = [[_labels(qm1, entry) for entry in row] for row in tables[0]]
-    for rows in tables:
-        for a in range(q):
-            for b in range(q):
-                assert rows[a][b] is rows[b][a], (q, a, b)
-                assert _labels(qm1, rows[a][b]) == expected[a][b] \
-                    == expected[b][a], (q, a, b)
+    rng = random.Random(params.q)
+    for case, agree in check_fields.row_orders(params, rng):
+        assert agree, (params, case)
 
 
 @pytest.mark.parametrize("p, f", [(7, 2), (2, 6)])
