@@ -38,11 +38,13 @@ tables, each on inputs drawn from its own ``random.Random(f"{seed}:{q}")``:
 - diamond: each row of the V_n table, built from column words, against
   the (lambda, ell) of the compatible closed paths of
   ``explain_decomposition``, counted with multiplicity;
-- constants: the class norms ||[S_r]|| (r < N) and ||S-hat_i|| (i < q-1)
-  behind the constant A, from ``_class_norms``, against the Glover
-  recursion run step by step on row-sum vectors written here: one matvec
-  against the products [L_1][L_a] per step, each step checked against the
-  dimension;
+- constants: the class norms behind the constant A, from ``_class_norms``,
+  against the Glover recursion run step by step on row-sum vectors written
+  here (one matvec against the products [L_1][L_a] per step, each step
+  checked against the dimension): the max of ||[S_r]|| over r < N, each
+  ||S-hat_i|| (i < q-1), and, on the reference list, the premise of the
+  library's chain ends, that ||[S_r]|| never falls along a chain r0,
+  r0 + q + 1, ... (r0 <= q);
 - row orders: the q rows of the product table, built from empty tables in
   ascending, descending and seeded shuffled order, against each other:
   every entry [a][b] the same label dict in each order and equal to its
@@ -65,6 +67,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from math import lcm, prod
+from operator import le
 
 from modp_gl2 import (RingElement, SymmFactor, diamond_decompose, memo,
                       multiply, omega, operator_norm, oracle_decompose,
@@ -280,12 +283,17 @@ def glover_class_norms(params):
 
 
 def constants(params, rng):
-    """Yield (class, agree) for each norm of ``_class_norms`` against the
-    step-by-step Glover reference."""
-    got, expected = _class_norms(params), glover_class_norms(params)
-    for name, norms, reference in zip(("[S_{}]", "S-hat_{}"), got, expected):
-        for i, (x, y) in enumerate(zip_longest(norms, reference)):
-            yield "||" + name.format(i) + "||", x == y
+    """Yield (case, agree) for ``_class_norms`` against the step-by-step
+    Glover reference: its max over the [S_r] and each ||S-hat_i||, then for
+    each chain r0 <= q, whether the reference never falls along it."""
+    q, (top, hats) = params.q, _class_norms(params)
+    s_norms, hat_norms = glover_class_norms(params)
+    yield "max ||[S_r]||", top == max(s_norms)
+    for i, (x, y) in enumerate(zip_longest(hats, hat_norms)):
+        yield f"||S-hat_{i}||", x == y
+    for r0 in range(q + 1):
+        chain = s_norms[r0::q + 1]
+        yield f"chain r0 = {r0}", all(map(le, chain, chain[1:]))
 
 
 def row_orders(params, rng):

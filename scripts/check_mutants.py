@@ -119,21 +119,22 @@ MUTANTS = [
     Mutant("right-column q-1 term of ell dropped", "principal.py",
            "total = n - lam + last * qm1", "total = n - lam",
            ("test_principal.py",)),
-    # the constants: row sums of [S_r] by one series per step past r = q.
-    # The first three fail the dimension check or index past the series;
-    # the S-hat one passes it, and only the references (the generic
-    # operator_norm and check_fields' Glover recursion) tell it apart
+    # the constants: row sums of [S_r] at the q + 1 chain ends past r = q.
+    # The partner and the end's r fail the dimension check; the end's U and
+    # F's parity pass it (every U_c has the same dimension), and only the
+    # references (the generic operator_norm, check_fields' Glover recursion
+    # and the pinned A of every field) tell them apart
     Mutant("series partner t_(q-1-c) off by one", "asymptotics.py",
            "t[c], t[qm1 - c])", "t[c], t[q - c])",
            ("test_asymptotics.py", "test_check_fields.py")),
-    Mutant("row-sum buffer stride q for q+1", "asymptotics.py",
-           "i = r % (q + 1)", "i = r % q",
+    Mutant("an end taking U_((r0+1) mod (q-1))", "asymptotics.py",
+           "series[r0 % qm1])", "series[(r0 + 1) % qm1])",
            ("test_asymptotics.py", "test_check_fields.py")),
-    Mutant("series index r mod q for r mod (q-1)", "asymptotics.py",
-           "series[r % qm1]", "series[r % q]",
+    Mutant("F summed over the wrong parity for odd q", "asymptotics.py",
+           "zip(*series[s::g])", "zip(*series[(s + 1) % g::g])",
            ("test_asymptotics.py", "test_check_fields.py")),
-    Mutant("S-hat_i from t_(i+N+1)", "asymptotics.py",
-           "last[(period + i) % (q + 1)]", "last[(period + i + 1) % (q + 1)]",
+    Mutant("an end's dimension check at r = N - (q - r0)", "asymptotics.py",
+           "period - 1 - (q - r0)", "period - (q - r0)",
            ("test_asymptotics.py", "test_check_fields.py")),
     Mutant("M_upper summing signed entries", "asymptotics.py",
            "sum(abs(k) for col", "sum(k for col",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub
+from operator import add, mul
 from struct import Struct
 from sys import byteorder
 from types import MappingProxyType
@@ -150,20 +150,23 @@ class ConstantsReport:
         }
 
 
-def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
-    """||[S_r]|| for r < N = q^2 - 1 and ||S-hat_i|| for i < q - 1.
+def _class_norms(params: FieldParams) -> tuple[int, list[Fraction]]:
+    """max ||[S_r]|| over r < N = q^2 - 1, and ||S-hat_i|| for i < q - 1.
 
     Each class and its products with the L_b are nonnegative, so its norm is
     max_n t_r[n], the multiplicity of L_n(t) in [S_r][L_b(0)] summed over b
     and t. Summing out t is a ring map (det = 1), so class identities hold on
     the t_r. Base: the Glover recursion t_r = t_(r-1) M - t_(r-2) for r <= q,
     from t_(-1) = 0 and t_0 = all ones, M the q x q matrix of [L_a][L_1].
-    Step: for r > q, [S_r] = [V_r(0)] + [S_(r-q-1)](1) (``_split``'s first
-    series) and Diamond's [V_c] = [S_c] + [S_(q-1-c)](c) give one vector add,
-    t_r = t_(r-q-1) + U_c, U_c = t_c + t_(q-1-c), c = r mod (q-1). S-hat_i has
-    row sums (t_(i+N) - t_i) / N, as N S-hat_i = [S_(i+N)] - [S_i]. Every t_r
-    is checked exactly: sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b.
-    """
+    Past r = q, [S_r] = [V_r(0)] + [S_(r-q-1)](1) (``_split``'s first series)
+    and Diamond's [V_c] = [S_c] + [S_(q-1-c)](c) give t_r = t_(r-q-1) + U_c,
+    c = r mod (q-1), U_c = t_c + t_(q-1-c) >= 0 the row sums of the class
+    [V_c(0)]. So t never falls along a chain r0, r0 + q + 1, ... (r0 <= q),
+    and its max is at the end r = N - 1 - (q - r0): t_r0 + F(r0) - U_(r0 mod
+    (q-1)). As step j adds U_((r0 + 2j) mod (q-1)), F(r0) is g times the sum
+    of the U_c with c = r0 (mod g), g = gcd(2, q-1). N S-hat_i = [S_(i+N)]
+    - [S_i] has row sums F(i). Each t_r (r <= q) and each end is checked
+    exactly: sum_n t_r[n] dim L_n = (r+1) sum_b dim L_b."""
     q, qm1, period = params.q, params.q - 1, params.q ** 2 - 1
     M = [[(n, k) for (n, _), k in _labels(qm1, row).items()]   # sparse rows
          for row in _l1_rows(params)]
@@ -175,31 +178,28 @@ def _class_norms(params: FieldParams) -> tuple[list[int], list[Fraction]]:
                 nxt[n] += x * k
         t.append(nxt)
     series = [list(map(add, t[c], t[qm1 - c])) for c in range(qm1)]  # U_c
-    last, norms = t[:], []              # t_r in slot r % (q+1)
-    for r in range(period + qm1):
-        i = r % (q + 1)
-        if r > q:
-            last[i] = list(map(add, last[i], series[r % qm1]))
-        if sum(map(mul, last[i], dims)) != (r + 1) * sum(dims):
+    g = 1 + q % 2                                            # gcd(2, q - 1)
+    full = [[g * sum(col) for col in zip(*series[s::g])] for s in range(g)]
+    ends = {period - 1 - (q - r0): [x + y - u for x, y, u in zip(
+        t[r0], full[r0 % g], series[r0 % qm1])] for r0 in range(q + 1)}
+    for r, row in [*enumerate(t), *ends.items()]:
+        if sum(map(mul, row, dims)) != (r + 1) * sum(dims):
             raise AssertionError(
                 f"row sums of [S_{r}] fail the dimension check (internal bug)")
-        norms.append(max(last[i]))
-    return norms[:period], [
-        Fraction(max(map(sub, last[(period + i) % (q + 1)], t[i])), period)
-        for i in range(qm1)]
+    return max(map(max, ends.values())), [
+        Fraction(max(full[i % g]), period) for i in range(qm1)]
 
 
 @memo
 def _field_constants(params: FieldParams) -> tuple[Fraction, Fraction]:
     """A = (q^2 + 2q) max over ||[S_r]|| (r < q^2 - 1) and ||S-hat_i||, from
-    the row sums of ``_class_norms``, which read only the products [L_a][L_1]
-    and not ``operator_norm``; and M_upper, q - 1 times the S-basis l1 mass
-    of the L_n(0): the sum of |k| over every entry of ``_l_to_s_columns``.
-    Both depend on the field alone, not on h."""
-    q = params.q
-    norm = max(max(norms) for norms in _class_norms(params))
+    the chain ends of ``_class_norms``: O(q^2) adds past a Glover base that
+    reads only the products [L_a][L_1], not ``operator_norm``; and M_upper,
+    q - 1 times the S-basis l1 mass of the L_n(0): the sum of |k| over every
+    entry of ``_l_to_s_columns``. Both depend on the field alone, not on h."""
+    q, (top, hats) = params.q, _class_norms(params)
     mass = sum(abs(k) for col in _l_to_s_columns(params) for _, _, k in col)
-    return (q * q + 2 * q) * Fraction(norm), Fraction((q - 1) * mass)
+    return q * (q + 2) * Fraction(max(top, *hats)), Fraction((q - 1) * mass)
 
 
 def compute_constants(params: FieldParams) -> ConstantsReport:

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -259,24 +261,39 @@ def test_operator_norm_of_every_det_twist(p, f, check_fields):
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_16)
 def test_linear_norm_matches_generic(p, f):
-    # compute_constants norms the nonnegative classes by the recursion on
-    # row sums; the generic operator_norm on each class is the reference
+    # compute_constants norms the nonnegative classes at the chain ends of
+    # the recursion on row sums; the generic operator_norm on each class is
+    # the reference, and its list never falls along a chain
     params = FieldParams(p, f)
     q, qm1 = params.q, max(params.q - 1, 1)
     s_norms = [operator_norm(reduce_symm(params, r)) for r in range(q * q - 1)]
     hat_norms = [operator_norm(diamond_sum(params, i)) for i in range(qm1)]
-    assert _class_norms(params) == (s_norms, hat_norms)
+    assert _class_norms(params) == (max(s_norms), hat_norms)
+    assert all(s_norms[r + q + 1] >= s_norms[r] for r in range(q * q - q - 2))
     best = max(s_norms + hat_norms)
     assert compute_constants(params).A == (q * q + 2 * q) * best
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_32)
 def test_class_norms_match_glover_reference(p, f, check_fields):
-    # past r = q, _class_norms adds one principal series' row sums per step;
-    # the reference runs the Glover matvec at every step, as check_fields
-    # does on every field
+    # _class_norms forms only the chain ends past r = q; the reference runs
+    # the Glover matvec at every step, and its list never falls along a
+    # chain, as check_fields checks on every field
     params = FieldParams(p, f)
-    assert _class_norms(params) == check_fields.glover_class_norms(params)
+    for case, agree in check_fields.constants(params, None):
+        assert agree, (params, case)
+
+
+def test_constants_match_the_pinned_walk_at_every_field():
+    # A and M_upper at all 70 fields q <= 256, pinned in field_constants.json
+    # from the former step-by-step walk over all N + q - 1 row-sum vectors
+    pinned = json.loads((Path(__file__).parent
+                         / "field_constants.json").read_text())
+    assert [(row["p"], row["f"]) for row in pinned] == [
+        (params.p, params.f) for params in fields(256)]
+    for params, row in zip(fields(256), pinned):
+        report = compute_constants(params).to_json_dict()
+        assert (report["A"], report["M_upper"]) == (row["A"], row["M_upper"])
 
 
 @pytest.mark.parametrize("p,f", FIELDS_TO_32)

@@ -8,8 +8,9 @@ import pytest
 # 40 seeded products and 13 edge products, 20 elements and the limb case,
 # 2N + q ascending k and 50 descending, one gather table per central
 # character, one identity per w < q and v in {0, 1, q-2}, 20 products
-# against the oracle, one row of the V_n table per n < q-1, N + q - 1
-# class norms and three orders of the product rows
+# against the oracle, one row of the V_n table per n < q-1, the max class
+# norm, q - 1 S-hat norms and q + 1 chains, and three orders of the product
+# rows
 COUNTS = {
     "products": (lambda q: 53, 212),
     "elements": (lambda q: 21, 84),
@@ -18,7 +19,7 @@ COUNTS = {
     "identities": (lambda q: q * len({0, 1, q - 2}), 37),
     "oracle products": (lambda q: 20, 80),
     "V_n rows": (lambda q: q - 1, 10),
-    "class norms": (lambda q: q * q + q - 2, 60),
+    "class norms": (lambda q: 2 * q + 1, 32),
     "row orders": (lambda q: 3, 12),
 }
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from modp_gl2 import FieldParams, RingElement, cli, reduce_symm
+from modp_gl2 import FieldParams, RingElement, cli
 from modp_gl2.cli import main, parse_element, parse_factors
 
 
